@@ -158,11 +158,22 @@ def cmd_screen(args) -> int:
     except StopIteration:
         print(f"no case with id {args.case}", file=sys.stderr)
         return 2
+    if not 1 <= args.i <= case.n - 1:
+        print(f"--i must lie in 1..{case.n - 1} for case {case.id}", file=sys.stderr)
+        return 2
+    try:
+        floor = Fraction(args.floor)
+    except (ValueError, ZeroDivisionError):
+        print(f"--floor must be a rational number, got {args.floor!r}", file=sys.stderr)
+        return 2
     reps = cases_mod.representative_for_power(case, args.i)
     cap = args.rho_cap if args.rho_cap is not None else orbifold.safe_rho_cap(
-        case.source, reps, floor=Fraction(args.floor))
-    found = orbifold.screen_problematic_modules(case.source, reps,
-                                                floor=Fraction(args.floor), rho_cap=cap)
+        case.source, reps, floor=floor)
+    try:
+        found = orbifold.screen_problematic_modules(case.source, reps, floor=floor, rho_cap=cap)
+    except ValueError as err:
+        print(str(err), file=sys.stderr)
+        return 2
     payload = [{"weights": orbifold.render_weight_tuple(lams),
                 "rho": _frac_str(rho), "twisted": _frac_str(tw)}
                for lams, rho, tw in found]

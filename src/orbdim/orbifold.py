@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import product
+from math import ceil, gcd, lcm
 
 from .liealg import (
     AffineStructure,
@@ -59,8 +61,8 @@ def c_coefficients(n: int) -> dict[int, Fraction]:
     for d in divisors(n):
         g = gcd(d, n // d)
         out[d] = Fraction(_liouville_lambda(d), d) * Fraction(euler_phi(g), g) * dedekind_psi(n // d)
-    assert out[1] == dedekind_psi(n)
-    assert sum(out.values()) == n
+    if out[1] != dedekind_psi(n) or sum(out.values()) != n:
+        raise ArithmeticError(f"c_d at level {n} violate c_1 = psi(n) or sum c_d = n")
     return out
 
 
@@ -285,13 +287,17 @@ def alcove_representative(rs: RootSystem, h):
                 if cn < norm:
                     cur, norm = cand, cn
                     improved = True
-    for root in rs.roots:
-        assert abs(rs.root_on_coweight(root, cur)) <= 1
+    if any(abs(rs.root_on_coweight(root, cur)) > 1 for root in rs.roots):
+        raise ArithmeticError(f"alcove reduction of {tuple(h)} left the alcove")
     return cur
 
 
 def check_alcove_condition(rs: RootSystem, h) -> bool:
-    return all(rs.root_on_coweight(r, h) >= -1 for r in rs.roots)
+    """alpha(h) >= -1 for every root, in integers over the denominator of h."""
+    h = [Fraction(x) for x in h]
+    den = lcm(*(x.denominator for x in h))
+    scaled = [x.numerator * (den // x.denominator) for x in h]
+    return all(sum(a * c for a, c in zip(r, scaled)) >= -den for r in rs.roots)
 
 
 def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:
@@ -317,30 +323,48 @@ def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:
     return total + hh / 2
 
 
-def pairing_norm_bound(rs: RootSystem, level: int, h) -> Fraction:
-    """max over dominant lambda of level <= k of -min mu(h): a corner of an LP."""
-    h_minus, _ = weyl_antidominant(rs, h)
-    best = Fraction(0)
-    for j in range(rs.rank):
-        unit = tuple(int(i == j) for i in range(rs.rank))
-        v = -rs.pair_weight_coweight(unit, h_minus)
-        best = max(best, v / rs.comarks[j])
-    return level * best
+@lru_cache(maxsize=None)
+def _level_table(kind, level: int):
+    """(lambda, rho) for each dominant weight of level <= k, rho its affine
+    conformal weight.  Depends on the factor only, never on h."""
+    rs = build_root_system(kind)
+    return tuple((lam, affine_conformal_weight(rs, level, lam))
+                 for lam in dominant_weights_of_level(rs, level))
+
+
+@lru_cache(maxsize=1024)
+def _screen_setup(structure: AffineStructure, hs):
+    """(us, <h,h>, min-term bound) for a semisimple h = (h_1, ..., h_r).
+
+    us[i] = C^{-1} h_i^- with h_i^- the antidominant conjugate of h_i, so the
+    min term of lambda = sum m_j Lambda_j on factor i is sum m_j us[i][j].
+    On the simplex of level <= k dominant weights that linear form is least
+    at a vertex 0 or (k/a_j^vee) Lambda_j, so -min <= k max(0, -u_j/a_j^vee);
+    the bound is the sum of these over the factors.
+    """
+    us = []
+    hh = Fraction(0)
+    bound = Fraction(0)
+    for (kind, level), h in zip(structure.components, hs):
+        rs = build_root_system(kind)
+        u = rs.coweight_to_coroot_coords(weyl_antidominant(rs, h)[0])
+        us.append(u)
+        hh += level * rs.coweight_form(h, h)
+        bound += level * max(Fraction(0), *(-x / a for x, a in zip(u, rs.comarks)))
+    return tuple(us), hh, bound
+
+
+def _setup_for(structure: AffineStructure, hs):
+    """_screen_setup on h made hashable and exact, the form its cache keys on."""
+    return _screen_setup(structure, tuple(tuple(Fraction(x) for x in h) for h in hs))
 
 
 def safe_rho_cap(structure: AffineStructure, hs, floor=1) -> int:
     """Smallest integer cap >= 3 such that modules with rho(M) > cap provably
     keep their twisted weight above the floor."""
-    floor = Fraction(floor)
-    hh = Fraction(0)
-    bound = Fraction(0)
-    for (kind, level), h in zip(structure.components, hs):
-        rs = build_root_system(kind)
-        hh += level * rs.coweight_form(h, h)
-        bound += pairing_norm_bound(rs, level, h)
-    need = floor - 1 + bound - hh / 2
-    cap = max(3, -(-need.numerator // need.denominator))
-    return int(cap)
+    _, hh, bound = _setup_for(structure, hs)
+    need = Fraction(floor) - 1 + bound - hh / 2
+    return max(3, -(-need.numerator // need.denominator))
 
 
 def screen_problematic_modules(structure: AffineStructure, hs, floor=1, rho_cap=3):
@@ -348,47 +372,74 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1, rho_cap=
     weight drops below the floor.
 
     Returns a sorted list of (lambda_tuple, rho(M), rho(M^{(h)})).  Verifies
-    first that the cap is safe: any module with rho(M) > rho_cap keeps
-    rho(M^{(h)}) >= floor by the linear-programming bound on the min terms.
+    first that the cap is safe: any module with rho(M) > rho_cap has integral
+    rho(M) >= rho_cap + 1 and min terms >= -bound, where bound is the
+    linear-programming bound of _screen_setup, an upper bound on -sum min
+    over every dominant weight tuple of the structure.  So
+    rho(M^{(h)}) >= rho_cap + 1 - bound + <h,h>/2 >= floor, and the check
+    depends on the bound alone, not on the search below.
+
+    The search is an exact integer branch-and-bound over the factors.  Every
+    rho and every min term sum m_j u_j is scaled by one common denominator D
+    (the lcm of the denominators of the factors' rho values and of their u
+    vectors), so the search only adds integers.  Each factor's weights are
+    bucketed by the key (rho D, (rho + min) D); the search walks the keys,
+    a few per factor, instead of the weights.  A branch is cut by two suffix
+    lower bounds: rho, once the partial sum is above rho_cap D (the factors
+    still to come can add 0, the rho of the zero weight), and rho + min, once
+    the partial sum plus the least keys of the factors still to come reaches
+    (floor - <h,h>/2) D.  Only the buckets of leaves with rho integral and
+    >= 2 are expanded back into weight tuples, all of which share the leaf's
+    rho(M) and rho(M^{(h)}).
     """
     floor = Fraction(floor)
     comps = structure.components
     if len(hs) != len(comps):
         raise ValueError("one Cartan element per simple factor")
-    factors = []
-    hh = Fraction(0)
-    bound = Fraction(0)
-    for (kind, level), h in zip(comps, hs):
-        rs = build_root_system(kind)
-        if not check_alcove_condition(rs, h):
+    for (kind, _), h in zip(comps, hs):
+        if not check_alcove_condition(build_root_system(kind), h):
             raise ValueError(
                 f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
-        h_minus, _ = weyl_antidominant(rs, h)
-        lams = dominant_weights_of_level(rs, level)
-        data = [(lam, affine_conformal_weight(rs, level, lam),
-                 rs.pair_weight_coweight(lam, h_minus)) for lam in lams]
-        factors.append(data)
-        hh += level * rs.coweight_form(h, h)
-        bound += pairing_norm_bound(rs, level, h)
+    us, hh, bound = _setup_for(structure, hs)
     if Fraction(rho_cap) + 1 - bound + hh / 2 < floor:
         raise ValueError(
             f"rho cap {rho_cap} is not provably safe here (min-term bound {bound}, "
             f"<h,h>/2 = {hh / 2}); raise the cap")
-    out = []
+    tables = [_level_table(kind, level) for kind, level in comps]
+    D = lcm(*(rho.denominator for table in tables for _, rho in table),
+            *(x.denominator for u in us for x in u))
+    buckets = []
+    for table, u in zip(tables, us):
+        scaled_u = [int(x * D) for x in u]
+        keyed: dict[tuple[int, int], list] = {}
+        for lam, rho in table:
+            r = int(rho * D)
+            keyed.setdefault((r, r + sum(m * x for m, x in zip(lam, scaled_u))), []).append(lam)
+        buckets.append(sorted(keyed.items()))
+    # least_after[i]: the least scaled rho + min that factors i, i+1, ... add
+    least_after = [0] * (len(buckets) + 1)
+    for i in range(len(buckets) - 1, -1, -1):
+        least_after[i] = least_after[i + 1] + min(t for (_, t), _ in buckets[i])
+    cap = Fraction(rho_cap) * D // 1
+    limit = ceil((floor - hh / 2) * D)      # a leaf's scaled rho + min stays below
+    hits = []
 
-    def rec(idx, lam_acc, rho_acc, min_acc):
-        if rho_acc > rho_cap:
+    def rec(idx, r_acc, t_acc, chosen):
+        if idx == len(buckets):
+            if r_acc % D == 0 and r_acc >= 2 * D:
+                hits.append((r_acc, t_acc, chosen))
             return
-        if idx == len(factors):
-            if rho_acc.denominator == 1 and rho_acc >= 2:
-                twisted = rho_acc + min_acc + hh / 2
-                if twisted < floor:
-                    out.append((tuple(lam_acc), rho_acc, twisted))
-            return
-        for lam, rho, mn in factors[idx]:
-            rec(idx + 1, lam_acc + [lam], rho_acc + rho, min_acc + mn)
+        room = limit - least_after[idx + 1] - t_acc
+        for (r, t), lams in buckets[idx]:
+            if r_acc + r > cap:
+                break
+            if t < room:
+                rec(idx + 1, r_acc + r, t_acc + t, chosen + (lams,))
 
-    rec(0, [], Fraction(0), Fraction(0))
+    rec(0, 0, 0, ())
+    half = hh / 2
+    out = [(lams, Fraction(r, D), Fraction(t, D) + half)
+           for r, t, chosen in hits for lams in product(*chosen)]
     out.sort(key=lambda rec: (rec[2], rec[0]))
     return out
 

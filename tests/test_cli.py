@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from orbdim.cli import main
@@ -167,3 +172,30 @@ def test_screen_case_15(capsys):
     found = json.loads(out)
     assert len(found) == 17
     assert {f["twisted"] for f in found} == {"3/4", "7/8"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--case", "11", "--i", "0"], "--i must lie in 1..4"),
+    (["--case", "11", "--i", "5"], "--i must lie in 1..4"),
+    (["--case", "11", "--i", "9"], "--i must lie in 1..4"),
+    (["--case", "15", "--i", "-1"], "--i must lie in 1..7"),
+    (["--case", "11", "--floor", "abc"], "--floor must be a rational number"),
+    (["--case", "11", "--floor", "1/0"], "--floor must be a rational number"),
+    (["--case", "15", "--rho-cap", "1"], "not provably safe"),
+    (["--case", "99"], "no case with id 99"),
+])
+def test_screen_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "screen", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_case_run_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-m", "orbdim.cli", "case", "run", "15"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout

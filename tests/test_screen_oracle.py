@@ -1,0 +1,122 @@
+"""Differential test of the integer branch-and-bound screener against the
+plain recursive enumerator it replaced, kept here as the oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from orbdim.cases import load_cases, representative_for_power
+from orbdim.liealg import (
+    affine_conformal_weight,
+    build_root_system,
+    dominant_weights_of_level,
+    weyl_antidominant,
+)
+from orbdim.orbifold import check_alcove_condition, safe_rho_cap, screen_problematic_modules
+
+
+def _pairing_norm_bound(rs, level, h):
+    """max over dominant lambda of level <= k of -min mu(h): a corner of an LP."""
+    h_minus, _ = weyl_antidominant(rs, h)
+    best = Fraction(0)
+    for j in range(rs.rank):
+        unit = tuple(int(i == j) for i in range(rs.rank))
+        v = -rs.pair_weight_coweight(unit, h_minus)
+        best = max(best, v / rs.comarks[j])
+    return level * best
+
+
+def _screen_oracle(structure, hs, floor=1, rho_cap=3):
+    """Walks the full product of dominant weights with a Fraction add per node."""
+    floor = Fraction(floor)
+    comps = structure.components
+    if len(hs) != len(comps):
+        raise ValueError("one Cartan element per simple factor")
+    factors = []
+    hh = Fraction(0)
+    bound = Fraction(0)
+    for (kind, level), h in zip(comps, hs):
+        rs = build_root_system(kind)
+        if not check_alcove_condition(rs, h):
+            raise ValueError(
+                f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
+        h_minus, _ = weyl_antidominant(rs, h)
+        lams = dominant_weights_of_level(rs, level)
+        data = [(lam, affine_conformal_weight(rs, level, lam),
+                 rs.pair_weight_coweight(lam, h_minus)) for lam in lams]
+        factors.append(data)
+        hh += level * rs.coweight_form(h, h)
+        bound += _pairing_norm_bound(rs, level, h)
+    if Fraction(rho_cap) + 1 - bound + hh / 2 < floor:
+        raise ValueError(
+            f"rho cap {rho_cap} is not provably safe here (min-term bound {bound}, "
+            f"<h,h>/2 = {hh / 2}); raise the cap")
+    out = []
+
+    def rec(idx, lam_acc, rho_acc, min_acc):
+        if rho_acc > rho_cap:
+            return
+        if idx == len(factors):
+            if rho_acc.denominator == 1 and rho_acc >= 2:
+                twisted = rho_acc + min_acc + hh / 2
+                if twisted < floor:
+                    out.append((tuple(lam_acc), rho_acc, twisted))
+            return
+        for lam, rho, mn in factors[idx]:
+            rec(idx + 1, lam_acc + [lam], rho_acc + rho, min_acc + mn)
+
+    rec(0, [], Fraction(0), Fraction(0))
+    out.sort(key=lambda rec: (rec[2], rec[0]))
+    return out
+
+
+SCREENS = [(case, i) for case in load_cases() for i in range(1, case.n)]
+
+
+def _assert_same(got, want):
+    assert got == want
+    for lams, rho, tw in got:
+        assert type(rho) is Fraction and type(tw) is Fraction
+        assert all(type(x) is int for lam in lams for x in lam)
+
+
+def test_all_32_screens_match_the_oracle():
+    assert len(SCREENS) == 32
+    nonempty = 0
+    for case, i in SCREENS:
+        reps = representative_for_power(case, i)
+        cap = safe_rho_cap(case.source, reps, floor=1)
+        want = _screen_oracle(case.source, reps, floor=1, rho_cap=cap)
+        _assert_same(screen_problematic_modules(case.source, reps, floor=1, rho_cap=cap), want)
+        nonempty += bool(want)
+    assert nonempty >= 2       # the eleven- and seventeen-element lists at least
+
+
+@pytest.mark.parametrize("floor", [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)])
+def test_random_floors_match_the_oracle(floor):
+    rng = random.Random(20170403 + int(2 * floor))
+    picked = rng.sample(SCREENS, 6)
+    # cases 11 and 15 at i = 1 carry the paper's lists; keep them in every draw
+    picked += [(c, 1) for c in load_cases() if c.id in ("11", "15")]
+    for case, i in picked:
+        reps = representative_for_power(case, i)
+        cap = safe_rho_cap(case.source, reps, floor=floor)
+        want = _screen_oracle(case.source, reps, floor=floor, rho_cap=cap)
+        _assert_same(screen_problematic_modules(case.source, reps, floor=floor, rho_cap=cap),
+                     want)
+
+
+def test_larger_caps_and_fractional_caps_match_the_oracle():
+    case11 = next(c for c in load_cases() if c.id == "11")
+    for cap in (3, Fraction(7, 2), 5):
+        _assert_same(screen_problematic_modules(case11.source, case11.h, floor=1, rho_cap=cap),
+                     _screen_oracle(case11.source, case11.h, floor=1, rho_cap=cap))
+
+
+def test_unprovable_cap_raises():
+    case15 = next(c for c in load_cases() if c.id == "15")
+    assert safe_rho_cap(case15.source, case15.h) > 1
+    for screen in (screen_problematic_modules, _screen_oracle):
+        with pytest.raises(ValueError, match="not provably safe"):
+            screen(case15.source, case15.h, floor=1, rho_cap=1)
