@@ -170,10 +170,6 @@ class AffineDiagram:
     def num_nodes(self) -> int:
         return len(self.labels)
 
-    def adjacency(self):
-        n = self.num_nodes
-        return [[j for j in range(n) if j != i and self.gcm[i][j] != 0] for i in range(n)]
-
     def check_null(self):
         n = self.num_nodes
         for j in range(n):

@@ -124,6 +124,7 @@ class OrbifoldCase:
     rho_required: bool
     shifted_rho: tuple
     ih_reps: dict
+    problematic_modules: int
 
     def fixed_label(self) -> str:
         parts = [f"{k[0]}{k[1]}" for k in self.fixed_components]
@@ -165,6 +166,10 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             if len(coords) != kind[1]:
                 raise DataLoadError(f"case {cid}: h coordinates do not match the rank of {kind}")
         fixed = need("fixed")
+        problematic = node.get("problematicModules", 0)
+        if type(problematic) is not int or problematic < 0:
+            raise DataLoadError(f"case {cid}: problematicModules must be a non-negative "
+                                f"integer, got {problematic!r}")
         case = OrbifoldCase(
             id=str(cid),
             niemeier=need("niemeier"),
@@ -183,6 +188,7 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             shifted_rho=_fracs(node.get("shiftedRho", [])),
             ih_reps={int(i): tuple(_fracs(c) for c in coords)
                      for i, coords in node.get("ihReps", {}).items()},
+            problematic_modules=problematic,
         )
         if case.expected_d != target.dimension():
             raise DataLoadError(
@@ -270,7 +276,7 @@ def representative_for_power(case, i):
     negation symmetry i[h] = -((n-i)[h]) above n/2, and alcove reduction
     otherwise.
     """
-    if i == 1 or i == 0:
+    if i == 1:
         return case.h
     if i in case.ih_reps:
         return case.ih_reps[i]
@@ -280,6 +286,13 @@ def representative_for_power(case, i):
     systems = _case_root_systems(case)
     return tuple(alcove_representative(rs, tuple(i * x for x in h))
                  for rs, h in zip(systems, case.h))
+
+
+def schellekens_survivors(table, dim, comps, abelian, order) -> list[SchellekensEntry]:
+    """The entries of dimension `dim` admitting an order-`order` automorphism
+    whose fixed subalgebra is `comps` plus an abelian part of rank `abelian`."""
+    return [entry for entry in table if entry.dim == dim
+            and admits_fixed_subalgebra(entry.structure.kinds(), comps, abelian, order)[0]]
 
 
 def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
@@ -358,14 +371,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
         report.add("(e) prime-order symmetry identity", lhs == rhs, rhs, lhs)
 
     # (f) Schellekens scan: unique survivor in dimension d
-    survivors = []
-    for entry in schellekens:
-        if entry.dim != case.expected_d:
-            continue
-        found, _ = admits_fixed_subalgebra(entry.structure.kinds(), case.fixed_components,
-                                           case.fixed_abelian, case.n)
-        if found:
-            survivors.append(entry)
+    survivors = schellekens_survivors(schellekens, case.expected_d, case.fixed_components,
+                                      case.fixed_abelian, case.n)
     expected_label = case.target.label()
     got_labels = [e.label() for e in survivors]
     report.add("(f) unique Schellekens survivor",
@@ -388,22 +395,15 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
             for lams, rho, tw in found
         ]
         report.screening[i] = rendered
-        if case.id == "11":
-            if i == 1:
-                report.add("(g) i=1 problematic modules", len(found) == 11, 11, len(found))
-            else:
-                report.add(f"(g) i={i} problematic modules recorded", True, None, len(found),
-                           details="excluded by the module-decomposition argument, outside "
-                                   "the screening's scope")
-        elif case.id == "15":
-            if i == 1:
-                report.add("(g) i=1 problematic modules", len(found) == 17, 17, len(found))
-            else:
-                report.add(f"(g) i={i} problematic modules recorded", True, None, len(found),
-                           details="excluded by the module-decomposition argument, outside "
-                                   "the screening's scope")
-        else:
+        expected = case.problematic_modules
+        if not expected:
             report.add(f"(g) i={i} problematic modules empty", not found, 0, len(found))
+        elif i == 1:
+            report.add("(g) i=1 problematic modules", len(found) == expected, expected, len(found))
+        else:
+            report.add(f"(g) i={i} problematic modules recorded", True, None, len(found),
+                       details="excluded by the module-decomposition argument, outside "
+                               "the screening's scope")
     return report
 
 

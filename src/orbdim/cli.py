@@ -17,7 +17,7 @@ from pathlib import Path
 from . import cases as cases_mod
 from . import modcurve, orbifold, qseries
 from .cartan import parse_kind
-from .kacaut import admits_fixed_subalgebra, enumerate_classes, inner_from_coweight
+from .kacaut import enumerate_classes, inner_from_coweight
 from .liealg import build_root_system
 
 
@@ -25,6 +25,21 @@ def _frac_str(x):
     """Integers stay JSON numbers; proper fractions become 'p/q' strings."""
     x = Fraction(x)
     return str(x) if x.denominator > 1 else int(x)
+
+
+def _rational(flag: str, text: str) -> Fraction:
+    """Parse a rational command-line value; a bad one is a usage error naming the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational number, got {text!r}") from None
+
+
+def _screening_rows(found):
+    """Screening hits as JSON rows; integers stay numbers, see _frac_str."""
+    return [{"weights": orbifold.render_weight_tuple(lams),
+             "rho": _frac_str(rho), "twisted": _frac_str(tw)}
+            for lams, rho, tw in found]
 
 
 def _emit(payload, fmt: str, table_rows=None, headers=None):
@@ -82,7 +97,7 @@ def cmd_cusps(args) -> int:
 def cmd_hauptmodul(args) -> int:
     try:
         t = modcurve.hauptmodul(args.n)
-        series = qseries.etaq_expand(t, Fraction(args.prec))
+        series = qseries.etaq_expand(t, _rational("--prec", args.prec))
     except (NotImplementedError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -93,8 +108,9 @@ def cmd_hauptmodul(args) -> int:
 
 def cmd_fs(args) -> int:
     try:
-        a_str, c_str = args.cusp.split("/")
-        cusp = modcurve.find_cusp(args.n, int(a_str), int(c_str))
+        point = _rational("--cusp", args.cusp)
+        prec = _rational("--prec", args.prec)
+        cusp = modcurve.find_cusp(args.n, point.numerator, point.denominator)
         f = modcurve.cusp_function(args.n, cusp)
     except (NotImplementedError, ValueError) as err:
         print(str(err), file=sys.stderr)
@@ -106,7 +122,7 @@ def cmd_fs(args) -> int:
         _emit([{"cusp": a, "width": b, "order": c} for a, b, c in rows],
               args.format, rows, ["cusp", "width", "order"])
     else:
-        series = qseries.etaq_expand(f.quotient, Fraction(args.prec))
+        series = qseries.etaq_expand(f.quotient, prec)
         print(series.to_text())
     return 0
 
@@ -114,7 +130,7 @@ def cmd_fs(args) -> int:
 def cmd_eta(args) -> int:
     try:
         f = qseries.parse_eta_quotient(args.quotient)
-        series = qseries.etaq_expand(f, Fraction(args.prec))
+        series = qseries.etaq_expand(f, _rational("--prec", args.prec))
     except (ValueError, ZeroDivisionError) as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -138,7 +154,7 @@ def cmd_inner(args) -> int:
     try:
         kind = parse_kind(args.algebra)
         rs = build_root_system(kind)
-        h = tuple(Fraction(x) for x in args.h.split(","))
+        h = tuple(_rational("--h coordinate", x) for x in args.h.split(","))
         if len(h) != rs.rank:
             raise ValueError(f"need {rs.rank} coordinates for {args.algebra}")
     except ValueError as err:
@@ -161,22 +177,16 @@ def cmd_screen(args) -> int:
     if not 1 <= args.i <= case.n - 1:
         print(f"--i must lie in 1..{case.n - 1} for case {case.id}", file=sys.stderr)
         return 2
-    try:
-        floor = Fraction(args.floor)
-    except (ValueError, ZeroDivisionError):
-        print(f"--floor must be a rational number, got {args.floor!r}", file=sys.stderr)
-        return 2
     reps = cases_mod.representative_for_power(case, args.i)
-    cap = args.rho_cap if args.rho_cap is not None else orbifold.safe_rho_cap(
-        case.source, reps, floor=floor)
     try:
+        floor = _rational("--floor", args.floor)
+        cap = args.rho_cap if args.rho_cap is not None else orbifold.safe_rho_cap(
+            case.source, reps, floor=floor)
         found = orbifold.screen_problematic_modules(case.source, reps, floor=floor, rho_cap=cap)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    payload = [{"weights": orbifold.render_weight_tuple(lams),
-                "rho": _frac_str(rho), "twisted": _frac_str(tw)}
-               for lams, rho, tw in found]
+    payload = _screening_rows(found)
     _emit(payload, args.format,
           [(p["weights"], p["rho"], p["twisted"]) for p in payload],
           ["weights", "rho(M)", "rho(M^h)"])
@@ -230,13 +240,7 @@ def cmd_schellekens_scan(args) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    survivors = []
-    for entry in table:
-        if entry.dim != args.dim:
-            continue
-        found, _ = admits_fixed_subalgebra(entry.structure.kinds(), comps, abelian, args.order)
-        if found:
-            survivors.append(entry)
+    survivors = cases_mod.schellekens_survivors(table, args.dim, comps, abelian, args.order)
     payload = [{"no": e.no, "structure": e.label(), "dim": e.dim} for e in survivors]
     _emit(payload, args.format, [(e.no, e.label(), e.dim) for e in survivors],
           ["no", "structure", "dim"])
@@ -278,14 +282,11 @@ def regenerate_tables():
                 "shape": record.shape.label(), "fixedRank": record.shape.fixed_rank(),
                 "vacuumWeight": _frac_str(orbifold.vacuum_anomaly(record.shape)),
             })
-        if case.id in ("11", "15"):
+        if case.problematic_modules:
             found = orbifold.screen_problematic_modules(
                 case.source, case.h, floor=1,
                 rho_cap=orbifold.safe_rho_cap(case.source, case.h))
-            screening[case.id] = [
-                {"weights": orbifold.render_weight_tuple(lams),
-                 "rho": _frac_str(rho), "twisted": _frac_str(tw)}
-                for lams, rho, tw in found]
+            screening[case.id] = _screening_rows(found)
     out["case_summary.json"] = rows
     out["fixed_ranks.json"] = ranks
     out["screening_lists.json"] = screening

@@ -210,24 +210,6 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
     return tuple(out)
 
 
-def classes_of_order_dividing(kind: Kind, n: int) -> list[KacClass]:
-    out = []
-    for m in range(1, n + 1):
-        if n % m == 0:
-            out.extend(enumerate_classes(kind, m))
-    return out
-
-
-def inner_conjugacy_classes(*_args, **_kwargs):
-    """Refinement of Kac coordinates to inner conjugacy is not implemented.
-
-    The refinement needs a specific subgroup of the affine diagram
-    automorphism group which the pipeline never requires; classes here are
-    stored up to conjugacy in the full automorphism group.
-    """
-    raise NotImplementedError("inner-conjugacy refinement of Kac classes is not implemented")
-
-
 # -- inner automorphisms from coweights ----------------------------------
 
 def inner_from_coweight(rs: RootSystem, h):

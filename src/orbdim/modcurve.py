@@ -32,36 +32,34 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorisation {p: e} of a positive integer, by trial division."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def euler_phi(n: int) -> int:
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in factorize(n):
+        result -= result // p
     return result
 
 
 def dedekind_psi(n: int) -> int:
     """psi(n) = n prod_{p|n} (1 + 1/p); the index of Gamma0(n) in SL2(Z)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result += result // p
-        p += 1
-    if m > 1:
-        result += result // m
+    for p in factorize(n):
+        result += result // p
     return result
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import ceil, gcd, lcm
+from math import ceil, gcd, lcm, prod
 
 from .liealg import (
     AffineStructure,
@@ -25,7 +25,7 @@ from .liealg import (
     weyl_antidominant,
 )
 from .kacaut import alcove_point, apply_inverse_linear
-from .modcurve import GENUS_ZERO_LEVELS, dedekind_psi, divisors, euler_phi
+from .modcurve import GENUS_ZERO_LEVELS, dedekind_psi, divisors, euler_phi, factorize
 from .qseries import EtaQuotient
 
 
@@ -35,18 +35,7 @@ class NotTabulatedError(KeyError):
 
 def _liouville_lambda(d: int) -> int:
     """prod over primes p | d of (-p)."""
-    out = 1
-    p = 2
-    m = d
-    while p * p <= m:
-        if m % p == 0:
-            out *= -p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out *= -m
-    return out
+    return prod(-p for p in factorize(d))
 
 
 def c_coefficients(n: int) -> dict[int, Fraction]:
@@ -101,14 +90,7 @@ def sigma_divisors(m: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 # Residual d_{i,j,k} values: {(n, gcd(i,j,n)): (modulus, {ij mod modulus: value})}

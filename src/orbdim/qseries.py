@@ -202,21 +202,6 @@ def constant(value, prec, denomN: int = 1) -> FracPowerSeries:
     return FracPowerSeries(denomN, {0: v} if v else {}, Fraction(prec))
 
 
-def series_arith(a: FracPowerSeries, b: FracPowerSeries, op: str, k: int | None = None):
-    """Named-operation dispatcher mirroring the module surface: add/mul/div/pow."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        if k is None:
-            raise ValueError("pow requires the integer exponent k")
-        return a ** k
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def _pentagonal_unit(scale: int, prec_int: int) -> FracPowerSeries:
     """prod_{n>=1} (1 - q^(scale n)) as an integer-exponent series below prec_int."""
     terms: dict[int, Fraction] = {0: Fraction(1)}

@@ -103,6 +103,50 @@ def test_cases_load_error_paths(tmp_path):
         load_cases(empty)
 
 
+@pytest.mark.parametrize("value", [1.5, "11", True])
+def test_cases_load_rejects_bad_problematic_modules(tmp_path, value):
+    raw = json.loads((DATA / "cases.json").read_text())
+    raw["cases"][10]["problematicModules"] = value
+    bad = tmp_path / "cases.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(DataLoadError) as err:
+        load_cases(bad)
+    assert "problematicModules" in str(err.value)
+
+
+def test_fault_injection_problematic_modules(tmp_path):
+    """The expected floor-1 count of case 11 is read from cases.json."""
+    raw = json.loads((DATA / "cases.json").read_text())
+    assert raw["cases"][10]["problematicModules"] == 11
+    raw["cases"][10]["problematicModules"] = 10
+    edited = tmp_path / "cases.json"
+    edited.write_text(json.dumps(raw))
+    report = verify_case(load_cases(edited)[10], load_schellekens())
+    step = next(s for s in report.steps if s.name == "(g) i=1 problematic modules")
+    assert not step.passed and (step.expected, step.actual) == (10, 11)
+    raw["cases"][10]["problematicModules"] = -11
+    edited.write_text(json.dumps(raw))
+    with pytest.raises(DataLoadError, match="problematicModules"):
+        load_cases(edited)
+
+
+def test_screening_lists_and_step_g_share_their_cases():
+    from orbdim.cli import regenerate_tables
+
+    def as_fractions(rows):
+        return [(r["weights"], F(str(r["rho"])), F(str(r["twisted"]))) for r in rows]
+
+    cases = load_cases()
+    lists = regenerate_tables()["screening_lists.json"]
+    assert set(lists) == {c.id for c in cases if c.problematic_modules}
+    table = load_schellekens()
+    for case in cases:
+        if case.id in lists:
+            report = verify_case(case, table)
+            assert as_fractions(lists[case.id]) == as_fractions(report.screening[1])
+            assert len(lists[case.id]) == case.problematic_modules
+
+
 def test_data_checksums_recorded():
     recorded = {}
     for line in (DATA / "CHECKSUMS.sha256").read_text().splitlines():
@@ -177,6 +221,14 @@ def test_representatives_contract_all_cases():
                 diff = tuple(r - i * x for r, x in zip(rep, h))
                 assert rs.in_coroot_lattice(diff)
                 assert check_alcove_condition(rs, rep)
+
+
+def test_representative_for_power_zero_and_n():
+    case = load_cases()[10]
+    for i in (0, case.n):
+        reps = representative_for_power(case, i)
+        assert [len(r) for r in reps] == [len(h) for h in case.h]
+        assert all(x == 0 for coords in reps for x in coords)
 
 
 def test_report_json_roundtrip():

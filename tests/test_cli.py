@@ -175,17 +175,23 @@ def test_screen_case_15(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--case", "11", "--i", "0"], "--i must lie in 1..4"),
-    (["--case", "11", "--i", "5"], "--i must lie in 1..4"),
-    (["--case", "11", "--i", "9"], "--i must lie in 1..4"),
-    (["--case", "15", "--i", "-1"], "--i must lie in 1..7"),
-    (["--case", "11", "--floor", "abc"], "--floor must be a rational number"),
-    (["--case", "11", "--floor", "1/0"], "--floor must be a rational number"),
-    (["--case", "15", "--rho-cap", "1"], "not provably safe"),
-    (["--case", "99"], "no case with id 99"),
+    (["screen", "--case", "11", "--i", "0"], "--i must lie in 1..4"),
+    (["screen", "--case", "11", "--i", "5"], "--i must lie in 1..4"),
+    (["screen", "--case", "11", "--i", "9"], "--i must lie in 1..4"),
+    (["screen", "--case", "15", "--i", "-1"], "--i must lie in 1..7"),
+    (["screen", "--case", "11", "--floor", "abc"], "--floor must be a rational number"),
+    (["screen", "--case", "11", "--floor", "1/0"], "--floor must be a rational number"),
+    (["screen", "--case", "15", "--rho-cap", "1"], "not provably safe"),
+    (["screen", "--case", "99"], "no case with id 99"),
+    (["inner", "--algebra", "A2", "--h", "1/0,1"], "--h coordinate must be a rational number"),
+    (["hauptmodul", "--n", "6", "--prec", "1/0"], "--prec must be a rational number"),
+    (["fs", "--n", "4", "--cusp", "1/2", "--prec", "1/0"], "--prec must be a rational number"),
+    (["fs", "--n", "4", "--cusp", "1/0"], "--cusp must be a rational number"),
+    (["eta", "--quotient", "1:24", "--prec", "1/0"], "--prec must be a rational number"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
-    code, out, err = run_cli(capsys, "screen", *argv)
+    """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err and len(err.strip().splitlines()) == 1

@@ -13,7 +13,6 @@ from orbdim.kacaut import (
     coweight_to_kac_labels,
     enumerate_classes,
     fixed_subalgebra_semisimple,
-    inner_conjugacy_classes,
     inner_from_coweight,
     module_order_bound,
 )
@@ -217,11 +216,6 @@ def test_admits_fixed_subalgebra_key_cases():
     # but A5^4 D4 does not
     found, _ = admits_fixed_subalgebra([("A", 5)] * 4 + [("D", 4)], [("A", 3)], 7, 8)
     assert not found
-
-
-def test_inner_conjugacy_unimplemented():
-    with pytest.raises(NotImplementedError):
-        inner_conjugacy_classes()
 
 
 def test_class_labels():

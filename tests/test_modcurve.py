@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -14,6 +14,7 @@ from orbdim.modcurve import (
     divisor_order,
     divisors,
     euler_phi,
+    factorize,
     find_cusp,
     genus_zero_levels,
     hauptmodul,
@@ -56,6 +57,19 @@ def test_dedekind_psi_values():
     assert dedekind_psi(16) == 16 + 8
     with pytest.raises(ValueError):
         dedekind_psi(0)
+
+
+def test_factorize_against_trial_products():
+    assert factorize(1) == {}
+    assert factorize(720) == {2: 4, 3: 2, 5: 1}
+    assert factorize(97) == {97: 1}
+    for n in range(1, 300):
+        f = factorize(n)
+        assert all(len(divisors(p)) == 2 for p in f)
+        assert n == prod(p ** e for p, e in f.items())
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_cusp_representatives_coprime_and_reduced():
