@@ -139,7 +139,8 @@ def comarks(kind: Kind) -> list[int]:
     out = []
     for a, d in zip(marks(kind), root_norms(kind)):
         c = Fraction(a) * d / 2
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ArithmeticError(f"comark {c} of {kind_name(kind)} is not an integer")
         out.append(int(c))
     return out
 
@@ -173,8 +174,8 @@ class AffineDiagram:
     def check_null(self):
         n = self.num_nodes
         for j in range(n):
-            assert sum(self.labels[i] * self.gcm[i][j] for i in range(n)) == 0, (
-                f"labels are not a null vector of {self.base}^{self.twist}")
+            if sum(self.labels[i] * self.gcm[i][j] for i in range(n)):
+                raise ArithmeticError(f"labels are not a null vector of {self.base}^{self.twist}")
 
 
 def _freeze(M):

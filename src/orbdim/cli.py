@@ -194,6 +194,9 @@ def cmd_screen(args) -> int:
 
 
 def cmd_case_run(args) -> int:
+    if args.format == "csv":
+        print("case run has no csv format; use --format table or json", file=sys.stderr)
+        return 2
     all_cases = cases_mod.load_cases()
     table = cases_mod.load_schellekens()
     if args.id == "--all" or args.all:
@@ -221,19 +224,26 @@ def cmd_case_run(args) -> int:
 
 def _parse_fixed_spec(spec: str):
     comps = []
-    abelian = 0
+    abelian = None
     for chunk in spec.split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
         if chunk.lower().startswith("ab:"):
-            abelian += int(chunk[3:])
+            abelian = (abelian or 0) + int(chunk[3:])
         else:
             comps.append(parse_kind(chunk))
-    return comps, abelian
+    if not comps and abelian is None:
+        raise ValueError(f"--fixed names no component and no ab: part, got {spec!r}")
+    if abelian is not None and abelian < 0:
+        raise ValueError(f"--fixed abelian rank must be non-negative, got {abelian}")
+    return comps, abelian or 0
 
 
 def cmd_schellekens_scan(args) -> int:
+    if args.order < 1:
+        print(f"--order must be a positive integer, got {args.order}", file=sys.stderr)
+        return 2
     table = cases_mod.load_schellekens()
     try:
         comps, abelian = _parse_fixed_spec(args.fixed)

@@ -26,7 +26,7 @@ from .cartan import (
     untwisted_diagram,
     validate_kind,
 )
-from .liealg import RootSystem, build_root_system
+from .liealg import RootSystem, build_root_system, dot, scale_vector
 
 
 class UnknownDiagramShape(ValueError):
@@ -194,7 +194,7 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
         def rec(i, left):
             if i == n:
                 if left == 0 and gcd(*s) == 1:
-                    canon = min(tuple(s[perm[j]] for j in range(n)) for perm in autos)
+                    canon = min(tuple(map(s.__getitem__, perm)) for perm in autos)
                     if canon not in seen:
                         seen.add(canon)
                         comps, ab = fixed_from_s(diagram, canon)
@@ -219,19 +219,21 @@ def inner_from_coweight(rs: RootSystem, h):
     is the lcm of the denominators of alpha(h) over the roots; the fixed
     subalgebra is the Cartan plus the root spaces with integral alpha(h).
     """
-    h = tuple(Fraction(x) for x in h)
+    c, d = scale_vector(h)
     order = 1
     fixed_roots = []
     for root in rs.roots:
-        v = rs.root_on_coweight(root, h)
-        order = lcm(order, v.denominator)
-        if v.denominator == 1:
+        den = d // gcd(dot(root, c), d)       # the denominator of alpha(h)
+        order = lcm(order, den)
+        if den == 1:
             fixed_roots.append(root)
     comps = _classify_root_subsystem(rs, fixed_roots)
     fixed_rank = sum(k[1] for k in comps)
     abelian = rs.rank - fixed_rank
     dim = rs.rank + len(fixed_roots)
-    assert dim == sum(classical_dimension(k) for k in comps) + abelian
+    if dim != sum(classical_dimension(k) for k in comps) + abelian:
+        raise ArithmeticError(f"fixed subalgebra of {tuple(h)} on {kind_name(rs.kind)} "
+                              f"has dimension {dim}, not that of {comps} + C^{abelian}")
     return order, (tuple(comps), abelian), dim
 
 
@@ -257,7 +259,8 @@ def _classify_root_subsystem(rs: RootSystem, roots) -> list[Kind]:
         row = []
         for j in range(r):
             entry = 2 * gram[i][j] / norms[j]
-            assert entry.denominator == 1, "root subsystem pairing must be integral"
+            if entry.denominator != 1:
+                raise ArithmeticError("root subsystem pairing must be integral")
             row.append(int(entry))
         C.append(row)
     return classify_components(C, range(r))
@@ -282,7 +285,8 @@ def coweight_to_kac_labels(rs: RootSystem, h):
     order, _, _ = inner_from_coweight(rs, h)
     theta_val = sum(Fraction(a) * c for a, c in zip(rs.marks, tilde))
     s = [order * (1 - theta_val)] + [order * c for c in tilde]
-    assert all(x.denominator == 1 and x >= 0 for x in s)
+    if any(x.denominator != 1 or x < 0 for x in s):
+        raise ArithmeticError(f"Kac coordinates {s} of {tuple(h)} are not non-negative integers")
     s = [int(x) for x in s]
     g = gcd(*s)
     return tuple(x // g for x in s) if g > 1 else tuple(s)
@@ -293,42 +297,38 @@ def alcove_point(rs: RootSystem, h):
 
     Returns (h_tilde, linear_word): h_tilde = w(h) + q with q in the coroot
     lattice and w the product of the reflections in linear_word, each entry
-    either a simple index or "theta".
+    either a simple index or "theta".  Runs on h scaled by its denominator d;
+    every step moves by integer multiples of integer vectors, so d stays.
     """
-    c = tuple(Fraction(x) for x in h)
+    c, d = scale_vector(h)
+    c = list(c)
     word = []
-    theta_covec = tuple(sum(rs.comarks[i] * Fraction(rs.cartan[j][i]) for i in range(rs.rank))
-                        for j in range(rs.rank))
     while True:
-        moved = False
-        for i in range(rs.rank):
-            if c[i] < 0:
-                c = rs.reflect_coweight(c, i)
-                word.append(i)
-                moved = True
-                break
-        if moved:
+        i = next((i for i, x in enumerate(c) if x < 0), None)
+        if i is not None:
+            rs.reflect_scaled_coweight(c, i)
+            word.append(i)
             continue
-        t = sum(Fraction(a) * x for a, x in zip(rs.marks, c))
-        if t > 1:
+        t = dot(rs.marks, c)
+        if t > d:
             # affine reflection in the wall theta = 1; linear part is s_theta
-            c = tuple(x - (t - 1) * tv for x, tv in zip(c, theta_covec))
+            c = [x - (t - d) * tv for x, tv in zip(c, rs.highest_coroot)]
             word.append("theta")
             continue
-        return c, word
+        return tuple(Fraction(x, d) for x in c), word
 
 
 def apply_inverse_linear(rs: RootSystem, word, c):
     """Apply w^{-1} for the recorded reflection word to a coweight."""
-    theta_covec = tuple(sum(rs.comarks[i] * Fraction(rs.cartan[j][i]) for i in range(rs.rank))
-                        for j in range(rs.rank))
+    c, d = scale_vector(c)
+    c = list(c)
     for op in reversed(word):
         if op == "theta":
-            t = sum(Fraction(a) * x for a, x in zip(rs.marks, c))
-            c = tuple(x - t * tv for x, tv in zip(c, theta_covec))
+            t = dot(rs.marks, c)
+            c = [x - t * tv for x, tv in zip(c, rs.highest_coroot)]
         else:
-            c = rs.reflect_coweight(c, op)
-    return c
+            rs.reflect_scaled_coweight(c, op)
+    return tuple(Fraction(x, d) for x in c)
 
 
 # -- automorphisms of semisimple algebras --------------------------------

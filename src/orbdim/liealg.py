@@ -6,13 +6,25 @@ coweight basis (h = sum c_i Lambda_i^vee).  Roots are kept in simple-root
 coordinates, where pairing against a coweight is a plain dot product.  The
 pairing of a weight against a coweight goes through the inverse Cartan
 matrix: lambda(h) = m^T C^{-1} c.
+
+Arithmetic runs on scaled integers.  A root system stores C^{-1}, the Gram
+matrix of the fundamental weights and that of the fundamental coweights
+each as an integer matrix over one common denominator, and a rational
+vector enters as (integer vector, one denominator), see scale_vector.
+Pairings, forms, reflections, Weyl dimensions and Freudenthal's recursion
+then add and multiply ints; a Fraction is built only for a returned value.
+Integral weights come back as ints, coweights as Fractions.  The Fraction
+matrices cartan_inv, gram_weights and gram_coweights stay as the readable
+form of the same data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 
 from .cartan import (
     Kind,
@@ -31,8 +43,27 @@ from .cartan import (
 Vec = tuple[Fraction, ...]
 
 
-def _frac_vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
+def scale_vector(v) -> tuple[tuple[int, ...], int]:
+    """(n, d) with v = n / d entrywise and d the lcm of the entries' denominators."""
+    try:
+        d = lcm(*[x.denominator for x in v])
+    except AttributeError:              # floats, strings: read them as Fractions
+        v = [Fraction(x) for x in v]
+        d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        return tuple([x.numerator for x in v]), 1
+    return tuple([x.numerator * (d // x.denominator) for x in v]), d
+
+
+def _scale_matrix(M) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, d) with M = N / d entrywise, d the lcm of all the entries' denominators."""
+    d = lcm(*(x.denominator for row in M for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M), d
+
+
+def dot(a, b) -> int:
+    """Integer dot product."""
+    return sum(map(mul, a, b))
 
 
 def _mat_inverse(M):
@@ -79,9 +110,28 @@ class RootSystem:
         # (alpha_i, alpha_j) = C[i][j] d_j / 2
         self.root_gram = [[Fraction(self.cartan[i][j]) * self.norms[j] / 2 for j in range(l)]
                           for i in range(l)]
+        # the same matrices as integers over one denominator each
+        self.inv_scaled, self.inv_den = _scale_matrix(self.cartan_inv)
+        self.gram_weights_scaled, self.gram_weights_den = _scale_matrix(self.gram_weights)
+        self.gram_coweights_scaled, self.gram_coweights_den = _scale_matrix(self.gram_coweights)
+        self._root_gram_scaled, self._root_gram_den = _scale_matrix(self.root_gram)
+        # nonzero entries of each row and each column of C
+        self._rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.cartan)
+        self._cols = tuple(tuple((j, self.cartan[j][i]) for j in range(l) if self.cartan[j][i])
+                           for i in range(l))
+        # theta^vee in fundamental-coweight coordinates: <alpha_j, theta^vee>
+        self.highest_coroot = tuple(sum(a * x for a, x in zip(self.comarks, row))
+                                    for row in self.cartan)
         self.roots = self._generate_roots()
         self.positive_roots = sorted(r for r in self.roots if self._is_positive(r))
         self._sanity()
+
+    @cached_property
+    def _positive_pairings(self):
+        """(alpha in weight coordinates, g) per positive root alpha, where
+        g_a = (Lambda_a, alpha) * gram_weights_den."""
+        return [(w, tuple(dot(row, w) for row in self.gram_weights_scaled))
+                for w in map(self.root_to_weight_coords, self.positive_roots)]
 
     # -- construction ------------------------------------------------------
 
@@ -115,20 +165,21 @@ class RootSystem:
         return False
 
     def _sanity(self):
-        assert len(self.roots) == self.dim - self.rank, kind_name(self.kind)
+        name = kind_name(self.kind)
         theta = tuple(self.marks)
-        assert theta in self.roots
-        assert self.root_pair_sq(theta) == 2
-        assert self.coxeter == 1 + sum(self.marks)
-        assert self.dual_coxeter == 1 + sum(self.comarks)
+        if len(self.roots) != self.dim - self.rank:
+            raise ArithmeticError(f"{name}: {len(self.roots)} roots, expected {self.dim - self.rank}")
+        if theta not in self.roots or self.root_pair_sq(theta) != 2:
+            raise ArithmeticError(f"{name}: the marks are not a long root")
+        if self.coxeter != 1 + sum(self.marks) or self.dual_coxeter != 1 + sum(self.comarks):
+            raise ArithmeticError(f"{name}: (dual) Coxeter number disagrees with the (co)marks")
 
     # -- basic forms and conversions ---------------------------------------
 
     def root_pair_sq(self, root) -> Fraction:
         """(alpha, alpha) for a root in simple-root coordinates."""
-        l = self.rank
-        return sum(Fraction(root[i]) * self.root_gram[i][j] * root[j]
-                   for i in range(l) for j in range(l))
+        return Fraction(sum(x * dot(row, root) for x, row in zip(root, self._root_gram_scaled)),
+                        self._root_gram_den)
 
     def root_to_weight_coords(self, root) -> tuple:
         """m_j = <alpha, alpha_j^vee>."""
@@ -137,66 +188,81 @@ class RootSystem:
 
     def root_on_coweight(self, root, h) -> Fraction:
         """alpha(h) for h in fundamental-coweight coordinates: a dot product."""
-        return sum(Fraction(n) * Fraction(c) for n, c in zip(root, h))
+        c, d = scale_vector(h)
+        return Fraction(dot(root, c), d)
+
+    def _coroot_scaled(self, c) -> tuple[list[int], int]:
+        """(u, d) with C^{-1} c = u / d: h on the simple coroots."""
+        c, d = scale_vector(c)
+        return [dot(row, c) for row in self.inv_scaled], d * self.inv_den
 
     def pair_weight_coweight(self, m, c) -> Fraction:
         """lambda(h) = m^T C^{-1} c."""
-        l = self.rank
-        total = Fraction(0)
-        for i in range(l):
-            if m[i]:
-                row = self.cartan_inv[i]
-                total += Fraction(m[i]) * sum(row[j] * Fraction(c[j]) for j in range(l))
-        return total
+        u, d = self._coroot_scaled(c)
+        m, dm = scale_vector(m)
+        return Fraction(dot(m, u), d * dm)
+
+    @staticmethod
+    def _form(G, den, v1, v2) -> Fraction:
+        a, da = scale_vector(v1)
+        b, db = scale_vector(v2)
+        return Fraction(sum(x * dot(row, b) for x, row in zip(a, G) if x), den * da * db)
 
     def weight_form(self, m1, m2) -> Fraction:
         """(mu, nu) on the weight side."""
-        l = self.rank
-        total = Fraction(0)
-        for i in range(l):
-            if m1[i]:
-                total += Fraction(m1[i]) * sum(self.gram_weights[i][j] * Fraction(m2[j])
-                                               for j in range(l) if m2[j])
-        return total
+        return self._form(self.gram_weights_scaled, self.gram_weights_den, m1, m2)
 
     def coweight_form(self, c1, c2) -> Fraction:
         """(h, h') on the coweight side."""
-        l = self.rank
-        total = Fraction(0)
-        for i in range(l):
-            if c1[i]:
-                total += Fraction(c1[i]) * sum(self.gram_coweights[i][j] * Fraction(c2[j])
-                                               for j in range(l) if c2[j])
-        return total
+        return self._form(self.gram_coweights_scaled, self.gram_coweights_den, c1, c2)
 
     def coweight_to_coroot_coords(self, c) -> Vec:
         """Coordinates of h on the simple coroots: u = C^{-1} c."""
-        l = self.rank
-        return tuple(sum(self.cartan_inv[i][j] * Fraction(c[j]) for j in range(l))
-                     for i in range(l))
+        u, d = self._coroot_scaled(c)
+        return tuple(Fraction(x, d) for x in u)
 
     def in_coroot_lattice(self, c) -> bool:
-        return all(x.denominator == 1 for x in self.coweight_to_coroot_coords(c))
+        u, d = self._coroot_scaled(c)
+        return all(x % d == 0 for x in u)
 
     # -- Weyl group actions -------------------------------------------------
 
     def reflect_weight(self, m, i):
         mi = m[i]
-        return tuple(Fraction(m[j]) - mi * self.cartan[i][j] for j in range(self.rank))
+        r = list(m)
+        for j, x in self._rows[i]:
+            r[j] -= mi * x
+        return tuple(r)
+
+    def reflect_scaled_coweight(self, c: list, i: int) -> None:
+        """s_i in place on the integer numerators of a scaled coweight."""
+        ci = c[i]
+        for j, x in self._cols[i]:
+            c[j] -= ci * x
 
     def reflect_coweight(self, c, i):
-        ci = Fraction(c[i])
-        return tuple(Fraction(c[j]) - ci * self.cartan[j][i] for j in range(self.rank))
+        c, d = scale_vector(c)
+        c = list(c)
+        self.reflect_scaled_coweight(c, i)
+        return tuple(Fraction(x, d) for x in c)
 
-    def dominant_weight_conjugate(self, m):
-        m = _frac_vec(m)
+    def _dominant_int(self, m) -> tuple[int, ...]:
+        """The dominant Weyl conjugate of an integer weight."""
+        m = list(m)
+        rows = self._rows
         while True:
-            for i in range(self.rank):
-                if m[i] < 0:
-                    m = self.reflect_weight(m, i)
+            for i, x in enumerate(m):
+                if x < 0:
+                    for j, cij in rows[i]:
+                        m[j] -= x * cij
                     break
             else:
-                return m
+                return tuple(m)
+
+    def dominant_weight_conjugate(self, m):
+        m, d = scale_vector(m)
+        dom = self._dominant_int(m)
+        return dom if d == 1 else tuple(Fraction(x, d) for x in dom)
 
     def level(self, m) -> Fraction:
         return sum(Fraction(mi) * ci for mi, ci in zip(m, self.comarks))
@@ -220,16 +286,17 @@ def weyl_antidominant(rs: RootSystem, h) -> tuple[Vec, list[int]]:
     Returns (h_minus, word) with every simple-root value of h_minus <= 0 and
     h_minus = s_{word[-1]} ... s_{word[0]} h.
     """
-    c = _frac_vec(h)
+    c, d = scale_vector(h)
+    c = list(c)
     word: list[int] = []
     while True:
-        for i in range(rs.rank):
-            if c[i] > 0:
-                c = rs.reflect_coweight(c, i)
+        for i, x in enumerate(c):
+            if x > 0:
+                rs.reflect_scaled_coweight(c, i)
                 word.append(i)
                 break
         else:
-            return c, word
+            return tuple(Fraction(x, d) for x in c), word
 
 
 def dominant_weights_of_level(rs: RootSystem, k: int) -> list[tuple]:
@@ -265,17 +332,17 @@ def _check_dominant_integral(rs, m):
 def weyl_dimension(rs: RootSystem, m) -> int:
     """Weyl dimension formula, exact."""
     _check_dominant_integral(rs, m)
-    delta = (1,) * rs.rank
-    num = Fraction(1)
-    den = Fraction(1)
-    lam_delta = tuple(Fraction(x) + 1 for x in m)
-    for root in rs.positive_roots:
-        wroot = rs.root_to_weight_coords(root)
-        num *= rs.weight_form(lam_delta, wroot)
-        den *= rs.weight_form(delta, wroot)
-    d = num / den
-    assert d.denominator == 1
-    return int(d)
+    # (lambda + delta, alpha) / (delta, alpha); the common scale of the Gram
+    # matrix cancels between numerator and denominator
+    lam_delta = [int(x) + 1 for x in m]
+    num = den = 1
+    for _, g in rs._positive_pairings:
+        num *= dot(lam_delta, g)
+        den *= sum(g)
+    d, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"Weyl dimension of {tuple(m)} is not an integer")
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -292,44 +359,49 @@ def weight_system(rs: RootSystem, m) -> dict[tuple, int]:
 
 
 def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
-    l = rs.rank
-    lam_v = _frac_vec(lam)
-    # dominant weights mu <= lam: level is bounded by lam's, difference in Q+
+    """Freudenthal's recursion on integers: every inner product is scaled by
+    the Gram denominator, which cancels in the quotient."""
+    G = rs.gram_weights_scaled
+    den = rs.inv_den
+    cols = list(zip(*rs.inv_scaled))
+    # dominant weights mu <= lam: level is bounded by lam's, difference in Q+;
+    # its simple-root coordinates are k_i = sum_j (C^{-1})_{ji} diff_j
     dominant = []
-    for cand in dominant_weights_of_level(rs, int(rs.level(lam))):
-        diff = tuple(Fraction(a) - b for a, b in zip(lam_v, cand))
-        # simple-root coordinates of the difference: k_i = sum_j (C^{-1})_{ji} diff_j
-        k = tuple(sum(rs.cartan_inv[j][i] * diff[j] for j in range(l)) for i in range(l))
-        if all(x.denominator == 1 and x >= 0 for x in k):
-            dominant.append((sum(k), cand))
+    for cand in dominant_weights_of_level(rs, dot(lam, rs.comarks)):
+        diff = [a - b for a, b in zip(lam, cand)]
+        k = [dot(col, diff) for col in cols]
+        if all(x >= 0 and x % den == 0 for x in k):
+            dominant.append((sum(k) // den, cand))
     dominant.sort()
+
+    def norm(mu):                       # (mu + delta, mu + delta), scaled
+        v = [x + 1 for x in mu]
+        return sum(x * dot(row, v) for x, row in zip(v, G))
+
     mults: dict[tuple, int] = {}
-    lam_delta = tuple(x + 1 for x in lam_v)
-    norm_top = rs.weight_form(lam_delta, lam_delta)
-    pos_w = [rs.root_to_weight_coords(r) for r in rs.positive_roots]
+    norm_top = norm(lam)
     for depth, mu in dominant:
         if depth == 0:
             mults[mu] = 1
             continue
-        mu_delta = tuple(Fraction(x) + 1 for x in mu)
-        denom = norm_top - rs.weight_form(mu_delta, mu_delta)
-        acc = Fraction(0)
-        for wroot in pos_w:
+        acc = 0
+        for wroot, g in rs._positive_pairings:
             # weights along mu + k alpha form a contiguous string, and their
             # dominant conjugates lie at strictly smaller depth, hence are
             # already in mults; the first miss ends the string.
-            k = 1
+            pair, step = dot(mu, g), dot(wroot, g)
+            shifted = mu
             while True:
-                shifted = tuple(a + k * b for a, b in zip(mu, wroot))
-                dom = tuple(int(x) for x in rs.dominant_weight_conjugate(shifted))
-                mult = mults.get(dom)
+                shifted = tuple(a + b for a, b in zip(shifted, wroot))
+                pair += step
+                mult = mults.get(rs._dominant_int(shifted))
                 if mult is None:
                     break
-                acc += mult * rs.weight_form(shifted, wroot)
-                k += 1
-        val = 2 * acc / denom
-        assert val.denominator == 1, "Freudenthal multiplicity must be integral"
-        mults[mu] = int(val)
+                acc += mult * pair
+        val, r = divmod(2 * acc, norm_top - norm(mu))
+        if r:
+            raise ArithmeticError(f"Freudenthal multiplicity of {mu} in {lam} is not integral")
+        mults[mu] = val
     # expand dominant multiplicities over the Weyl orbits
     full: dict[tuple, int] = {}
     for mu, mult in mults.items():
@@ -348,7 +420,7 @@ def weyl_orbit(rs: RootSystem, m) -> set[tuple]:
         for w in frontier:
             for i in range(rs.rank):
                 if w[i] != 0:
-                    r = tuple(int(x) for x in rs.reflect_weight(w, i))
+                    r = rs.reflect_weight(w, i)
                     if r not in seen:
                         seen.add(r)
                         new.append(r)
@@ -361,10 +433,8 @@ def affine_conformal_weight(rs: RootSystem, k: int, m) -> Fraction:
     _check_dominant_integral(rs, m)
     if rs.level(m) > k:
         raise ValueError(f"weight {tuple(m)} has level above {k}")
-    lam = _frac_vec(m)
-    two_delta = tuple(Fraction(2) for _ in range(rs.rank))
-    shifted = tuple(a + b for a, b in zip(lam, two_delta))
-    return rs.weight_form(shifted, lam) / (2 * (k + rs.dual_coxeter))
+    shifted = tuple(x + 2 for x in m)
+    return rs.weight_form(shifted, m) / (2 * (k + rs.dual_coxeter))
 
 
 def min_weight_pairing(rs: RootSystem, m, h) -> Fraction:

@@ -21,7 +21,9 @@ from .liealg import (
     affine_conformal_weight,
     build_root_system,
     dominant_weights_of_level,
+    dot,
     min_weight_pairing,
+    scale_vector,
     weyl_antidominant,
 )
 from .kacaut import alcove_point, apply_inverse_linear
@@ -243,43 +245,53 @@ def parse_cycle_shape(text: str) -> CycleShape:
 
 # -- alcove representatives and twisted conformal weights ----------------
 
+@lru_cache(maxsize=None)
+def _coroot_steps(kind):
+    """(v, G v, v^T G v) per positive coroot v, in integer fundamental-coweight
+    coordinates <alpha_j, alpha^vee>, G the integer coweight Gram matrix."""
+    rs = build_root_system(kind)
+    l = rs.rank
+    G = rs.gram_coweights_scaled
+    out = []
+    for root in rs.positive_roots:
+        nn = rs.root_pair_sq(root)
+        v = tuple(int(2 * sum(rs.root_gram[j][i] * root[i] for i in range(l)) / nn)
+                  for j in range(l))
+        gv = tuple(dot(row, v) for row in G)
+        out.append((v, gv, dot(v, gv)))
+    return tuple(out)
+
+
 def alcove_representative(rs: RootSystem, h):
     """A representative of h + Q^vee with |alpha(h')| <= 1 for all roots.
 
     Reduces into the fundamental alcove with the affine Weyl group, undoes
     the linear part, then walks downhill in norm along coroots; any local
-    minimum of the norm on the coset satisfies the alcove condition.
+    minimum of the norm on the coset satisfies the alcove condition.  The
+    walk runs on h scaled by its denominator d: a step by the coroot v
+    lowers the norm iff 2 sign (h, v) > (v, v), compared in integers.
     """
     tilde, word = alcove_point(rs, h)
-    cur = apply_inverse_linear(rs, word, tilde)
-    coroot_dirs = []
-    l = rs.rank
-    for root in rs.positive_roots:
-        nn = rs.root_pair_sq(root)
-        pair = [2 * sum(rs.root_gram[j][i] * root[i] for i in range(l)) / nn for j in range(l)]
-        coroot_dirs.append(tuple(pair))
+    cur, d = scale_vector(apply_inverse_linear(rs, word, tilde))
+    cur = list(cur)
+    steps = _coroot_steps(rs.kind)
     improved = True
-    norm = rs.coweight_form(cur, cur)
     while improved:
         improved = False
-        for v in coroot_dirs:
+        for v, gv, vv in steps:
             for sign in (1, -1):
-                cand = tuple(c - sign * x for c, x in zip(cur, v))
-                cn = rs.coweight_form(cand, cand)
-                if cn < norm:
-                    cur, norm = cand, cn
+                if 2 * sign * dot(cur, gv) > d * vv:
+                    cur = [c - sign * d * x for c, x in zip(cur, v)]
                     improved = True
-    if any(abs(rs.root_on_coweight(root, cur)) > 1 for root in rs.roots):
+    if any(abs(dot(root, cur)) > d for root in rs.roots):
         raise ArithmeticError(f"alcove reduction of {tuple(h)} left the alcove")
-    return cur
+    return tuple(Fraction(x, d) for x in cur)
 
 
 def check_alcove_condition(rs: RootSystem, h) -> bool:
     """alpha(h) >= -1 for every root, in integers over the denominator of h."""
-    h = [Fraction(x) for x in h]
-    den = lcm(*(x.denominator for x in h))
-    scaled = [x.numerator * (den // x.denominator) for x in h]
-    return all(sum(a * c for a, c in zip(r, scaled)) >= -den for r in rs.roots)
+    scaled, den = scale_vector(h)
+    return all(dot(r, scaled) >= -den for r in rs.roots)
 
 
 def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:

@@ -285,7 +285,8 @@ def etaq_expand(f: EtaQuotient, prec) -> FracPowerSeries:
     for d in sorted(f.exps):
         unit = unit * (_pentagonal_unit(d, rel_int) ** f.exps[d])
     lead24 = lead * 24
-    assert lead24.denominator == 1
+    if lead24.denominator != 1:
+        raise ArithmeticError(f"24 times the leading exponent {lead} is not an integer")
     terms = {24 * n + int(lead24): c for n, c in unit.terms.items()}
     return FracPowerSeries(24, terms, lead + unit.prec).truncate(prec)
 

@@ -188,6 +188,15 @@ def test_screen_case_15(capsys):
     (["fs", "--n", "4", "--cusp", "1/2", "--prec", "1/0"], "--prec must be a rational number"),
     (["fs", "--n", "4", "--cusp", "1/0"], "--cusp must be a rational number"),
     (["eta", "--quotient", "1:24", "--prec", "1/0"], "--prec must be a rational number"),
+    (["schellekens", "scan", "--dim", "744", "--fixed", "D8+E8", "--order", "0"],
+     "--order must be a positive integer"),
+    (["schellekens", "scan", "--dim", "744", "--fixed", "D8+E8", "--order", "-3"],
+     "--order must be a positive integer"),
+    (["schellekens", "scan", "--dim", "744", "--fixed", "+", "--order", "2"],
+     "--fixed names no component and no ab: part"),
+    (["schellekens", "scan", "--dim", "744", "--fixed", "D8+ab:-1", "--order", "2"],
+     "--fixed abelian rank must be non-negative"),
+    (["case", "run", "--all", "--format", "csv"], "case run has no csv format"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""
@@ -205,3 +214,7 @@ def test_case_run_survives_python_O():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+    proc = subprocess.run([sys.executable, "-O", "-m", "orbdim.cli", "case", "run", "--all"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 15 and "FAIL" not in proc.stdout

@@ -1,0 +1,321 @@
+"""Differential test of the scaled-integer Lie kernel against the Fraction
+implementations it replaced, kept here as the oracle: the old bodies, with
+the root system passed as rs and every call going to another oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from orbdim.kacaut import alcove_point, apply_inverse_linear
+from orbdim.liealg import (
+    build_root_system,
+    dominant_weights_of_level,
+    weight_system,
+    weyl_antidominant,
+    weyl_dimension,
+    weyl_orbit,
+)
+from orbdim.orbifold import alcove_representative
+
+KINDS = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 6)] + \
+    [("C", r) for r in range(3, 6)] + [("D", r) for r in range(4, 7)] + \
+    [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 8)
+
+
+# -- the oracle: Fraction arithmetic throughout ------------------------------
+
+def _frac_vec(values):
+    return tuple(Fraction(v) for v in values)
+
+
+def _root_pair_sq(rs, root):
+    l = rs.rank
+    return sum(Fraction(root[i]) * rs.root_gram[i][j] * root[j]
+               for i in range(l) for j in range(l))
+
+
+def _root_on_coweight(rs, root, h):
+    return sum(Fraction(n) * Fraction(c) for n, c in zip(root, h))
+
+
+def _pair_weight_coweight(rs, m, c):
+    l = rs.rank
+    total = Fraction(0)
+    for i in range(l):
+        if m[i]:
+            row = rs.cartan_inv[i]
+            total += Fraction(m[i]) * sum(row[j] * Fraction(c[j]) for j in range(l))
+    return total
+
+
+def _weight_form(rs, m1, m2):
+    l = rs.rank
+    total = Fraction(0)
+    for i in range(l):
+        if m1[i]:
+            total += Fraction(m1[i]) * sum(rs.gram_weights[i][j] * Fraction(m2[j])
+                                           for j in range(l) if m2[j])
+    return total
+
+
+def _coweight_form(rs, c1, c2):
+    l = rs.rank
+    total = Fraction(0)
+    for i in range(l):
+        if c1[i]:
+            total += Fraction(c1[i]) * sum(rs.gram_coweights[i][j] * Fraction(c2[j])
+                                           for j in range(l) if c2[j])
+    return total
+
+
+def _coweight_to_coroot_coords(rs, c):
+    l = rs.rank
+    return tuple(sum(rs.cartan_inv[i][j] * Fraction(c[j]) for j in range(l))
+                 for i in range(l))
+
+
+def _in_coroot_lattice(rs, c):
+    return all(x.denominator == 1 for x in _coweight_to_coroot_coords(rs, c))
+
+
+def _reflect_weight(rs, m, i):
+    mi = m[i]
+    return tuple(Fraction(m[j]) - mi * rs.cartan[i][j] for j in range(rs.rank))
+
+
+def _reflect_coweight(rs, c, i):
+    ci = Fraction(c[i])
+    return tuple(Fraction(c[j]) - ci * rs.cartan[j][i] for j in range(rs.rank))
+
+
+def _dominant_weight_conjugate(rs, m):
+    m = _frac_vec(m)
+    while True:
+        for i in range(rs.rank):
+            if m[i] < 0:
+                m = _reflect_weight(rs, m, i)
+                break
+        else:
+            return m
+
+
+def _weyl_antidominant(rs, h):
+    c = _frac_vec(h)
+    word = []
+    while True:
+        for i in range(rs.rank):
+            if c[i] > 0:
+                c = _reflect_coweight(rs, c, i)
+                word.append(i)
+                break
+        else:
+            return c, word
+
+
+def _weyl_orbit(rs, m):
+    start = tuple(int(x) for x in m)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(rs.rank):
+                if w[i] != 0:
+                    r = tuple(int(x) for x in _reflect_weight(rs, w, i))
+                    if r not in seen:
+                        seen.add(r)
+                        new.append(r)
+        frontier = new
+    return seen
+
+
+def _weyl_dimension(rs, m):
+    delta = (1,) * rs.rank
+    num = Fraction(1)
+    den = Fraction(1)
+    lam_delta = tuple(Fraction(x) + 1 for x in m)
+    for root in rs.positive_roots:
+        wroot = rs.root_to_weight_coords(root)
+        num *= _weight_form(rs, lam_delta, wroot)
+        den *= _weight_form(rs, delta, wroot)
+    d = num / den
+    assert d.denominator == 1
+    return int(d)
+
+
+def _weight_system(rs, lam):
+    l = rs.rank
+    lam_v = _frac_vec(lam)
+    dominant = []
+    for cand in dominant_weights_of_level(rs, int(rs.level(lam))):
+        diff = tuple(Fraction(a) - b for a, b in zip(lam_v, cand))
+        k = tuple(sum(rs.cartan_inv[j][i] * diff[j] for j in range(l)) for i in range(l))
+        if all(x.denominator == 1 and x >= 0 for x in k):
+            dominant.append((sum(k), cand))
+    dominant.sort()
+    mults = {}
+    lam_delta = tuple(x + 1 for x in lam_v)
+    norm_top = _weight_form(rs, lam_delta, lam_delta)
+    pos_w = [rs.root_to_weight_coords(r) for r in rs.positive_roots]
+    for depth, mu in dominant:
+        if depth == 0:
+            mults[mu] = 1
+            continue
+        mu_delta = tuple(Fraction(x) + 1 for x in mu)
+        denom = norm_top - _weight_form(rs, mu_delta, mu_delta)
+        acc = Fraction(0)
+        for wroot in pos_w:
+            k = 1
+            while True:
+                shifted = tuple(a + k * b for a, b in zip(mu, wroot))
+                dom = tuple(int(x) for x in _dominant_weight_conjugate(rs, shifted))
+                mult = mults.get(dom)
+                if mult is None:
+                    break
+                acc += mult * _weight_form(rs, shifted, wroot)
+                k += 1
+        val = 2 * acc / denom
+        assert val.denominator == 1, "Freudenthal multiplicity must be integral"
+        mults[mu] = int(val)
+    full = {}
+    for mu, mult in mults.items():
+        for w in _weyl_orbit(rs, mu):
+            full[w] = mult
+    return full
+
+
+def _alcove_point(rs, h):
+    c = tuple(Fraction(x) for x in h)
+    word = []
+    theta_covec = tuple(sum(rs.comarks[i] * Fraction(rs.cartan[j][i]) for i in range(rs.rank))
+                        for j in range(rs.rank))
+    while True:
+        moved = False
+        for i in range(rs.rank):
+            if c[i] < 0:
+                c = _reflect_coweight(rs, c, i)
+                word.append(i)
+                moved = True
+                break
+        if moved:
+            continue
+        t = sum(Fraction(a) * x for a, x in zip(rs.marks, c))
+        if t > 1:
+            c = tuple(x - (t - 1) * tv for x, tv in zip(c, theta_covec))
+            word.append("theta")
+            continue
+        return c, word
+
+
+def _apply_inverse_linear(rs, word, c):
+    theta_covec = tuple(sum(rs.comarks[i] * Fraction(rs.cartan[j][i]) for i in range(rs.rank))
+                        for j in range(rs.rank))
+    for op in reversed(word):
+        if op == "theta":
+            t = sum(Fraction(a) * x for a, x in zip(rs.marks, c))
+            c = tuple(x - t * tv for x, tv in zip(c, theta_covec))
+        else:
+            c = _reflect_coweight(rs, c, op)
+    return c
+
+
+def _alcove_representative(rs, h):
+    tilde, word = _alcove_point(rs, h)
+    cur = _apply_inverse_linear(rs, word, tilde)
+    coroot_dirs = []
+    l = rs.rank
+    for root in rs.positive_roots:
+        nn = _root_pair_sq(rs, root)
+        pair = [2 * sum(rs.root_gram[j][i] * root[i] for i in range(l)) / nn for j in range(l)]
+        coroot_dirs.append(tuple(pair))
+    improved = True
+    norm = _coweight_form(rs, cur, cur)
+    while improved:
+        improved = False
+        for v in coroot_dirs:
+            for sign in (1, -1):
+                cand = tuple(c - sign * x for c, x in zip(cur, v))
+                cn = _coweight_form(rs, cand, cand)
+                if cn < norm:
+                    cur, norm = cand, cn
+                    improved = True
+    if any(abs(_root_on_coweight(rs, root, cur)) > 1 for root in rs.roots):
+        raise ArithmeticError(f"alcove reduction of {tuple(h)} left the alcove")
+    return cur
+
+
+# -- seeded inputs -------------------------------------------------------------
+
+def _coweight(rng, rank):
+    """Mixed denominators, one of them possibly 1 throughout."""
+    return tuple(Fraction(rng.randint(-12, 12), rng.choice(DENOMINATORS)) for _ in range(rank))
+
+
+def _weight(rng, rank, fractional=False):
+    if fractional:
+        return tuple(Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS)) for _ in range(rank))
+    return tuple(rng.randint(-4, 4) for _ in range(rank))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_pairings_forms_and_reflections_match_oracle(kind):
+    rs = build_root_system(kind)
+    rng = random.Random(f"forms-{kind}")
+    ks = [rng.randint(-3, 3) for _ in range(rs.rank)]
+    coroot_point = tuple(sum(rs.cartan[j][i] * k for i, k in enumerate(ks)) for j in range(rs.rank))
+    cws = [_coweight(rng, rs.rank) for _ in range(6)] + [coroot_point, tuple(range(rs.rank))]
+    wts = [_weight(rng, rs.rank) for _ in range(6)] + [_weight(rng, rs.rank, True) for _ in range(2)]
+    for c in cws:
+        assert rs.coweight_to_coroot_coords(c) == _coweight_to_coroot_coords(rs, c)
+        assert rs.in_coroot_lattice(c) == _in_coroot_lattice(rs, c)
+        for root in rs.roots[::7]:
+            assert rs.root_on_coweight(root, c) == _root_on_coweight(rs, root, c)
+            assert rs.root_pair_sq(root) == _root_pair_sq(rs, root)
+        for c2 in cws:
+            assert rs.coweight_form(c, c2) == _coweight_form(rs, c, c2)
+        for i in range(rs.rank):
+            assert rs.reflect_coweight(c, i) == _reflect_coweight(rs, c, i)
+        h_minus, word = weyl_antidominant(rs, c)
+        old_minus, old_word = _weyl_antidominant(rs, c)
+        assert h_minus == old_minus
+        assert word == old_word
+        for m in wts:
+            assert rs.pair_weight_coweight(m, c) == _pair_weight_coweight(rs, m, c)
+    assert rs.in_coroot_lattice(coroot_point)
+    for m in wts:
+        assert rs.dominant_weight_conjugate(m) == _dominant_weight_conjugate(rs, m)
+        for m2 in wts:
+            assert rs.weight_form(m, m2) == _weight_form(rs, m, m2)
+        for i in range(rs.rank):
+            assert rs.reflect_weight(m, i) == _reflect_weight(rs, m, i)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_weight_systems_and_dimensions_match_oracle(kind):
+    rs = build_root_system(kind)
+    rng = random.Random(f"weights-{kind}")
+    pool = [lam for level in (1, 2) for lam in dominant_weights_of_level(rs, level)]
+    pool = sorted({lam for lam in pool if _weyl_dimension(rs, lam) <= 400})
+    for lam in pool:
+        assert weyl_dimension(rs, lam) == _weyl_dimension(rs, lam)
+    for lam in [pool[0], pool[-1]] + rng.sample(pool, min(2, len(pool))):
+        ws = weight_system(rs, lam)
+        assert ws == _weight_system(rs, lam)
+        some = next(iter(ws))
+        assert weyl_orbit(rs, some) == _weyl_orbit(rs, some)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_alcove_reduction_matches_oracle(kind):
+    rs = build_root_system(kind)
+    rng = random.Random(f"alcove-{kind}")
+    for h in [_coweight(rng, rs.rank) for _ in range(5)] + [(0,) * rs.rank]:
+        tilde, word = alcove_point(rs, h)
+        old_tilde, old_word = _alcove_point(rs, h)
+        assert tilde == old_tilde
+        assert word == old_word
+        assert apply_inverse_linear(rs, word, tilde) == _apply_inverse_linear(rs, word, tilde)
+        assert alcove_representative(rs, h) == _alcove_representative(rs, h)
