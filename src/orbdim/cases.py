@@ -18,7 +18,7 @@ from importlib import resources
 from math import lcm
 
 from .kacaut import admits_fixed_subalgebra, inner_from_coweight, module_order_bound
-from .liealg import AffineStructure, build_root_system, schellekens_constraint
+from .liealg import AffineStructure, build_root_system, dot, scale_vector, schellekens_constraint
 from .modcurve import divisors
 from .orbifold import (
     CycleShape,
@@ -133,6 +133,17 @@ class OrbifoldCase:
         return " ".join(parts)
 
 
+def _coweights(cid, name, value, source):
+    """Per-factor coweight coordinates: one list per source factor, of its rank."""
+    out = tuple(_fracs(coords) for coords in value)
+    if len(out) != len(source.components):
+        raise DataLoadError(f"case {cid}: {name} must list one coweight per source factor")
+    for coords, (kind, _) in zip(out, source.components):
+        if len(coords) != kind[1]:
+            raise DataLoadError(f"case {cid}: {name} coordinates do not match the rank of {kind}")
+    return out
+
+
 def load_cases(path=None) -> list[OrbifoldCase]:
     """The fifteen case records, schema-validated; errors name the field."""
     text = open(path).read() if path else _data_text("cases.json")
@@ -143,28 +154,31 @@ def load_cases(path=None) -> list[OrbifoldCase]:
     for node in raw["cases"]:
         cid = node.get("id", "?")
 
-        def need(key):
-            if key not in node:
-                raise DataLoadError(f"case {cid}: missing field {key}")
-            return node[key]
+        def need(key, parent=node, where=""):
+            if key not in parent:
+                raise DataLoadError(f"case {cid}: missing field {where}{key}")
+            return parent[key]
 
         shapes = []
         for snode in need("shapes"):
-            shape = CycleShape({int(t): int(b) for t, b in snode["factors"].items()})
+            factors, length, fixed_genus, orbit_genus, coset, provenance = (
+                need(key, snode, "shapes[].") for key in ("factors", "classLength",
+                "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
+            shape = CycleShape({int(t): int(b) for t, b in factors.items()})
             if shape.degree() != 24:
                 raise DataLoadError(f"case {cid}: shapes.factors has degree {shape.degree()}")
-            shapes.append(ShapeRecord(shape, int(snode["classLength"]),
-                                      snode["fixedLatticeGenus"], snode["orbitLatticeGenus"],
-                                      snode["cosetGroup"], snode["provenance"],
-                                      snode.get("variant", "")))
+            shapes.append(ShapeRecord(shape, int(length), fixed_genus, orbit_genus, coset,
+                                      provenance, snode.get("variant", "")))
         source = _structure(need("source"))
         target = _structure(need("target"))
-        h = tuple(_fracs(coords) for coords in need("h"))
-        if len(h) != len(source.components):
-            raise DataLoadError(f"case {cid}: h must list one coweight per source factor")
-        for coords, (kind, _) in zip(h, source.components):
-            if len(coords) != kind[1]:
-                raise DataLoadError(f"case {cid}: h coordinates do not match the rank of {kind}")
+        n = int(need("n"))
+        h = _coweights(cid, "h", need("h"), source)
+        ih_reps = {}
+        for key, coords in node.get("ihReps", {}).items():
+            i = int(key) if key.isdecimal() else 0
+            if not 1 <= i < n:
+                raise DataLoadError(f"case {cid}: ihReps key {key!r} must lie in 1..{n - 1}")
+            ih_reps[i] = _coweights(cid, f"ihReps[{key!r}]", coords, source)
         fixed = need("fixed")
         problematic = node.get("problematicModules", 0)
         if type(problematic) is not int or problematic < 0:
@@ -173,21 +187,21 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         case = OrbifoldCase(
             id=str(cid),
             niemeier=need("niemeier"),
-            n=int(need("n")),
+            n=n,
             shapes=tuple(shapes),
             source=source,
             h=h,
             factor_orders=tuple(int(x) for x in need("factorOrders")),
             h_norm_sq=Fraction(need("hNormSq")),
-            fixed_components=tuple(sorted((letter, rank) for letter, rank in fixed["components"])),
-            fixed_abelian=int(fixed["abelianRank"]),
+            fixed_components=tuple(sorted((letter, rank) for letter, rank
+                                          in need("components", fixed, "fixed."))),
+            fixed_abelian=int(need("abelianRank", fixed, "fixed.")),
             expected_d=int(need("expectedD")),
             target=target,
             schellekens_no=int(need("schellekensNo")),
             rho_required=bool(need("rhoRequired")),
             shifted_rho=_fracs(node.get("shiftedRho", [])),
-            ih_reps={int(i): tuple(_fracs(c) for c in coords)
-                     for i, coords in node.get("ihReps", {}).items()},
+            ih_reps=ih_reps,
             problematic_modules=problematic,
         )
         if case.expected_d != target.dimension():
@@ -256,15 +270,16 @@ def _case_root_systems(case):
 
 
 def fixed_dims_profile(case) -> DimProfile:
-    """dim V_1^{sigma^d} for all d | n by root counting on d*h per factor."""
+    """dim V_1^{sigma^d} for all d | n by root counting on d*h per factor:
+    alpha(d h) is integral iff d (alpha, c) is divisible by den, h = c/den."""
     systems = _case_root_systems(case)
+    scaled = [scale_vector(h) for h in case.h]
     dims = {}
     for d in divisors(case.n):
         total = 0
-        for rs, h in zip(systems, case.h):
-            scaled = tuple(d * x for x in h)
-            count = sum(1 for r in rs.roots if rs.root_on_coweight(r, scaled).denominator == 1)
-            total += rs.rank + count
+        for rs, (c, den) in zip(systems, scaled):
+            dc = [d * x for x in c]
+            total += rs.rank + sum(1 for r in rs.roots if dot(r, dc) % den == 0)
         dims[d] = total
     return DimProfile(case.n, dims)
 

@@ -130,6 +130,10 @@ def cmd_fs(args) -> int:
 def cmd_eta(args) -> int:
     try:
         f = qseries.parse_eta_quotient(args.quotient)
+    except ValueError as err:
+        print(f"--quotient: {err}", file=sys.stderr)
+        return 2
+    try:
         series = qseries.etaq_expand(f, _rational("--prec", args.prec))
     except (ValueError, ZeroDivisionError) as err:
         print(str(err), file=sys.stderr)
@@ -230,7 +234,10 @@ def _parse_fixed_spec(spec: str):
         if not chunk:
             continue
         if chunk.lower().startswith("ab:"):
-            abelian = (abelian or 0) + int(chunk[3:])
+            try:
+                abelian = (abelian or 0) + int(chunk[3:])
+            except ValueError:
+                raise ValueError(f"--fixed abelian rank must be an integer, got {chunk!r}") from None
         else:
             comps.append(parse_kind(chunk))
     if not comps and abelian is None:

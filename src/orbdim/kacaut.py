@@ -10,6 +10,7 @@ conjugacy under the full automorphism group of the algebra.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +28,7 @@ from .cartan import (
     validate_kind,
 )
 from .liealg import RootSystem, build_root_system, dot, scale_vector
+from .modcurve import divisors
 
 
 class UnknownDiagramShape(ValueError):
@@ -404,76 +406,60 @@ def fixed_subalgebra_semisimple(aut: SemisimpleAut, kinds):
     return tuple(sorted(comps)), abelian, dim
 
 
+@lru_cache(maxsize=None)
+def _cycle_options(kind: Kind, n: int):
+    """What a p-cycle of `kind` factors, with a residual class of order
+    dividing n/p, can fix: each distinct (p, ((component, multiplicity), ...),
+    abelian rank) once, with one witness class."""
+    table = {}
+    for p in divisors(n):
+        for r in divisors(n // p):
+            for cls in enumerate_classes(kind, r):
+                comps = tuple(sorted(Counter(cls.fixed_components).items()))
+                table.setdefault((p, comps, cls.fixed_abelian), cls)
+    return tuple((p, comps, ab, cls) for (p, comps, ab), cls in table.items())
+
+
 def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: int):
     """Is some automorphism of order dividing n with the given fixed algebra possible?
 
     kinds: simple factors of the ambient algebra; the target is a multiset of
     kinds plus an abelian rank.  Returns (found, witness) where the witness
-    lists (kind, cycle_length, KacClass) choices.
+    lists (kind, cycle_length, KacClass) choices.  The search fills the
+    groups of equal kinds in turn with cycles from _cycle_options, so it
+    branches on distinct fixed algebras, never on two classes fixing the same.
     """
-    kinds = [validate_kind(tuple(k)) for k in kinds]
-    target = {}
-    for k in target_components:
-        k = validate_kind(tuple(k))
-        target[k] = target.get(k, 0) + 1
-    groups = {}
-    for k in kinds:
-        groups[k] = groups.get(k, 0) + 1
-    group_list = sorted(groups.items())
-
-    # options per kind: (cycle length p, class R) with p * order(R) dividing n
-    def options(kind):
-        opts = []
-        for p in range(1, n + 1):
-            if n % p:
-                continue
-            for r in range(1, n // p + 1):
-                if (n // p) % r:
-                    continue
-                for cls in enumerate_classes(kind, r):
-                    opts.append((p, cls))
-        return opts
-
+    groups = sorted(Counter(validate_kind(tuple(k)) for k in kinds).items())
+    left = Counter(validate_kind(tuple(k)) for k in target_components)
     witness = []
 
-    def assign(gi, counter, ab_left):
-        if gi == len(group_list):
-            return not counter_total(counter) and ab_left == 0
-        kind, count = group_list[gi]
-        opts = [o for o in options(kind) if o[0] <= count]
+    def fits(option, length, ab_left):
+        p, comps, ab, _ = option
+        return p <= length and ab <= ab_left and all(left[k] >= m for k, m in comps)
 
-        def fill(remaining, oi, counter, ab_left):
-            if remaining == 0:
-                return assign(gi + 1, counter, ab_left)
-            if oi == len(opts):
-                return False
-            p, cls = opts[oi]
-            # skip this option entirely
-            if fill(remaining, oi + 1, counter, ab_left):
+    def enter(gi, ab_left):
+        """Start group gi with the options that still fit, or check the end."""
+        if gi == len(groups):
+            return ab_left == 0 and not any(left.values())
+        kind, count = groups[gi]
+        opts = [o for o in _cycle_options(kind, n) if fits(o, count, ab_left)]
+        return search(gi, opts, 0, count, ab_left)
+
+    def search(gi, opts, start, length, ab_left):
+        """Cover `length` more factors of group gi by cycles from opts[start:]."""
+        if length == 0:
+            return enter(gi + 1, ab_left)
+        for oi in range(start, len(opts)):
+            if not fits(opts[oi], length, ab_left):
+                continue
+            p, comps, ab, cls = opts[oi]
+            left.subtract(dict(comps))
+            witness.append((groups[gi][0], p, cls))
+            if search(gi, opts, oi, length - p, ab_left - ab):
                 return True
-            # or take it (possibly repeatedly)
-            if p <= remaining:
-                new_counter = dict(counter)
-                ok = True
-                for k in cls.fixed_components:
-                    if new_counter.get(k, 0) == 0:
-                        ok = False
-                        break
-                    new_counter[k] -= 1
-                    if new_counter[k] == 0:
-                        del new_counter[k]
-                new_ab = ab_left - cls.fixed_abelian
-                if ok and new_ab >= 0:
-                    witness.append((kind, p, cls))
-                    if fill(remaining - p, oi, new_counter, new_ab):
-                        return True
-                    witness.pop()
-            return False
+            witness.pop()
+            left.update(dict(comps))
+        return False
 
-        return fill(count, 0, counter, ab_left)
-
-    def counter_total(counter):
-        return sum(counter.values())
-
-    found = assign(0, dict(target), int(target_abelian))
-    return (True, list(witness)) if found else (False, None)
+    found = enter(0, int(target_abelian))
+    return (True, witness) if found else (False, None)

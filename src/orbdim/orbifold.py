@@ -245,44 +245,19 @@ def parse_cycle_shape(text: str) -> CycleShape:
 
 # -- alcove representatives and twisted conformal weights ----------------
 
-@lru_cache(maxsize=None)
-def _coroot_steps(kind):
-    """(v, G v, v^T G v) per positive coroot v, in integer fundamental-coweight
-    coordinates <alpha_j, alpha^vee>, G the integer coweight Gram matrix."""
-    rs = build_root_system(kind)
-    l = rs.rank
-    G = rs.gram_coweights_scaled
-    out = []
-    for root in rs.positive_roots:
-        nn = rs.root_pair_sq(root)
-        v = tuple(int(2 * sum(rs.root_gram[j][i] * root[i] for i in range(l)) / nn)
-                  for j in range(l))
-        gv = tuple(dot(row, v) for row in G)
-        out.append((v, gv, dot(v, gv)))
-    return tuple(out)
-
-
 def alcove_representative(rs: RootSystem, h):
     """A representative of h + Q^vee with |alpha(h')| <= 1 for all roots.
 
-    Reduces into the fundamental alcove with the affine Weyl group, undoes
-    the linear part, then walks downhill in norm along coroots; any local
-    minimum of the norm on the coset satisfies the alcove condition.  The
-    walk runs on h scaled by its denominator d: a step by the coroot v
-    lowers the norm iff 2 sign (h, v) > (v, v), compared in integers.
+    Reduces h into the fundamental alcove, h~ = w(h) + q with q in Q^vee,
+    and returns h' = w^{-1}(h~) = h + w^{-1}(q), again in h + Q^vee.  On the
+    closed alcove 0 <= alpha(h~) <= theta(h~) <= 1 for every positive root,
+    so |alpha(h~)| <= 1 for every root; alpha(h') = (w alpha)(h~) and w
+    permutes the roots, so |alpha(h')| <= 1 too.  Hence no coroot step
+    lowers the norm of h' on the coset: h' - s alpha^vee (s = +-1) is
+    shorter only if s alpha(h') > 1.  The bound is rechecked in integers.
     """
     tilde, word = alcove_point(rs, h)
     cur, d = scale_vector(apply_inverse_linear(rs, word, tilde))
-    cur = list(cur)
-    steps = _coroot_steps(rs.kind)
-    improved = True
-    while improved:
-        improved = False
-        for v, gv, vv in steps:
-            for sign in (1, -1):
-                if 2 * sign * dot(cur, gv) > d * vv:
-                    cur = [c - sign * d * x for c, x in zip(cur, v)]
-                    improved = True
     if any(abs(dot(root, cur)) > d for root in rs.roots):
         raise ArithmeticError(f"alcove reduction of {tuple(h)} left the alcove")
     return tuple(Fraction(x, d) for x in cur)

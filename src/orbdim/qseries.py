@@ -298,8 +298,12 @@ def parse_eta_quotient(text: str, level: int | None = None) -> EtaQuotient:
         chunk = chunk.strip()
         if not chunk:
             continue
-        d_str, r_str = chunk.split(":")
-        exps[int(d_str)] = exps.get(int(d_str), 0) + int(r_str)
+        d_str, _, r_str = chunk.partition(":")
+        try:
+            d, r = int(d_str), int(r_str)
+        except ValueError:
+            raise ValueError(f"eta factor {chunk!r} is not d:r with integers d and r") from None
+        exps[d] = exps.get(d, 0) + r
     if level is None:
         level = 1
         for d in exps:

@@ -103,6 +103,40 @@ def test_cases_load_error_paths(tmp_path):
         load_cases(empty)
 
 
+def _ih_key(key):
+    return lambda node: node["ihReps"].update({key: node["ihReps"]["2"]})
+
+
+def _drop_coweight(node):
+    node["ihReps"]["2"] = node["ihReps"]["2"][:1]
+
+
+def _short_coweight(node):
+    node["ihReps"]["2"][1] = node["ihReps"]["2"][1][:3]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_ih_key("5"), "ihReps key '5' must lie in 1..4"),
+    (_ih_key("0"), "ihReps key '0' must lie in 1..4"),
+    (_ih_key("x"), "ihReps key 'x' must lie in 1..4"),
+    (_drop_coweight, "ihReps['2'] must list one coweight per source factor"),
+    (_short_coweight, "ihReps['2'] coordinates do not match the rank of ('A', 4)"),
+    (lambda node: node["fixed"].pop("components"), "missing field fixed.components"),
+    (lambda node: node["fixed"].pop("abelianRank"), "missing field fixed.abelianRank"),
+    (lambda node: node["shapes"][0].pop("classLength"), "missing field shapes[].classLength"),
+    (lambda node: node["shapes"][0].pop("factors"), "missing field shapes[].factors"),
+])
+def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
+    """Case 11 (n = 5) with one corrupted nested field fails to load, naming it."""
+    raw = json.loads((DATA / "cases.json").read_text())
+    edit(raw["cases"][10])
+    bad = tmp_path / "cases.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(DataLoadError) as err:
+        load_cases(bad)
+    assert str(err.value) == f"case 11: {message}"
+
+
 @pytest.mark.parametrize("value", [1.5, "11", True])
 def test_cases_load_rejects_bad_problematic_modules(tmp_path, value):
     raw = json.loads((DATA / "cases.json").read_text())

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -197,6 +198,15 @@ def test_screen_case_15(capsys):
     (["schellekens", "scan", "--dim", "744", "--fixed", "D8+ab:-1", "--order", "2"],
      "--fixed abelian rank must be non-negative"),
     (["case", "run", "--all", "--format", "csv"], "case run has no csv format"),
+    (["schellekens", "scan", "--dim", "744", "--fixed", "ab:x", "--order", "2"],
+     "--fixed abelian rank must be an integer"),
+    (["eta", "--quotient", "1:x"], "--quotient: eta factor '1:x' is not d:r"),
+    (["eta", "--quotient", "3:1,2"], "--quotient: eta factor '2' is not d:r"),
+    (["kac", "--algebra", "A2", "--order", "0"], "the order must be a positive integer"),
+    (["kac", "--algebra", "Q2", "--order", "2"], "cannot parse algebra kind 'Q2'"),
+    (["dcoeff", "--n", "11", "--i", "1", "--j", "1", "--k", "1"], "11 is not a genus-zero level"),
+    (["cusps", "--n", "0"], "n must be positive"),
+    (["coeffs", "--n", "11"], "11 is not a genus-zero level"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""
@@ -218,3 +228,14 @@ def test_case_run_survives_python_O():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 15 and "FAIL" not in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    """python -O strips assert, so no check the results rely on may be one."""
+    package = Path(__file__).resolve().parents[1] / "src" / "orbdim"
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
