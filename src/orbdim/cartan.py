@@ -223,8 +223,8 @@ def twisted_diagram(kind: Kind, twist: int) -> AffineDiagram:
 
     Anchor facts encoded here: the unique order-2 outer class of A_{2l}
     fixes B_l; A_{2l-1} has order-2 outer classes fixing C_l and D_l;
-    D_m order-2 outer classes fix B_j x B_{m-2-j... }; E_6 fixes F_4 or C_4;
-    D_4 triality fixes G_2 or A_2.
+    D_l order-2 outer classes fix B_j x B_{l-1-j} (B_1 = A_1, B_0 = 0);
+    E_6 fixes F_4 or C_4; D_4 triality fixes G_2 or A_2.
     """
     kind = validate_kind(kind)
     letter, l = kind

@@ -17,9 +17,10 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
+from .cartan import validate_kind
 from .kacaut import admits_fixed_subalgebra, inner_from_coweight, module_order_bound
-from .liealg import AffineStructure, build_root_system, dot, scale_vector, schellekens_constraint
-from .modcurve import divisors
+from .liealg import AffineStructure, build_root_system, schellekens_constraint
+from .modcurve import GENUS_ZERO_LEVELS, divisors
 from .orbifold import (
     CycleShape,
     DimProfile,
@@ -45,8 +46,17 @@ def _data_text(name: str) -> str:
     return resources.files("orbdim.data").joinpath(name).read_text()
 
 
-def _fracs(values):
-    return tuple(Fraction(v) for v in values)
+def _rational(cid, name, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise DataLoadError(f"case {cid}: {name}: {value!r} is not a rational number") from None
+
+
+def _integer(cid, name, value) -> int:
+    if type(value) is not int:
+        raise DataLoadError(f"case {cid}: {name}: {value!r} is not an integer")
+    return value
 
 
 def _structure(node) -> AffineStructure:
@@ -135,7 +145,7 @@ class OrbifoldCase:
 
 def _coweights(cid, name, value, source):
     """Per-factor coweight coordinates: one list per source factor, of its rank."""
-    out = tuple(_fracs(coords) for coords in value)
+    out = tuple(tuple(_rational(cid, name, v) for v in coords) for coords in value)
     if len(out) != len(source.components):
         raise DataLoadError(f"case {cid}: {name} must list one coweight per source factor")
     for coords, (kind, _) in zip(out, source.components):
@@ -159,19 +169,30 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                 raise DataLoadError(f"case {cid}: missing field {where}{key}")
             return parent[key]
 
+        def built(key, build, value):
+            """build(value), with a ValueError or TypeError naming the case and field."""
+            try:
+                return build(value)
+            except (ValueError, TypeError) as err:
+                raise DataLoadError(f"case {cid}: {key}: {err}") from None
+
         shapes = []
         for snode in need("shapes"):
             factors, length, fixed_genus, orbit_genus, coset, provenance = (
                 need(key, snode, "shapes[].") for key in ("factors", "classLength",
                 "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
-            shape = CycleShape({int(t): int(b) for t, b in factors.items()})
+            shape = built("shapes[].factors", lambda f: CycleShape(
+                {int(t): int(b) for t, b in f.items()}), factors)
             if shape.degree() != 24:
                 raise DataLoadError(f"case {cid}: shapes.factors has degree {shape.degree()}")
-            shapes.append(ShapeRecord(shape, int(length), fixed_genus, orbit_genus, coset,
+            shapes.append(ShapeRecord(shape, _integer(cid, "shapes[].classLength", length),
+                                      fixed_genus, orbit_genus, coset,
                                       provenance, snode.get("variant", "")))
-        source = _structure(need("source"))
-        target = _structure(need("target"))
-        n = int(need("n"))
+        source = built("source", _structure, need("source"))
+        target = built("target", _structure, need("target"))
+        n = _integer(cid, "n", need("n"))
+        if n not in GENUS_ZERO_LEVELS - {1}:
+            raise DataLoadError(f"case {cid}: n: {n} is not a genus-zero level >= 2")
         h = _coweights(cid, "h", need("h"), source)
         ih_reps = {}
         for key, coords in node.get("ihReps", {}).items():
@@ -191,16 +212,16 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             shapes=tuple(shapes),
             source=source,
             h=h,
-            factor_orders=tuple(int(x) for x in need("factorOrders")),
-            h_norm_sq=Fraction(need("hNormSq")),
-            fixed_components=tuple(sorted((letter, rank) for letter, rank
-                                          in need("components", fixed, "fixed."))),
-            fixed_abelian=int(need("abelianRank", fixed, "fixed.")),
-            expected_d=int(need("expectedD")),
+            factor_orders=tuple(_integer(cid, "factorOrders", x) for x in need("factorOrders")),
+            h_norm_sq=_rational(cid, "hNormSq", need("hNormSq")),
+            fixed_components=built("fixed.components", lambda comps: tuple(sorted(
+                validate_kind(tuple(k)) for k in comps)), need("components", fixed, "fixed.")),
+            fixed_abelian=_integer(cid, "fixed.abelianRank", need("abelianRank", fixed, "fixed.")),
+            expected_d=_integer(cid, "expectedD", need("expectedD")),
             target=target,
-            schellekens_no=int(need("schellekensNo")),
+            schellekens_no=_integer(cid, "schellekensNo", need("schellekensNo")),
             rho_required=bool(need("rhoRequired")),
-            shifted_rho=_fracs(node.get("shiftedRho", [])),
+            shifted_rho=tuple(_rational(cid, "shiftedRho", v) for v in node.get("shiftedRho", [])),
             ih_reps=ih_reps,
             problematic_modules=problematic,
         )
@@ -270,17 +291,11 @@ def _case_root_systems(case):
 
 
 def fixed_dims_profile(case) -> DimProfile:
-    """dim V_1^{sigma^d} for all d | n by root counting on d*h per factor:
-    alpha(d h) is integral iff d (alpha, c) is divisible by den, h = c/den."""
+    """dim V_1^{sigma^d} for all d | n: the fixed dimension of d*h per factor."""
     systems = _case_root_systems(case)
-    scaled = [scale_vector(h) for h in case.h]
-    dims = {}
-    for d in divisors(case.n):
-        total = 0
-        for rs, (c, den) in zip(systems, scaled):
-            dc = [d * x for x in c]
-            total += rs.rank + sum(1 for r in rs.roots if dot(r, dc) % den == 0)
-        dims[d] = total
+    dims = {d: sum(inner_from_coweight(rs, tuple(d * x for x in h))[2]
+                   for rs, h in zip(systems, case.h))
+            for d in divisors(case.n)}
     return DimProfile(case.n, dims)
 
 

@@ -217,55 +217,23 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
 def inner_from_coweight(rs: RootSystem, h):
     """Order and fixed subalgebra of exp(-2 pi i h_0) on the algebra.
 
-    Returns (order, (components, abelian_rank), fixed_dimension).  The order
-    is the lcm of the denominators of alpha(h) over the roots; the fixed
-    subalgebra is the Cartan plus the root spaces with integral alpha(h).
+    Returns (order, (components, abelian_rank), fixed_dimension).  With
+    h = c/d from scale_vector, gcd(c_1, ..., c_r, d) = 1.  The automorphism
+    multiplies the root space of alpha by exp(-2 pi i alpha(h)), and
+    alpha_i(h) = c_i/d.  Every root is an integral combination of simple
+    roots, so m*alpha(h) is integral for all roots iff d divides m*c_i for
+    all i, iff d divides m: the order is d.  The fixed subalgebra is read
+    off the Kac coordinates by fixed_from_s on the untwisted affine diagram;
+    its dimension is checked against rank + 2 #{alpha > 0 : (alpha, c) = 0
+    mod d}.
     """
     c, d = scale_vector(h)
-    order = 1
-    fixed_roots = []
-    for root in rs.roots:
-        den = d // gcd(dot(root, c), d)       # the denominator of alpha(h)
-        order = lcm(order, den)
-        if den == 1:
-            fixed_roots.append(root)
-    comps = _classify_root_subsystem(rs, fixed_roots)
-    fixed_rank = sum(k[1] for k in comps)
-    abelian = rs.rank - fixed_rank
-    dim = rs.rank + len(fixed_roots)
+    comps, abelian = fixed_from_s(untwisted_diagram(rs.kind), coweight_to_kac_labels(rs, h))
+    dim = rs.rank + 2 * sum(1 for root in rs.positive_roots if dot(root, c) % d == 0)
     if dim != sum(classical_dimension(k) for k in comps) + abelian:
         raise ArithmeticError(f"fixed subalgebra of {tuple(h)} on {kind_name(rs.kind)} "
                               f"has dimension {dim}, not that of {comps} + C^{abelian}")
-    return order, (tuple(comps), abelian), dim
-
-
-def _classify_root_subsystem(rs: RootSystem, roots) -> list[Kind]:
-    """Classify a closed root subsystem given by a list of ambient roots."""
-    positive = [r for r in roots if RootSystem._is_positive(r)]
-    if not positive:
-        return []
-    pos_set = set(positive)
-    simple = []
-    for beta in positive:
-        if not any(tuple(b - g for b, g in zip(beta, gamma)) in pos_set
-                   for gamma in positive if gamma != beta):
-            simple.append(beta)
-    r = len(simple)
-    # Cartan matrix of the subsystem
-    norms = [rs.root_pair_sq(b) for b in simple]
-    gram = [[sum(Fraction(simple[i][a]) * rs.root_gram[a][b] * simple[j][b]
-                 for a in range(rs.rank) for b in range(rs.rank)) for j in range(r)]
-            for i in range(r)]
-    C = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            entry = 2 * gram[i][j] / norms[j]
-            if entry.denominator != 1:
-                raise ArithmeticError("root subsystem pairing must be integral")
-            row.append(int(entry))
-        C.append(row)
-    return classify_components(C, range(r))
+    return d, (comps, abelian), dim
 
 
 def module_order_bound(rs: RootSystem, h) -> int:
@@ -280,18 +248,21 @@ def module_order_bound(rs: RootSystem, h) -> int:
 def coweight_to_kac_labels(rs: RootSystem, h):
     """Kac coordinates of the inner automorphism exp(-2 pi i h_0).
 
-    Reduces h into the fundamental alcove with the affine Weyl group, then
-    reads s_0 = n(1 - theta(h)), s_i = n alpha_i(h) for the algebra order n.
+    With h = c/d from scale_vector: the automorphism depends on h only modulo
+    the coweight lattice, so c is reduced mod d first and the alcove walk
+    does not grow with |h|.  The alcove point c~/d gives s_0 = d - theta(c~)
+    and s_i = c~_i, so sum_i a_i s_i = d.  Every walk step applies an
+    integral reflection to c and adds d times an integer vector, so
+    gcd(c~, d) = gcd(c, d) = 1 and hence gcd(s) = 1.  h and h + lambda, lambda a coweight, give the same
+    automorphism but may reach alcove points that differ by a diagram
+    automorphism induced by P^vee/Q^vee, so s is fixed only up to those.
     """
-    tilde, _ = alcove_point(rs, h)
-    order, _, _ = inner_from_coweight(rs, h)
-    theta_val = sum(Fraction(a) * c for a, c in zip(rs.marks, tilde))
-    s = [order * (1 - theta_val)] + [order * c for c in tilde]
-    if any(x.denominator != 1 or x < 0 for x in s):
-        raise ArithmeticError(f"Kac coordinates {s} of {tuple(h)} are not non-negative integers")
-    s = [int(x) for x in s]
-    g = gcd(*s)
-    return tuple(x // g for x in s) if g > 1 else tuple(s)
+    c, d = scale_vector(h)
+    tilde, _ = _alcove_walk(rs, [x % d for x in c], d)
+    s = (d - dot(rs.marks, tilde), *tilde)
+    if any(x < 0 for x in s):
+        raise ArithmeticError(f"Kac coordinates {s} of {tuple(h)} are not non-negative")
+    return s
 
 
 def alcove_point(rs: RootSystem, h):
@@ -299,10 +270,16 @@ def alcove_point(rs: RootSystem, h):
 
     Returns (h_tilde, linear_word): h_tilde = w(h) + q with q in the coroot
     lattice and w the product of the reflections in linear_word, each entry
-    either a simple index or "theta".  Runs on h scaled by its denominator d;
-    every step moves by integer multiples of integer vectors, so d stays.
+    either a simple index or "theta".
     """
     c, d = scale_vector(h)
+    tilde, word = _alcove_walk(rs, c, d)
+    return tuple(Fraction(x, d) for x in tilde), word
+
+
+def _alcove_walk(rs: RootSystem, c, d):
+    """alcove_point on h = c/d in integers: returns (d * h_tilde, linear_word).
+    Every step moves by integer multiples of integer vectors, so d stays."""
     c = list(c)
     word = []
     while True:
@@ -317,7 +294,7 @@ def alcove_point(rs: RootSystem, h):
             c = [x - (t - d) * tv for x, tv in zip(c, rs.highest_coroot)]
             word.append("theta")
             continue
-        return tuple(Fraction(x, d) for x in c), word
+        return c, word
 
 
 def apply_inverse_linear(rs: RootSystem, word, c):

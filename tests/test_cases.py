@@ -115,6 +115,17 @@ def _short_coweight(node):
     node["ihReps"]["2"][1] = node["ihReps"]["2"][1][:3]
 
 
+def _set(*path_and_value):
+    """An edit that sets node[p0][p1]...[pk] = value."""
+    *path, key, value = path_and_value
+
+    def edit(node):
+        for step in path:
+            node = node[step]
+        node[key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_ih_key("5"), "ihReps key '5' must lie in 1..4"),
     (_ih_key("0"), "ihReps key '0' must lie in 1..4"),
@@ -125,9 +136,23 @@ def _short_coweight(node):
     (lambda node: node["fixed"].pop("abelianRank"), "missing field fixed.abelianRank"),
     (lambda node: node["shapes"][0].pop("classLength"), "missing field shapes[].classLength"),
     (lambda node: node["shapes"][0].pop("factors"), "missing field shapes[].factors"),
+    (_set("n", 0), "n: 0 is not a genus-zero level >= 2"),
+    (_set("n", 11), "n: 11 is not a genus-zero level >= 2"),
+    (_set("n", "x"), "n: 'x' is not an integer"),
+    (_set("expectedD", "x"), "expectedD: 'x' is not an integer"),
+    (_set("schellekensNo", 1.5), "schellekensNo: 1.5 is not an integer"),
+    (_set("factorOrders", 1, "x"), "factorOrders: 'x' is not an integer"),
+    (_set("hNormSq", "1/0"), "hNormSq: '1/0' is not a rational number"),
+    (_set("h", 1, 0, "1/0"), "h: '1/0' is not a rational number"),
+    (_set("ihReps", "2", 1, 0, "1/0"), "ihReps['2']: '1/0' is not a rational number"),
+    (_set("shiftedRho", 0, "1/0"), "shiftedRho: '1/0' is not a rational number"),
+    (_set("fixed", "components", 0, ["Q", 4]),
+     "fixed.components: Q4 is not a simple Lie algebra kind in range"),
+    (_set("shapes", 0, "factors", "0", 1), "shapes[].factors: cycle lengths must be positive"),
+    (_set("source", "factors", 0, 2, 0), "source: levels must be positive integers"),
 ])
 def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
-    """Case 11 (n = 5) with one corrupted nested field fails to load, naming it."""
+    """Case 11 (n = 5) with one corrupted field fails to load, naming it."""
     raw = json.loads((DATA / "cases.json").read_text())
     edit(raw["cases"][10])
     bad = tmp_path / "cases.json"

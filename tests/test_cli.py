@@ -85,6 +85,13 @@ def test_kac_and_inner(capsys):
     assert code == 2
 
 
+def test_inner_reduces_h_modulo_the_coweight_lattice(capsys):
+    # exp(-2 pi i h_0) depends on h only modulo the coweight lattice; an
+    # unreduced alcove walk would take ~5e8 steps here
+    code, out, _ = run_cli(capsys, "inner", "--algebra", "A1", "--h", "1000000000")
+    assert code == 0 and out == "order=1; fixed=A1; dim=3\n"
+
+
 def test_screen_case_11(capsys):
     code, out, _ = run_cli(capsys, "screen", "--case", "11", "--format", "json")
     assert code == 0

@@ -12,11 +12,14 @@ from orbdim.kacaut import (
     apply_inverse_linear,
     coweight_to_kac_labels,
     enumerate_classes,
+    fixed_from_s,
     fixed_subalgebra_semisimple,
     inner_from_coweight,
     module_order_bound,
 )
 from orbdim.liealg import root_system
+
+from test_inner_oracle import _inner_oracle
 
 F = Fraction
 
@@ -67,7 +70,7 @@ def test_involutions_of_classical_types():
     # E_8 involutions (all inner): D_8 and A_1 E_7
     inv_e8 = fixed_sets(("E", 8), 2)
     assert inv_e8 == {((("D", 8),), 0), ((("A", 1), ("E", 7)), 0)}
-    # D_7 outer involutions: B_j x B_{5-j...}
+    # D_7 outer involutions: B_j x B_{6-j}
     outer_d7 = {c.fixed_components for c in enumerate_classes(("D", 7), 2) if c.twist == 2}
     assert outer_d7 == {(("B", 6),), (("A", 1), ("B", 5)), (("B", 2), ("B", 4)), (("B", 3), ("B", 3))}
     # E_7 inner involutions: A_7, A_1 D_6, E_6 + C
@@ -154,13 +157,12 @@ def test_kac_label_route_matches_subdiagram_route():
     ]
     for name, h in cases:
         rs = root_system(name)
-        order, (comps, ab), _ = inner_from_coweight(rs, h)
+        order, (comps, ab), dim = _inner_oracle(rs, h)
+        assert inner_from_coweight(rs, h) == (order, (comps, ab), dim)
         s = coweight_to_kac_labels(rs, h)
         diagram = untwisted_diagram(rs.kind)
         assert order == sum(a * si for a, si in zip(diagram.labels, s))
-        from orbdim.kacaut import fixed_from_s
-        comps2, ab2 = fixed_from_s(diagram, s)
-        assert comps2 == comps and ab2 == ab
+        assert fixed_from_s(diagram, s) == (comps, ab)
 
 
 def test_alcove_point_contract():
