@@ -59,6 +59,12 @@ def _integer(cid, name, value) -> int:
     return value
 
 
+def _boolean(cid, name, value) -> bool:
+    if type(value) is not bool:
+        raise DataLoadError(f"case {cid}: {name}: {value!r} is not a boolean")
+    return value
+
+
 def _structure(node) -> AffineStructure:
     return AffineStructure(
         tuple(((letter, rank), level) for letter, rank, level in node["factors"]),
@@ -188,6 +194,8 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             shapes.append(ShapeRecord(shape, _integer(cid, "shapes[].classLength", length),
                                       fixed_genus, orbit_genus, coset,
                                       provenance, snode.get("variant", "")))
+        for key in ("source", "target"):
+            need("factors", need(key), f"{key}.")
         source = built("source", _structure, need("source"))
         target = built("target", _structure, need("target"))
         n = _integer(cid, "n", need("n"))
@@ -220,7 +228,7 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             expected_d=_integer(cid, "expectedD", need("expectedD")),
             target=target,
             schellekens_no=_integer(cid, "schellekensNo", need("schellekensNo")),
-            rho_required=bool(need("rhoRequired")),
+            rho_required=_boolean(cid, "rhoRequired", need("rhoRequired")),
             shifted_rho=tuple(_rational(cid, "shiftedRho", v) for v in node.get("shiftedRho", [])),
             ih_reps=ih_reps,
             problematic_modules=problematic,

@@ -5,7 +5,10 @@ k in {1,2,3} together with coprime non-negative node coordinates s on the
 twisted affine diagram, with n = k * sum_i a_i s_i; the fixed subalgebra is
 read off the subdiagram of nodes with s_i = 0 plus an abelian part.  Classes
 are stored up to diagram automorphisms of the affine diagram, which is
-conjugacy under the full automorphism group of the algebra.
+conjugacy under the full automorphism group of the algebra: each class is
+represented by the lexicographically least s of its orbit, and
+enumerate_classes returns the classes of each twist in ascending order of
+that s, an order callers may rely on.
 """
 
 from __future__ import annotations
@@ -178,7 +181,32 @@ def fixed_from_s(diagram: AffineDiagram, s) -> tuple[tuple[Kind, ...], int]:
 
 @lru_cache(maxsize=None)
 def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
-    """All conjugacy classes of order-n automorphisms of the simple algebra."""
+    """All conjugacy classes of order-n automorphisms of the simple algebra.
+
+    The classes come twist by twist, in the order of admissible_twists.
+    Each class is given by the lexicographically least label vector s of
+    its orbit under the diagram automorphisms, and within a twist the
+    classes come in ascending lexicographic order of s.  This order is part
+    of the contract: `orbdim kac` prints it and callers index into it.
+
+    The search is an orderly generation (R. C. Read, "Every one a winner",
+    Ann. Discrete Math. 2 (1978)).  It sets s[0], s[1], ... in turn, each in
+    ascending order, and the last coordinate is fixed by the budget
+    sum_i a_i s_i = order/k.  For every non-identity diagram automorphism
+    pi it carries j, with the invariant that the image t = s o pi
+    (t[m] = s[pi[m]]) agrees with s on positions 0..j-1.  Once s[0..i] is
+    set, j advances while j <= i, pi[j] <= i and t[j] = s[j].  If t[j] and
+    s[j] are then both known and t[j] < s[j], every completion has an image
+    smaller than itself, so the branch is cut; if t[j] > s[j], no
+    completion has t < s, and pi is dropped for the rest of the branch.  A
+    complete s that survives is no larger than any of its images, so it is
+    the least member of its orbit; conversely every prefix of a least
+    member survives, so each orbit is reached exactly once.  The recursion
+    visits label vectors in ascending lexicographic order, so the output is
+    each orbit's least member in ascending order: the tuple obtained by
+    canonicalising every composition with a min over the group and keeping
+    first occurrences.
+    """
     kind = validate_kind(kind)
     if order < 1:
         raise ValueError("the order must be a positive integer")
@@ -186,29 +214,36 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
     for k in admissible_twists(kind):
         if order % k:
             continue
-        budget = order // k
         diagram, autos = _auto_orbit_reps(kind, k)
         labels = diagram.labels
-        n = diagram.num_nodes
-        seen = set()
-        s = [0] * n
+        last = diagram.num_nodes - 1
+        identity = tuple(range(last + 1))
+        s = [0] * (last + 1)
 
-        def rec(i, left):
-            if i == n:
-                if left == 0 and gcd(*s) == 1:
-                    canon = min(tuple(map(s.__getitem__, perm)) for perm in autos)
-                    if canon not in seen:
-                        seen.add(canon)
-                        comps, ab = fixed_from_s(diagram, canon)
-                        out.append(KacClass(diagram, canon, order, comps, ab))
-                return
-            step = labels[i]
-            for v in range(left // step + 1):
+        def rec(i, left, active):
+            if i == last:
+                v, r = divmod(left, labels[i])
+                values = () if r else (v,)
+            else:
+                values = range(left // labels[i] + 1)
+            for v in values:
                 s[i] = v
-                rec(i + 1, left - v * step)
-            s[i] = 0
+                live = []
+                for perm, j in active:
+                    while j <= i and perm[j] <= i and s[perm[j]] == s[j]:
+                        j += 1
+                    if j > i or perm[j] > i:
+                        live.append((perm, j))
+                    elif s[perm[j]] < s[j]:
+                        break
+                else:
+                    if i < last:
+                        rec(i + 1, left - v * labels[i], live)
+                    elif gcd(*s) == 1:
+                        comps, ab = fixed_from_s(diagram, s)
+                        out.append(KacClass(diagram, tuple(s), order, comps, ab))
 
-        rec(0, budget)
+        rec(0, order // k, [(perm, 0) for perm in autos if perm != identity])
     return tuple(out)
 
 

@@ -150,6 +150,10 @@ def _set(*path_and_value):
      "fixed.components: Q4 is not a simple Lie algebra kind in range"),
     (_set("shapes", 0, "factors", "0", 1), "shapes[].factors: cycle lengths must be positive"),
     (_set("source", "factors", 0, 2, 0), "source: levels must be positive integers"),
+    (lambda node: node["source"].pop("factors"), "missing field source.factors"),
+    (lambda node: node["target"].pop("factors"), "missing field target.factors"),
+    (_set("rhoRequired", "no"), "rhoRequired: 'no' is not a boolean"),
+    (_set("rhoRequired", 0), "rhoRequired: 0 is not a boolean"),
 ])
 def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     """Case 11 (n = 5) with one corrupted field fails to load, naming it."""

@@ -1,0 +1,85 @@
+"""Differential test of the orderly Kac-class enumeration against its oracle.
+
+`_enumerate_classes_oracle` is the enumeration that `enumerate_classes`
+replaced, kept verbatim and uncached: it walks every composition of the
+budget and canonicalises each one with a min over the diagram
+automorphisms.  Both must return the same tuple of classes, order included,
+for every type of rank <= 8 at orders 1-10 and for two larger inputs.
+"""
+
+from math import gcd
+
+import pytest
+
+from orbdim.cartan import Kind, admissible_twists, validate_kind
+from orbdim.kacaut import KacClass, _auto_orbit_reps, enumerate_classes, fixed_from_s
+
+KINDS = ([("A", l) for l in range(1, 9)] + [("B", l) for l in range(2, 9)]
+         + [("C", l) for l in range(2, 9)] + [("D", l) for l in range(4, 9)]
+         + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+ORDERS = range(1, 11)
+
+
+def _enumerate_classes_oracle(kind: Kind, order: int) -> tuple[KacClass, ...]:
+    """All conjugacy classes of order-n automorphisms of the simple algebra."""
+    kind = validate_kind(kind)
+    if order < 1:
+        raise ValueError("the order must be a positive integer")
+    out = []
+    for k in admissible_twists(kind):
+        if order % k:
+            continue
+        budget = order // k
+        diagram, autos = _auto_orbit_reps(kind, k)
+        labels = diagram.labels
+        n = diagram.num_nodes
+        seen = set()
+        s = [0] * n
+
+        def rec(i, left):
+            if i == n:
+                if left == 0 and gcd(*s) == 1:
+                    canon = min(tuple(map(s.__getitem__, perm)) for perm in autos)
+                    if canon not in seen:
+                        seen.add(canon)
+                        comps, ab = fixed_from_s(diagram, canon)
+                        out.append(KacClass(diagram, canon, order, comps, ab))
+                return
+            step = labels[i]
+            for v in range(left // step + 1):
+                s[i] = v
+                rec(i + 1, left - v * step)
+            s[i] = 0
+
+        rec(0, budget)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_enumeration_matches_oracle_every_order(kind):
+    """Same classes in the same order, every admissible twist present."""
+    for order in ORDERS:
+        classes = enumerate_classes(kind, order)
+        assert classes == _enumerate_classes_oracle(kind, order), (kind, order)
+        twists = {k for k in admissible_twists(validate_kind(kind)) if order % k == 0}
+        assert {cls.twist for cls in classes} == twists, (kind, order)
+
+
+@pytest.mark.parametrize("kind, order", [(("A", 11), 6), (("A", 17), 4)])
+def test_enumeration_matches_oracle_on_large_diagrams(kind, order):
+    assert enumerate_classes(kind, order) == _enumerate_classes_oracle(kind, order)
+
+
+def test_twisted_pairs_are_covered():
+    """Every A_n^(2), D_n^(2), E6^(2) and D4^(3) of rank <= 8 is in KINDS."""
+    twisted = {(kind, k) for kind in KINDS for k in admissible_twists(validate_kind(kind))
+               if k > 1}
+    expected = ({(("A", l), 2) for l in range(2, 9)} | {(("D", l), 2) for l in range(4, 9)}
+                | {(("E", 6), 2), (("D", 4), 3)})
+    assert twisted == expected
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_enumeration_rejects_orders_below_one(order):
+    with pytest.raises(ValueError):
+        enumerate_classes(("A", 2), order)

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from orbdim.cartan import diagram_automorphisms, twisted_diagram, untwisted_diagram
+from orbdim.cartan import (
+    admissible_twists,
+    diagram_automorphisms,
+    twisted_diagram,
+    untwisted_diagram,
+    validate_kind,
+)
 from orbdim.kacaut import (
     CyclePart,
     InnerPart,
@@ -20,6 +26,7 @@ from orbdim.kacaut import (
 from orbdim.liealg import root_system
 
 from test_inner_oracle import _inner_oracle
+from test_kac_enum_oracle import KINDS, ORDERS
 
 F = Fraction
 
@@ -100,6 +107,78 @@ def test_a5_all_nonzero_orders_exceed_8():
         for cls in enumerate_classes(("A", 5), n):
             if not cls.fixed_components:
                 assert cls.twist == 1 or cls.order not in (2, 4, 8) or cls.fixed_abelian != 3
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _orbit_count(autos, labels, m):
+    """Orbits of label vectors s >= 0 with sum a_i s_i = m (Burnside's lemma).
+
+    An automorphism fixes the vectors constant on its cycles, counted by a
+    coin change over the cycle weights |c| * a_c.
+    """
+    total = 0
+    for perm in autos:
+        seen, coins = set(), []
+        for start in range(len(perm)):
+            cycle, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                cycle += 1
+                i = perm[i]
+            if cycle:
+                coins.append(cycle * labels[start])
+        ways = [1] + [0] * m
+        for coin in coins:
+            for x in range(coin, m + 1):
+                ways[x] += ways[x - coin]
+        total += ways[m]
+    count, rest = divmod(total, len(autos))
+    assert rest == 0
+    return count
+
+
+def _burnside_class_count(kind, order):
+    """Kac classes of the given order, counted without enumerating them.
+
+    Per twist k with budget b = order/k, the orbits of coprime label vectors
+    are sum_{e | b} mu(e) O(b/e), O(m) counting all orbits of budget m.
+    """
+    kind = validate_kind(kind)
+    count = 0
+    for k in admissible_twists(kind):
+        if order % k:
+            continue
+        diagram = untwisted_diagram(kind) if k == 1 else twisted_diagram(kind, k)
+        autos = diagram_automorphisms(diagram)
+        b = order // k
+        count += sum(_mobius(e) * _orbit_count(autos, diagram.labels, b // e)
+                     for e in range(1, b + 1) if b % e == 0)
+    return count
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_class_counts_match_burnside(kind):
+    for order in ORDERS:
+        assert len(enumerate_classes(kind, order)) == _burnside_class_count(kind, order)
+
+
+@pytest.mark.parametrize("kind, order, count", [
+    (("A", 12), 10, 24871), (("A", 11), 6, 548), (("D", 4), 8, 37), (("E", 6), 9, 111),
+])
+def test_class_counts_match_burnside_on_larger_inputs(kind, order, count):
+    assert _burnside_class_count(kind, order) == count
+    assert len(enumerate_classes(kind, order)) == count
 
 
 def test_inner_from_coweight_cases():
