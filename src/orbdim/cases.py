@@ -17,9 +17,9 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
-from .cartan import validate_kind
+from .cartan import cartan_matrix, comarks, kind_name, marks, validate_kind
 from .kacaut import admits_fixed_subalgebra, inner_from_coweight, module_order_bound
-from .liealg import AffineStructure, build_root_system, schellekens_constraint
+from .liealg import AffineStructure, build_root_system, dot, scale_vector, schellekens_constraint
 from .modcurve import GENUS_ZERO_LEVELS, divisors
 from .orbifold import (
     CycleShape,
@@ -160,6 +160,58 @@ def _coweights(cid, name, value, source):
     return out
 
 
+# The representative contract of step (g), checked on load with the Cartan
+# matrix alone: building the root systems of all source factors would nearly
+# double the time of importing the package and loading its data.
+
+def _dominant(C, c) -> list[int]:
+    """The Weyl-dominant conjugate of a scaled coweight with numerators c."""
+    c = list(c)
+    while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
+        ci = c[i]
+        for j, row in enumerate(C):
+            c[j] -= ci * row[i]
+    return c
+
+
+def _in_alcove_range(kind, h) -> bool:
+    """alpha(h) >= -1 for every root.  Roots come in pairs +-alpha and the
+    largest alpha(h) is theta(h+) for the dominant conjugate h+."""
+    c, d = scale_vector(h)
+    return dot(marks(kind), _dominant(cartan_matrix(kind), c)) <= d
+
+
+def _in_coroot_lattice(kind, v) -> bool:
+    """v in Q^vee.  Reflections and translations by theta^vee keep v mod
+    Q^vee and walk an integral v into the fundamental alcove, whose integral
+    points are 0 and one minuscule coweight per non-zero class of P^vee/Q^vee."""
+    c, d = scale_vector(v)
+    if not any(c):
+        return True
+    if d != 1:
+        return False
+    C, a, a_vee = cartan_matrix(kind), marks(kind), comarks(kind)
+    theta = [dot(a_vee, row) for row in C]
+    while True:
+        c = _dominant(C, c)
+        t = dot(a, c)
+        if t <= 1:
+            return not any(c)
+        c = [x - (t - 1) * y for x, y in zip(c, theta)]
+
+
+def _check_representative(cid, name, rep, source, i=1, h=None):
+    """rep - i*h in the coroot lattice (when h is given) and alpha(rep) >= -1."""
+    for f, (kind, _) in enumerate(source.components):
+        if h is not None and not _in_coroot_lattice(
+                kind, [r - i * x for r, x in zip(rep[f], h[f])]):
+            raise DataLoadError(f"case {cid}: {name}: factor {f} ({kind_name(kind)}) "
+                                f"differs from {i}*h by a coweight outside the coroot lattice")
+        if not _in_alcove_range(kind, rep[f]):
+            raise DataLoadError(f"case {cid}: {name}: factor {f} ({kind_name(kind)}) "
+                                "has alpha < -1 for some root")
+
+
 def load_cases(path=None) -> list[OrbifoldCase]:
     """The fifteen case records, schema-validated; errors name the field."""
     text = open(path).read() if path else _data_text("cases.json")
@@ -202,12 +254,15 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         if n not in GENUS_ZERO_LEVELS - {1}:
             raise DataLoadError(f"case {cid}: n: {n} is not a genus-zero level >= 2")
         h = _coweights(cid, "h", need("h"), source)
+        _check_representative(cid, "h", h, source)
         ih_reps = {}
         for key, coords in node.get("ihReps", {}).items():
             i = int(key) if key.isdecimal() else 0
             if not 1 <= i < n:
                 raise DataLoadError(f"case {cid}: ihReps key {key!r} must lie in 1..{n - 1}")
-            ih_reps[i] = _coweights(cid, f"ihReps[{key!r}]", coords, source)
+            name = f"ihReps[{key!r}]"
+            ih_reps[i] = _coweights(cid, name, coords, source)
+            _check_representative(cid, name, ih_reps[i], source, i, h)
         fixed = need("fixed")
         problematic = node.get("problematicModules", 0)
         if type(problematic) is not int or problematic < 0:
@@ -464,14 +519,3 @@ def verify_all(cases=None, schellekens=None):
         })
     return reports, rows
 
-
-def summary_table(rows) -> str:
-    headers = ["case", "V1", "n", "fixed", "<h,h>", "d", "orbifold", "ok"]
-    grid = [[str(r["case"]), r["V1"], str(r["n"]), r["fixed"], str(r["hNormSq"]),
-             str(r["d"]), r["orbifold"], "PASS" if r["passed"] else "FAIL"] for r in rows]
-    widths = [max(len(h), *(len(g[i]) for g in grid)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for g in grid:
-        lines.append("  ".join(x.ljust(w) for x, w in zip(g, widths)))
-    return "\n".join(lines)

@@ -273,11 +273,8 @@ def inner_from_coweight(rs: RootSystem, h):
 
 def module_order_bound(rs: RootSystem, h) -> int:
     """Smallest k with k*h in the coroot lattice; bounds the order on modules."""
-    coords = rs.coweight_to_coroot_coords(h)
-    out = 1
-    for x in coords:
-        out = lcm(out, Fraction(x).denominator)
-    return out
+    u, d = rs._coroot_scaled(h)
+    return d // gcd(d, *u)
 
 
 def coweight_to_kac_labels(rs: RootSystem, h):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from orbdim.cases import (
     load_cases,
     load_schellekens,
     representative_for_power,
-    summary_table,
     verify_all,
     verify_case,
 )
@@ -145,6 +145,11 @@ def _set(*path_and_value):
     (_set("hNormSq", "1/0"), "hNormSq: '1/0' is not a rational number"),
     (_set("h", 1, 0, "1/0"), "h: '1/0' is not a rational number"),
     (_set("ihReps", "2", 1, 0, "1/0"), "ihReps['2']: '1/0' is not a rational number"),
+    (_set("h", 1, ["2", "0", "0", "0"]), "h: factor 1 (A4) has alpha < -1 for some root"),
+    (_set("ihReps", "2", 1, 0, "2/5"),
+     "ihReps['2']: factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"),
+    (_set("ihReps", "2", 1, ["7/5", "-3/5", "2/5", "-3/5"]),   # a coroot away
+     "ihReps['2']: factor 1 (A4) has alpha < -1 for some root"),
     (_set("shiftedRho", 0, "1/0"), "shiftedRho: '1/0' is not a rational number"),
     (_set("fixed", "components", 0, ["Q", 4]),
      "fixed.components: Q4 is not a simple Lie algebra kind in range"),
@@ -305,8 +310,24 @@ def test_report_json_roundtrip():
     assert all(isinstance(s["name"], str) for s in parsed["steps"])
 
 
-def test_summary_table_renders():
-    _, rows = verify_all()
-    text = summary_table(rows)
-    assert "PASS" in text and "FAIL" not in text
-    assert "A4,5 A4,5" in text
+
+def test_load_contract_checks_match_root_systems():
+    """The loader's Cartan-matrix checks agree with the root-system ones."""
+    from orbdim.cases import _in_alcove_range, _in_coroot_lattice
+    from orbdim.liealg import build_root_system
+    from orbdim.orbifold import check_alcove_condition
+    rng = random.Random(8)
+    kinds = [("A", 1), ("A", 4), ("A", 9), ("B", 3), ("C", 5), ("C", 10), ("D", 4), ("D", 6),
+             ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    seen = set()
+    for kind in kinds:
+        rs = build_root_system(kind)
+        for _ in range(40):
+            den = rng.choice([1, 2, 3, 4, 6])
+            h = tuple(F(rng.randint(-2 * den, 2 * den), den) for _ in range(kind[1]))
+            v = tuple(rng.randint(-3, 3) for _ in range(kind[1]))
+            ok = (_in_alcove_range(kind, h), _in_coroot_lattice(kind, v))
+            assert ok == (check_alcove_condition(rs, h), rs.in_coroot_lattice(v)), (kind, h, v)
+            assert _in_coroot_lattice(kind, h) == rs.in_coroot_lattice(h)
+            seen.update((i, x) for i, x in enumerate(ok))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
