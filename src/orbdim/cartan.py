@@ -9,7 +9,7 @@ a_i, left null vectors of the extended matrix: sum_i a_i C[i][j] = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -134,7 +134,8 @@ def marks(kind: Kind) -> list[int]:
             ("G", 2): [3, 2]}[(letter, l)]
 
 
-def comarks(kind: Kind) -> list[int]:
+@lru_cache(maxsize=None)
+def comarks(kind: Kind) -> tuple[int, ...]:
     """Coefficients of theta^vee on the simple coroots: a_i (alpha_i,alpha_i)/2."""
     out = []
     for a, d in zip(marks(kind), root_norms(kind)):
@@ -142,7 +143,7 @@ def comarks(kind: Kind) -> list[int]:
         if c.denominator != 1:
             raise ArithmeticError(f"comark {c} of {kind_name(kind)} is not an integer")
         out.append(int(c))
-    return out
+    return tuple(out)
 
 
 def dual_coxeter(kind: Kind) -> int:
@@ -160,12 +161,17 @@ class AffineDiagram:
     gcm is the full (l+1)x(l+1) generalised Cartan matrix over the nodes
     0..l (node 0 first); labels are the Kac labels a_i.  The order of the
     automorphism with coordinates s is twist * sum_i labels[i] s[i].
+    fixed_by_zero_set memoises kacaut.fixed_from_s: the kinds of the
+    subdiagram on each zero set classified so far.  It takes no part in
+    equality or hashing.
     """
 
     base: Kind
     twist: int
     gcm: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
+    fixed_by_zero_set: dict = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     @property
     def num_nodes(self) -> int:

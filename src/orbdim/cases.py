@@ -18,7 +18,12 @@ from importlib import resources
 from math import lcm
 
 from .cartan import cartan_matrix, comarks, kind_name, marks, validate_kind
-from .kacaut import admits_fixed_subalgebra, inner_from_coweight, module_order_bound
+from .kacaut import (
+    admits_fixed_subalgebra,
+    inner_from_coweight,
+    module_order_bound,
+    witness_fault,
+)
 from .liealg import AffineStructure, build_root_system, dot, scale_vector, schellekens_constraint
 from .modcurve import GENUS_ZERO_LEVELS, divisors
 from .orbifold import (
@@ -381,11 +386,25 @@ def representative_for_power(case, i):
                  for rs, h in zip(systems, case.h))
 
 
-def schellekens_survivors(table, dim, comps, abelian, order) -> list[SchellekensEntry]:
+def schellekens_survivors(table, dim, comps, abelian, order):
     """The entries of dimension `dim` admitting an order-`order` automorphism
-    whose fixed subalgebra is `comps` plus an abelian part of rank `abelian`."""
-    return [entry for entry in table if entry.dim == dim
-            and admits_fixed_subalgebra(entry.structure.kinds(), comps, abelian, order)[0]]
+    whose fixed subalgebra is `comps` plus an abelian part of rank `abelian`.
+
+    Returns (survivors, faults).  Every survivor's witness is rebuilt as an
+    automorphism and checked by kacaut.witness_fault; faults holds one line
+    per witness that fails, and a fault is a verification failure."""
+    survivors, faults = [], []
+    for entry in table:
+        if entry.dim != dim:
+            continue
+        kinds = entry.structure.kinds()
+        found, witness = admits_fixed_subalgebra(kinds, comps, abelian, order)
+        if found:
+            survivors.append(entry)
+            fault = witness_fault(kinds, witness, comps, abelian, order)
+            if fault:
+                faults.append(f"entry {entry.no} ({entry.label()}): {fault}")
+    return survivors, faults
 
 
 def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
@@ -464,13 +483,13 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
         report.add("(e) prime-order symmetry identity", lhs == rhs, rhs, lhs)
 
     # (f) Schellekens scan: unique survivor in dimension d
-    survivors = schellekens_survivors(schellekens, case.expected_d, case.fixed_components,
-                                      case.fixed_abelian, case.n)
+    survivors, faults = schellekens_survivors(schellekens, case.expected_d,
+                                              case.fixed_components, case.fixed_abelian, case.n)
     expected_label = case.target.label()
     got_labels = [e.label() for e in survivors]
     report.add("(f) unique Schellekens survivor",
-               len(survivors) == 1 and survivors[0].structure == case.target,
-               [expected_label], got_labels)
+               len(survivors) == 1 and survivors[0].structure == case.target and not faults,
+               [expected_label], got_labels, details="; ".join(faults))
 
     # (g) conformal-weight screening for every power of sigma
     for i in range(1, case.n):

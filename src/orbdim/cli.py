@@ -223,6 +223,8 @@ def cmd_case_run(args) -> int:
                 print(f"  {mark:4} {step.name}{suffix}")
                 if not step.passed:
                     print(f"       expected {step.expected}, got {step.actual}")
+                    if step.details:
+                        print(f"       {step.details}")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -257,11 +259,14 @@ def cmd_schellekens_scan(args) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    survivors = cases_mod.schellekens_survivors(table, args.dim, comps, abelian, args.order)
+    survivors, faults = cases_mod.schellekens_survivors(table, args.dim, comps, abelian,
+                                                        args.order)
     payload = [{"no": e.no, "structure": e.label(), "dim": e.dim} for e in survivors]
     _emit(payload, args.format, [(e.no, e.label(), e.dim) for e in survivors],
           ["no", "structure", "dim"])
-    return 0
+    for fault in faults:
+        print(f"witness check failed: {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 GOLDEN_FILES = ("coefficient_table.json", "d_tables.json", "case_summary.json",

@@ -173,10 +173,16 @@ def _auto_orbit_reps(kind: Kind, k: int):
 
 
 def fixed_from_s(diagram: AffineDiagram, s) -> tuple[tuple[Kind, ...], int]:
-    zero = [i for i in range(diagram.num_nodes) if s[i] == 0]
-    comps = classify_components(diagram.gcm, zero)
-    abelian = sum(1 for x in s if x) - 1
-    return tuple(comps), abelian
+    """(fixed components, abelian rank) of the class with Kac coordinates s.
+
+    The components are those of the subdiagram on Z = {i : s_i = 0}, so they
+    are classified once per diagram and zero set; the abelian rank is
+    #{i : s_i != 0} - 1."""
+    zero = tuple([i for i, x in enumerate(s) if not x])
+    comps = diagram.fixed_by_zero_set.get(zero)
+    if comps is None:
+        comps = diagram.fixed_by_zero_set[zero] = tuple(classify_components(diagram.gcm, zero))
+    return comps, len(s) - len(zero) - 1
 
 
 @lru_cache(maxsize=None)
@@ -194,18 +200,25 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
     ascending order, and the last coordinate is fixed by the budget
     sum_i a_i s_i = order/k.  For every non-identity diagram automorphism
     pi it carries j, with the invariant that the image t = s o pi
-    (t[m] = s[pi[m]]) agrees with s on positions 0..j-1.  Once s[0..i] is
-    set, j advances while j <= i, pi[j] <= i and t[j] = s[j].  If t[j] and
-    s[j] are then both known and t[j] < s[j], every completion has an image
-    smaller than itself, so the branch is cut; if t[j] > s[j], no
-    completion has t < s, and pi is dropped for the rest of the branch.  A
-    complete s that survives is no larger than any of its images, so it is
-    the least member of its orbit; conversely every prefix of a least
-    member survives, so each orbit is reached exactly once.  The recursion
-    visits label vectors in ascending lexicographic order, so the output is
-    each orbit's least member in ascending order: the tuple obtained by
-    canonicalising every composition with a min over the group and keeping
-    first occurrences.
+    (t[m] = s[pi[m]]) agrees with s on positions 0..j-1.  Position j can be
+    compared once s[j] and s[pi[j]] are both set, that is at node
+    w = max(j, pi[j]), so (pi, j) waits in the bucket of node w.  Once s[i]
+    is set, node i takes each (pi, j) from its bucket and advances j while
+    j <= i, pi[j] <= i and t[j] = s[j].  If t[j] and s[j] are then both
+    known and t[j] < s[j], every completion has an image smaller than
+    itself, so the branch is cut; if t[j] > s[j], no completion has t < s,
+    and pi is dropped for the rest of the branch; otherwise (pi, j) moves to
+    the bucket of its next wake node, or is dropped if s o pi = s.  These
+    moves are undone before node i tries its next value, and automorphisms
+    in later buckets are not touched, so a node costs only what its own
+    bucket holds.  A complete s that survives is no larger than any of its
+    images, so it is the least member of its orbit; conversely every prefix
+    of a least member survives, so each orbit is reached exactly once.  The
+    recursion visits label vectors in ascending lexicographic order, so the
+    output is each orbit's least member in ascending order: the tuple
+    obtained by canonicalising every composition with a min over the group
+    and keeping first occurrences.  The fixed algebra of each class is
+    classified once per zero set, see fixed_from_s.
     """
     kind = validate_kind(kind)
     if order < 1:
@@ -219,31 +232,42 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
         last = diagram.num_nodes - 1
         identity = tuple(range(last + 1))
         s = [0] * (last + 1)
+        buckets = [[] for _ in s]
+        for perm in autos:
+            if perm != identity:
+                buckets[perm[0]].append((perm, 0))
 
-        def rec(i, left, active):
+        def rec(i, left):
             if i == last:
                 v, r = divmod(left, labels[i])
                 values = () if r else (v,)
             else:
                 values = range(left // labels[i] + 1)
+            waiting = buckets[i]
             for v in values:
                 s[i] = v
-                live = []
-                for perm, j in active:
+                moved = []
+                for perm, j in waiting:
                     while j <= i and perm[j] <= i and s[perm[j]] == s[j]:
                         j += 1
-                    if j > i or perm[j] > i:
-                        live.append((perm, j))
+                    if j > last:
+                        continue                    # s o pi = s
+                    wake = perm[j] if perm[j] > j else j
+                    if wake > i:
+                        buckets[wake].append((perm, j))
+                        moved.append(wake)
                     elif s[perm[j]] < s[j]:
                         break
                 else:
                     if i < last:
-                        rec(i + 1, left - v * labels[i], live)
+                        rec(i + 1, left - v * labels[i])
                     elif gcd(*s) == 1:
                         comps, ab = fixed_from_s(diagram, s)
                         out.append(KacClass(diagram, tuple(s), order, comps, ab))
+                for wake in moved:
+                    buckets[wake].pop()
 
-        rec(0, order // k, [(perm, 0) for perm in autos if perm != identity])
+        rec(0, order // k)
     return tuple(out)
 
 
@@ -413,6 +437,38 @@ def fixed_subalgebra_semisimple(aut: SemisimpleAut, kinds):
         raise ValueError("automorphism parts must cover every factor exactly once")
     dim = sum(classical_dimension(k) for k in comps) + abelian
     return tuple(sorted(comps)), abelian, dim
+
+
+def witness_fault(kinds, witness, target_components, target_abelian: int, n: int):
+    """Why a witness of admits_fixed_subalgebra is no certificate, or None.
+
+    Each (kind, p, cls) of the witness becomes a p-cycle, with residual
+    class cls, of the next p factors of that kind in kinds, so the indices
+    of one kind are used consecutively.  The SemisimpleAut so built must
+    have order dividing n, and fixed_subalgebra_semisimple must give back
+    the target."""
+    free: dict[Kind, list[int]] = {}
+    for index, kind in enumerate(kinds):
+        free.setdefault(validate_kind(tuple(kind)), []).append(index)
+    parts = []
+    for kind, p, cls in witness:
+        left = free.get(kind, [])
+        if len(left) < p:
+            return f"the witness cycles more {kind_name(kind)} factors than there are"
+        parts.append(CyclePart(tuple(left[:p]), cls))
+        del left[:p]
+    aut = SemisimpleAut(tuple(parts))
+    try:
+        comps, abelian, _ = fixed_subalgebra_semisimple(aut, kinds)
+    except ValueError as err:
+        return str(err)
+    order = aut.order(kinds)
+    if n % order:
+        return f"the witness has order {order}, which does not divide {n}"
+    target = tuple(sorted(validate_kind(tuple(k)) for k in target_components))
+    if (comps, abelian) != (target, target_abelian):
+        return f"the witness fixes {comps} + C^{abelian}, not {target} + C^{target_abelian}"
+    return None
 
 
 @lru_cache(maxsize=None)

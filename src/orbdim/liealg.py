@@ -8,14 +8,14 @@ pairing of a weight against a coweight goes through the inverse Cartan
 matrix: lambda(h) = m^T C^{-1} c.
 
 Arithmetic runs on scaled integers.  A root system stores C^{-1}, the Gram
-matrix of the fundamental weights and that of the fundamental coweights
-each as an integer matrix over one common denominator, and a rational
-vector enters as (integer vector, one denominator), see scale_vector.
-Pairings, forms, reflections, Weyl dimensions and Freudenthal's recursion
-then add and multiply ints; a Fraction is built only for a returned value.
-Integral weights come back as ints, coweights as Fractions.  The Fraction
-matrices cartan_inv, gram_weights and gram_coweights stay as the readable
-form of the same data.
+matrix of the fundamental weights, that of the fundamental coweights and
+that of the simple roots each as an integer matrix over one common
+denominator, built from C by fraction-free elimination without a Fraction
+matrix, and a rational vector enters as (integer vector, one denominator),
+see scale_vector.  Pairings, forms, reflections, Weyl dimensions and
+Freudenthal's recursion then add and multiply ints; a Fraction is built
+only for a returned value.  Integral weights come back as ints, coweights
+as Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cartan import (
@@ -55,10 +55,11 @@ def scale_vector(v) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
-def _scale_matrix(M) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, d) with M = N / d entrywise, d the lcm of all the entries' denominators."""
-    d = lcm(*(x.denominator for row in M for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M), d
+def _reduced(N, d) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """N / d as (N', d') with d' the lcm of the reduced entries' denominators:
+    that lcm is d / gcd(d, all entries of N)."""
+    g = gcd(d, *(x for row in N for x in row))
+    return tuple(tuple(x // g for x in row) for row in N), d // g
 
 
 def dot(a, b) -> int:
@@ -66,21 +67,36 @@ def dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _mat_inverse(M):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
+def _adjugate(M) -> tuple[list[list[int]], int]:
+    """(adj M, det M) of an integer matrix with non-zero leading minors.
+
+    Fraction-free Gauss-Jordan (E. H. Bareiss, Math. Comp. 22 (1968)
+    565-578) on [M | I]: at step k every other row becomes
+    (p_k a_r - a_rk a_k) / p_{k-1}, p_k the current pivot, and the division
+    is exact (Sylvester's identity).  At the end the left block is det * I
+    and the right block det * M^{-1}.
+    """
     n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv = Fraction(1) / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    prev = 1
+    for k in range(n):
+        pivot_row = A[k]
+        p = pivot_row[k]
+        if not p:
+            raise ArithmeticError(f"leading minor {k + 1} of {M} vanishes")
+        for r, row in enumerate(A):
+            if r == k:
+                continue
+            f = row[k]
+            new = []
+            for x, y in zip(row, pivot_row):
+                q, rem = divmod(p * x - f * y, prev)
+                if rem:
+                    raise ArithmeticError(f"Bareiss step {k} on {M} is not exact")
+                new.append(q)
+            A[r] = new
+        prev = p
+    return [row[n:] for row in A], prev
 
 
 class RootSystem:
@@ -100,21 +116,26 @@ class RootSystem:
         self.coxeter = coxeter(kind)
         self.dual_coxeter = dual_coxeter(kind)
         self.dim = classical_dimension(kind)
-        self.cartan_inv = _mat_inverse(self.cartan)
         l = self.rank
+        adj, det = _adjugate(self.cartan)
+        self.inv_scaled, self.inv_den = _reduced(adj, det)
+        # d_i = (alpha_i, alpha_i) = norm[i] / nd, and 2/d_i = co[i] is an integer
+        norm, nd = scale_vector(self.norms)
+        co = []
+        for x in norm:
+            q, r = divmod(2 * nd, x)
+            if r:
+                raise ArithmeticError(f"{kind_name(kind)}: 2/(alpha, alpha) is not an integer")
+            co.append(q)
+        C, inv = self.cartan, self.inv_scaled
         # (Lambda_i, Lambda_j) = d_i/2 (C^{-1})_{ji};  (Lambda_i^v, Lambda_j^v) = (2/d_i)(C^{-1})_{ij}
-        self.gram_weights = [[self.norms[i] / 2 * self.cartan_inv[j][i] for j in range(l)]
-                             for i in range(l)]
-        self.gram_coweights = [[2 / self.norms[i] * self.cartan_inv[i][j] for j in range(l)]
-                               for i in range(l)]
+        self.gram_weights_scaled, self.gram_weights_den = _reduced(
+            [[norm[i] * inv[j][i] for j in range(l)] for i in range(l)], 2 * nd * self.inv_den)
+        self.gram_coweights_scaled, self.gram_coweights_den = _reduced(
+            [[co[i] * inv[i][j] for j in range(l)] for i in range(l)], self.inv_den)
         # (alpha_i, alpha_j) = C[i][j] d_j / 2
-        self.root_gram = [[Fraction(self.cartan[i][j]) * self.norms[j] / 2 for j in range(l)]
-                          for i in range(l)]
-        # the same matrices as integers over one denominator each
-        self.inv_scaled, self.inv_den = _scale_matrix(self.cartan_inv)
-        self.gram_weights_scaled, self.gram_weights_den = _scale_matrix(self.gram_weights)
-        self.gram_coweights_scaled, self.gram_coweights_den = _scale_matrix(self.gram_coweights)
-        self._root_gram_scaled, self._root_gram_den = _scale_matrix(self.root_gram)
+        self._root_gram_scaled, self._root_gram_den = _reduced(
+            [[C[i][j] * norm[j] for j in range(l)] for i in range(l)], 2 * nd)
         # nonzero entries of each row and each column of C
         self._rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.cartan)
         self._cols = tuple(tuple((j, self.cartan[j][i]) for j in range(l) if self.cartan[j][i])
@@ -143,8 +164,10 @@ class RootSystem:
         while frontier:
             new = []
             for root in frontier:
-                for i in range(l):
-                    pairing = sum(root[j] * self.cartan[j][i] for j in range(l))
+                for i, col in enumerate(self._cols):
+                    pairing = sum(root[j] * x for j, x in col)
+                    if not pairing:
+                        continue                # s_i fixes the root
                     refl = list(root)
                     refl[i] -= pairing
                     t = tuple(refl)
@@ -265,7 +288,8 @@ class RootSystem:
         return dom if d == 1 else tuple(Fraction(x, d) for x in dom)
 
     def level(self, m) -> Fraction:
-        return sum(Fraction(mi) * ci for mi, ci in zip(m, self.comarks))
+        c, d = scale_vector(m)
+        return Fraction(dot(c, self.comarks), d)
 
 
 @lru_cache(maxsize=None)

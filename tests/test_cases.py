@@ -250,6 +250,46 @@ def test_fault_injection_corrupted_d():
     assert any(s.name.startswith("(g)") for s in report.steps)
 
 
+@pytest.mark.parametrize("corruption, message", [
+    ("fixed algebra", "not ("),
+    ("order", "does not divide 2"),
+    ("cycle length", "more A9 factors than there are"),
+])
+def test_fault_injection_corrupted_witness(monkeypatch, corruption, message):
+    """Step (f) rebuilds every admissibility witness as an automorphism; a
+    witness class that fixes something else or whose order does not divide
+    n, or a cycle over more factors than the algebra has, fails the (f) row
+    although the survivor list is unchanged."""
+    import orbdim.cases as cases_mod
+    from orbdim.kacaut import enumerate_classes
+
+    real = cases_mod.admits_fixed_subalgebra
+
+    def corrupt(kind, p, cls):
+        if corruption == "order":
+            return kind, p, dataclasses.replace(cls, order=3 * cls.order)
+        if corruption == "cycle length":
+            return kind, p + 2, cls
+        return kind, p, next(c for c in enumerate_classes(kind, cls.order)
+                             if c.fixed_components != cls.fixed_components)
+
+    def admits(kinds, comps, abelian, n):
+        found, witness = real(kinds, comps, abelian, n)
+        if found:
+            witness = [corrupt(*witness[0])] + witness[1:]
+        return found, witness
+
+    case = load_cases()[0]
+    table = load_schellekens()
+    assert verify_case(case, table).passed
+    monkeypatch.setattr(cases_mod, "admits_fixed_subalgebra", admits)
+    report = verify_case(case, table)
+    step = next(s for s in report.steps if s.name == "(f) unique Schellekens survivor")
+    assert not step.passed and not report.passed
+    assert step.actual == step.expected == ["A9 A9 D6"]
+    assert message in step.details
+
+
 def test_metadata_honesty_labels():
     cases = load_cases()
     table = load_schellekens()

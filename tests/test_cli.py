@@ -123,6 +123,32 @@ def test_schellekens_scan_unique_survivor(capsys):
     assert [r["structure"] for r in rows] == ["D4 D4 D4 D4 D4 D4"]
 
 
+def test_false_witness_exits_1_from_scan_and_case_run(capsys, monkeypatch):
+    """A survivor whose witness is not an automorphism fixing the target is a
+    verification failure: the scan still prints its table and names the fault
+    on stderr, and the text report of case run names it under the (f) row."""
+    import orbdim.cases as cases_mod
+
+    real = cases_mod.admits_fixed_subalgebra
+
+    def admits(kinds, comps, abelian, n):
+        found, witness = real(kinds, comps, abelian, n)
+        return found, (witness[1:] if found else witness)
+
+    monkeypatch.setattr(cases_mod, "admits_fixed_subalgebra", admits)
+    code, out, err = run_cli(capsys, "schellekens", "scan", "--dim", "744",
+                             "--fixed", "D8+E8", "--order", "2", "--format", "json")
+    assert code == 1
+    assert [r["structure"] for r in json.loads(out)] == ["E8 E8 E8"]
+    assert "witness check failed" in err and "every factor exactly once" in err
+    code, out, _ = run_cli(capsys, "case", "run", "1")
+    assert code == 1
+    lines = out.splitlines()
+    row = lines.index("  FAIL (f) unique Schellekens survivor")
+    assert lines[row + 1] == "       expected ['A9 A9 D6'], got ['A9 A9 D6']"
+    assert "every factor exactly once" in lines[row + 2]
+
+
 def test_determinism(capsys):
     outs = set()
     for _ in range(2):

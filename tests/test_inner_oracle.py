@@ -1,7 +1,9 @@
 """Differential test of inner_from_coweight, which reads the fixed algebra off
 the Kac coordinates of the alcove point, against the root-subsystem route it
 replaced, kept here verbatim as the oracle, together with the per-root
-fixed_dims_profile."""
+fixed_dims_profile.  The one change: the root Gram matrix comes from the
+Fraction construction in test_lie_oracle, since RootSystem keeps only its
+integer form."""
 
 import random
 from fractions import Fraction
@@ -16,7 +18,7 @@ from orbdim.liealg import RootSystem, build_root_system, dot, scale_vector
 from orbdim.modcurve import divisors
 from orbdim.orbifold import DimProfile
 
-from test_lie_oracle import KINDS as LIE_KINDS
+from test_lie_oracle import KINDS as LIE_KINDS, fraction_matrices
 
 KINDS = LIE_KINDS + [("A", 12), ("B", 10), ("C", 10), ("D", 10)]
 
@@ -62,7 +64,8 @@ def _classify_root_subsystem(rs: RootSystem, roots) -> list[Kind]:
     r = len(simple)
     # Cartan matrix of the subsystem
     norms = [rs.root_pair_sq(b) for b in simple]
-    gram = [[sum(Fraction(simple[i][a]) * rs.root_gram[a][b] * simple[j][b]
+    root_gram = fraction_matrices(rs.kind).root_gram
+    gram = [[sum(Fraction(simple[i][a]) * root_gram[a][b] * simple[j][b]
                  for a in range(rs.rank) for b in range(rs.rank)) for j in range(r)]
             for i in range(r)]
     C = []

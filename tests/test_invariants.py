@@ -121,7 +121,7 @@ ADMISSION_MATRIX = {
 
 
 def test_full_admission_matrix_at_scanned_dimensions():
-    from orbdim.kacaut import admits_fixed_subalgebra
+    from orbdim.kacaut import admits_fixed_subalgebra, witness_fault
 
     table = {e.no: e for e in load_schellekens()}
     for case in load_cases():
@@ -134,4 +134,5 @@ def test_full_admission_matrix_at_scanned_dimensions():
                 case.fixed_abelian, case.n)
             assert found == should_admit, (case.id, no)
             if found:
-                assert witness
+                assert witness_fault(table[no].structure.kinds(), witness,
+                                     case.fixed_components, case.fixed_abelian, case.n) is None

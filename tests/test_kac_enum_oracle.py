@@ -3,8 +3,11 @@
 `_enumerate_classes_oracle` is the enumeration that `enumerate_classes`
 replaced, kept verbatim and uncached: it walks every composition of the
 budget and canonicalises each one with a min over the diagram
-automorphisms.  Both must return the same tuple of classes, order included,
-for every type of rank <= 8 at orders 1-10 and for two larger inputs.
+automorphisms.  It classifies every fixed algebra with classify_components
+directly, so the per-zero-set cache of fixed_from_s is under test too.  Both
+must return the same tuple of classes, order included, for every type of
+rank <= 8 at orders 1-10 and for the two inputs that dominate the case
+pipeline, (A11, 6) and (A17, 4).
 """
 
 from math import gcd
@@ -12,12 +15,25 @@ from math import gcd
 import pytest
 
 from orbdim.cartan import Kind, admissible_twists, validate_kind
-from orbdim.kacaut import KacClass, _auto_orbit_reps, enumerate_classes, fixed_from_s
+from orbdim.kacaut import (
+    KacClass,
+    _auto_orbit_reps,
+    classify_components,
+    enumerate_classes,
+    fixed_from_s,
+)
 
 KINDS = ([("A", l) for l in range(1, 9)] + [("B", l) for l in range(2, 9)]
          + [("C", l) for l in range(2, 9)] + [("D", l) for l in range(4, 9)]
          + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 ORDERS = range(1, 11)
+LARGE = [(("A", 11), 6), (("A", 17), 4)]
+
+
+def _fixed_direct(diagram, s):
+    """Fixed components and abelian rank straight from the zero set, uncached."""
+    zero = [i for i in range(diagram.num_nodes) if s[i] == 0]
+    return tuple(classify_components(diagram.gcm, zero)), sum(1 for x in s if x) - 1
 
 
 def _enumerate_classes_oracle(kind: Kind, order: int) -> tuple[KacClass, ...]:
@@ -42,7 +58,7 @@ def _enumerate_classes_oracle(kind: Kind, order: int) -> tuple[KacClass, ...]:
                     canon = min(tuple(map(s.__getitem__, perm)) for perm in autos)
                     if canon not in seen:
                         seen.add(canon)
-                        comps, ab = fixed_from_s(diagram, canon)
+                        comps, ab = _fixed_direct(diagram, canon)
                         out.append(KacClass(diagram, canon, order, comps, ab))
                 return
             step = labels[i]
@@ -65,9 +81,19 @@ def test_enumeration_matches_oracle_every_order(kind):
         assert {cls.twist for cls in classes} == twists, (kind, order)
 
 
-@pytest.mark.parametrize("kind, order", [(("A", 11), 6), (("A", 17), 4)])
+@pytest.mark.parametrize("kind, order", LARGE)
 def test_enumeration_matches_oracle_on_large_diagrams(kind, order):
     assert enumerate_classes(kind, order) == _enumerate_classes_oracle(kind, order)
+
+
+@pytest.mark.parametrize("kind, order", LARGE)
+def test_memoised_fixed_algebra_matches_direct_classification(kind, order):
+    """fixed_from_s, cached per zero set, answers every class as an uncached
+    classify_components does, whether the zero set is new or cached."""
+    for cls in enumerate_classes(kind, order):
+        direct = _fixed_direct(cls.diagram, cls.s)
+        assert (cls.fixed_components, cls.fixed_abelian) == direct, cls.s
+        assert fixed_from_s(cls.diagram, cls.s) == direct, cls.s
 
 
 def test_twisted_pairs_are_covered():

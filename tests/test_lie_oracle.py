@@ -1,9 +1,14 @@
 """Differential test of the scaled-integer Lie kernel against the Fraction
 implementations it replaced, kept here as the oracle: the old bodies, with
-the root system passed as rs and every call going to another oracle."""
+the root system passed as rs and every call going to another oracle.  The
+Fraction matrices the old bodies read (C^{-1} and the Gram matrices) are
+built here as RootSystem used to build them, by Fraction Gauss-Jordan."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,13 +32,54 @@ DENOMINATORS = (1, 2, 3, 4, 5, 6, 8)
 
 # -- the oracle: Fraction arithmetic throughout ------------------------------
 
+def _mat_inverse(M):
+    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
+    n = len(M)
+    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        inv = Fraction(1) / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+def _scale_matrix(M) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, d) with M = N / d entrywise, d the lcm of all the entries' denominators."""
+    d = lcm(*(x.denominator for row in M for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M), d
+
+
+@lru_cache(maxsize=None)
+def fraction_matrices(kind):
+    """cartan_inv, gram_weights, gram_coweights and root_gram as Fraction
+    matrices, computed from the Cartan matrix and the root norms alone."""
+    rs = build_root_system(kind)
+    l = rs.rank
+    cartan_inv = _mat_inverse(rs.cartan)
+    # (Lambda_i, Lambda_j) = d_i/2 (C^{-1})_{ji};  (Lambda_i^v, Lambda_j^v) = (2/d_i)(C^{-1})_{ij}
+    gram_weights = [[rs.norms[i] / 2 * cartan_inv[j][i] for j in range(l)] for i in range(l)]
+    gram_coweights = [[2 / rs.norms[i] * cartan_inv[i][j] for j in range(l)] for i in range(l)]
+    # (alpha_i, alpha_j) = C[i][j] d_j / 2
+    root_gram = [[Fraction(rs.cartan[i][j]) * rs.norms[j] / 2 for j in range(l)]
+                 for i in range(l)]
+    return SimpleNamespace(cartan_inv=cartan_inv, gram_weights=gram_weights,
+                           gram_coweights=gram_coweights, root_gram=root_gram)
+
+
 def _frac_vec(values):
     return tuple(Fraction(v) for v in values)
 
 
 def _root_pair_sq(rs, root):
     l = rs.rank
-    return sum(Fraction(root[i]) * rs.root_gram[i][j] * root[j]
+    root_gram = fraction_matrices(rs.kind).root_gram
+    return sum(Fraction(root[i]) * root_gram[i][j] * root[j]
                for i in range(l) for j in range(l))
 
 
@@ -43,37 +89,41 @@ def _root_on_coweight(rs, root, h):
 
 def _pair_weight_coweight(rs, m, c):
     l = rs.rank
+    cartan_inv = fraction_matrices(rs.kind).cartan_inv
     total = Fraction(0)
     for i in range(l):
         if m[i]:
-            row = rs.cartan_inv[i]
+            row = cartan_inv[i]
             total += Fraction(m[i]) * sum(row[j] * Fraction(c[j]) for j in range(l))
     return total
 
 
 def _weight_form(rs, m1, m2):
     l = rs.rank
+    gram_weights = fraction_matrices(rs.kind).gram_weights
     total = Fraction(0)
     for i in range(l):
         if m1[i]:
-            total += Fraction(m1[i]) * sum(rs.gram_weights[i][j] * Fraction(m2[j])
+            total += Fraction(m1[i]) * sum(gram_weights[i][j] * Fraction(m2[j])
                                            for j in range(l) if m2[j])
     return total
 
 
 def _coweight_form(rs, c1, c2):
     l = rs.rank
+    gram_coweights = fraction_matrices(rs.kind).gram_coweights
     total = Fraction(0)
     for i in range(l):
         if c1[i]:
-            total += Fraction(c1[i]) * sum(rs.gram_coweights[i][j] * Fraction(c2[j])
+            total += Fraction(c1[i]) * sum(gram_coweights[i][j] * Fraction(c2[j])
                                            for j in range(l) if c2[j])
     return total
 
 
 def _coweight_to_coroot_coords(rs, c):
     l = rs.rank
-    return tuple(sum(rs.cartan_inv[i][j] * Fraction(c[j]) for j in range(l))
+    cartan_inv = fraction_matrices(rs.kind).cartan_inv
+    return tuple(sum(cartan_inv[i][j] * Fraction(c[j]) for j in range(l))
                  for i in range(l))
 
 
@@ -148,11 +198,12 @@ def _weyl_dimension(rs, m):
 
 def _weight_system(rs, lam):
     l = rs.rank
+    cartan_inv = fraction_matrices(rs.kind).cartan_inv
     lam_v = _frac_vec(lam)
     dominant = []
     for cand in dominant_weights_of_level(rs, int(rs.level(lam))):
         diff = tuple(Fraction(a) - b for a, b in zip(lam_v, cand))
-        k = tuple(sum(rs.cartan_inv[j][i] * diff[j] for j in range(l)) for i in range(l))
+        k = tuple(sum(cartan_inv[j][i] * diff[j] for j in range(l)) for i in range(l))
         if all(x.denominator == 1 and x >= 0 for x in k):
             dominant.append((sum(k), cand))
     dominant.sort()
@@ -227,9 +278,10 @@ def _alcove_representative(rs, h):
     cur = _apply_inverse_linear(rs, word, tilde)
     coroot_dirs = []
     l = rs.rank
+    root_gram = fraction_matrices(rs.kind).root_gram
     for root in rs.positive_roots:
         nn = _root_pair_sq(rs, root)
-        pair = [2 * sum(rs.root_gram[j][i] * root[i] for i in range(l)) / nn for j in range(l)]
+        pair = [2 * sum(root_gram[j][i] * root[i] for i in range(l)) / nn for j in range(l)]
         coroot_dirs.append(tuple(pair))
     improved = True
     norm = _coweight_form(rs, cur, cur)
@@ -319,3 +371,25 @@ def test_alcove_reduction_matches_oracle(kind):
         assert word == old_word
         assert apply_inverse_linear(rs, word, tilde) == _apply_inverse_linear(rs, word, tilde)
         assert alcove_representative(rs, h) == _alcove_representative(rs, h)
+
+
+MATRIX_KINDS = ([("A", r) for r in range(1, 25)] + [("B", r) for r in range(2, 13)]
+                + [("C", r) for r in range(2, 13)] + [("D", r) for r in range(4, 17)]
+                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_integer_matrices_match_fraction_gauss_jordan(kind):
+    """C^{-1}, both Gram matrices, the root Gram matrix and theta^vee, built
+    by fraction-free elimination, equal the Fraction construction; theta^vee
+    is checked as <alpha_j, theta^vee> = (alpha_j, theta), theta long."""
+    rs = build_root_system(kind)
+    oracle = fraction_matrices(kind)
+    assert (rs.inv_scaled, rs.inv_den) == _scale_matrix(oracle.cartan_inv)
+    assert (rs.gram_weights_scaled, rs.gram_weights_den) == _scale_matrix(oracle.gram_weights)
+    assert (rs.gram_coweights_scaled, rs.gram_coweights_den) == \
+        _scale_matrix(oracle.gram_coweights)
+    assert (rs._root_gram_scaled, rs._root_gram_den) == _scale_matrix(oracle.root_gram)
+    theta = rs.marks
+    assert rs.highest_coroot == tuple(sum(a * x for a, x in zip(theta, row))
+                                      for row in oracle.root_gram)

@@ -49,10 +49,11 @@ def test_root_system_global_invariants(kind):
     assert rs.root_pair_sq(theta) == 2
     assert all(rs.root_pair_sq(r) <= 2 for r in rs.roots)
     # gram matrices are symmetric and consistent
+    gw, gc = rs.gram_weights_scaled, rs.gram_coweights_scaled
     for i in range(rs.rank):
         for j in range(rs.rank):
-            assert rs.gram_weights[i][j] == rs.gram_weights[j][i]
-            assert rs.gram_coweights[i][j] == rs.gram_coweights[j][i]
+            assert gw[i][j] == gw[j][i]
+            assert gc[i][j] == gc[j][i]
 
 
 def test_e8_numbers():
@@ -65,14 +66,15 @@ def test_a4_weight_gram_closed_form():
     rs = root_system("A4")
     for i in range(4):
         for j in range(4):
-            assert rs.gram_weights[i][j] == F(min(i + 1, j + 1)) - F((i + 1) * (j + 1), 5)
+            assert F(rs.gram_weights_scaled[i][j], rs.gram_weights_den) == \
+                F(min(i + 1, j + 1)) - F((i + 1) * (j + 1), 5)
 
 
 def test_a1_basics():
     rs = root_system("A1")
     assert rs.roots == [(-1,), (1,)]
     assert rs.coxeter == 2 and rs.dual_coxeter == 2
-    assert rs.gram_weights[0][0] == F(1, 2)
+    assert F(rs.gram_weights_scaled[0][0], rs.gram_weights_den) == F(1, 2)
 
 
 def test_dominant_weights_counts():
