@@ -17,20 +17,25 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
-from .cartan import cartan_matrix, comarks, kind_name, marks, validate_kind
+from .cartan import kind_name, validate_kind
 from .kacaut import (
     admits_fixed_subalgebra,
     inner_from_coweight,
     module_order_bound,
     witness_fault,
 )
-from .liealg import AffineStructure, build_root_system, dot, scale_vector, schellekens_constraint
+from .liealg import (
+    AffineStructure,
+    build_root_system,
+    in_alcove_range,
+    in_coroot_lattice,
+    schellekens_constraint,
+)
 from .modcurve import GENUS_ZERO_LEVELS, divisors
 from .orbifold import (
     CycleShape,
     DimProfile,
     alcove_representative,
-    check_alcove_condition,
     cycle_shape_stats,
     dim_orbifold,
     render_weight_tuple,
@@ -165,54 +170,16 @@ def _coweights(cid, name, value, source):
     return out
 
 
-# The representative contract of step (g), checked on load with the Cartan
-# matrix alone: building the root systems of all source factors would nearly
-# double the time of importing the package and loading its data.
-
-def _dominant(C, c) -> list[int]:
-    """The Weyl-dominant conjugate of a scaled coweight with numerators c."""
-    c = list(c)
-    while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
-        ci = c[i]
-        for j, row in enumerate(C):
-            c[j] -= ci * row[i]
-    return c
-
-
-def _in_alcove_range(kind, h) -> bool:
-    """alpha(h) >= -1 for every root.  Roots come in pairs +-alpha and the
-    largest alpha(h) is theta(h+) for the dominant conjugate h+."""
-    c, d = scale_vector(h)
-    return dot(marks(kind), _dominant(cartan_matrix(kind), c)) <= d
-
-
-def _in_coroot_lattice(kind, v) -> bool:
-    """v in Q^vee.  Reflections and translations by theta^vee keep v mod
-    Q^vee and walk an integral v into the fundamental alcove, whose integral
-    points are 0 and one minuscule coweight per non-zero class of P^vee/Q^vee."""
-    c, d = scale_vector(v)
-    if not any(c):
-        return True
-    if d != 1:
-        return False
-    C, a, a_vee = cartan_matrix(kind), marks(kind), comarks(kind)
-    theta = [dot(a_vee, row) for row in C]
-    while True:
-        c = _dominant(C, c)
-        t = dot(a, c)
-        if t <= 1:
-            return not any(c)
-        c = [x - (t - 1) * y for x, y in zip(c, theta)]
-
-
 def _check_representative(cid, name, rep, source, i=1, h=None):
-    """rep - i*h in the coroot lattice (when h is given) and alpha(rep) >= -1."""
+    """rep - i*h in the coroot lattice (when h is given) and alpha(rep) >= -1,
+    the representative contract of step (g), checked with its functions.  They
+    read Cartan data alone, so loading builds no root system."""
     for f, (kind, _) in enumerate(source.components):
-        if h is not None and not _in_coroot_lattice(
+        if h is not None and not in_coroot_lattice(
                 kind, [r - i * x for r, x in zip(rep[f], h[f])]):
             raise DataLoadError(f"case {cid}: {name}: factor {f} ({kind_name(kind)}) "
                                 f"differs from {i}*h by a coweight outside the coroot lattice")
-        if not _in_alcove_range(kind, rep[f]):
+        if not in_alcove_range(kind, rep[f]):
             raise DataLoadError(f"case {cid}: {name}: factor {f} ({kind_name(kind)}) "
                                 "has alpha < -1 for some root")
 
@@ -497,7 +464,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
         ok_rep = True
         for rs, rep, h in zip(systems, reps, case.h):
             diff = tuple(r - i * x for r, x in zip(rep, h))
-            if not rs.in_coroot_lattice(diff) or not check_alcove_condition(rs, rep):
+            if not in_coroot_lattice(rs.kind, diff) or not in_alcove_range(rs.kind, rep):
                 ok_rep = False
         report.add(f"(g) i={i} representative contract", ok_rep, True, ok_rep)
         cap = safe_rho_cap(case.source, reps, floor=1)

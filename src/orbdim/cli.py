@@ -112,6 +112,7 @@ def cmd_fs(args) -> int:
         prec = _rational("--prec", args.prec)
         cusp = modcurve.find_cusp(args.n, point.numerator, point.denominator)
         f = modcurve.cusp_function(args.n, cusp)
+        series = None if args.divisor else qseries.etaq_expand(f.quotient, prec)
     except (NotImplementedError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -122,7 +123,6 @@ def cmd_fs(args) -> int:
         _emit([{"cusp": a, "width": b, "order": c} for a, b, c in rows],
               args.format, rows, ["cusp", "width", "order"])
     else:
-        series = qseries.etaq_expand(f.quotient, prec)
         print(series.to_text())
     return 0
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -30,7 +29,7 @@ from .cartan import (
     untwisted_diagram,
     validate_kind,
 )
-from .liealg import RootSystem, build_root_system, dot, scale_vector
+from .liealg import RootSystem, alcove_walk, build_root_system, dot, scale_vector
 from .modcurve import divisors
 
 
@@ -314,56 +313,11 @@ def coweight_to_kac_labels(rs: RootSystem, h):
     automorphism induced by P^vee/Q^vee, so s is fixed only up to those.
     """
     c, d = scale_vector(h)
-    tilde, _ = _alcove_walk(rs, [x % d for x in c], d)
+    tilde, _ = alcove_walk(rs.kind, [x % d for x in c], d)
     s = (d - dot(rs.marks, tilde), *tilde)
     if any(x < 0 for x in s):
         raise ArithmeticError(f"Kac coordinates {s} of {tuple(h)} are not non-negative")
     return s
-
-
-def alcove_point(rs: RootSystem, h):
-    """Affine-Weyl reduction of h into the fundamental alcove.
-
-    Returns (h_tilde, linear_word): h_tilde = w(h) + q with q in the coroot
-    lattice and w the product of the reflections in linear_word, each entry
-    either a simple index or "theta".
-    """
-    c, d = scale_vector(h)
-    tilde, word = _alcove_walk(rs, c, d)
-    return tuple(Fraction(x, d) for x in tilde), word
-
-
-def _alcove_walk(rs: RootSystem, c, d):
-    """alcove_point on h = c/d in integers: returns (d * h_tilde, linear_word).
-    Every step moves by integer multiples of integer vectors, so d stays."""
-    c = list(c)
-    word = []
-    while True:
-        i = next((i for i, x in enumerate(c) if x < 0), None)
-        if i is not None:
-            rs.reflect_scaled_coweight(c, i)
-            word.append(i)
-            continue
-        t = dot(rs.marks, c)
-        if t > d:
-            # affine reflection in the wall theta = 1; linear part is s_theta
-            c = [x - (t - d) * tv for x, tv in zip(c, rs.highest_coroot)]
-            word.append("theta")
-            continue
-        return c, word
-
-
-def apply_inverse_linear(rs: RootSystem, word, c):
-    """Apply w^{-1} for the recorded reflection word to a coweight."""
-    c, d = scale_vector(c)
-    c = list(c)
-    for op in reversed(word):
-        if op == "theta":
-            t = dot(rs.marks, c)
-            c = [x - t * tv for x, tv in zip(c, rs.highest_coroot)]
-        else:
-            rs.reflect_scaled_coweight(c, op)
-    return tuple(Fraction(x, d) for x in c)
 
 
 # -- automorphisms of semisimple algebras --------------------------------

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .cartan import (
     Kind,
@@ -99,6 +100,98 @@ def _adjugate(M) -> tuple[list[list[int]], int]:
     return [row[n:] for row in A], prev
 
 
+# -- Weyl-chamber and alcove walks, from Cartan data alone ------------------
+
+class WeylTables(NamedTuple):
+    """What the walks of one kind read.  rows[i] and cols[i] list the
+    non-zero (j, C[i][j]) and (j, C[j][i]): s_i sends a weight m to
+    m - m_i C[i][.] and a coweight c to c - c_i C[.][i]."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    cols: tuple[tuple[tuple[int, int], ...], ...]
+    marks: tuple[int, ...]
+    theta: tuple[int, ...]          # theta^vee: <alpha_j, theta^vee> = sum_i a_i^vee C[j][i]
+
+
+@lru_cache(maxsize=None)
+def weyl_tables(kind: Kind) -> WeylTables:
+    C = cartan_matrix(kind)
+    l = len(C)
+    return WeylTables(
+        tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C),
+        tuple(tuple((j, C[j][i]) for j in range(l) if C[j][i]) for i in range(l)),
+        tuple(marks(kind)),
+        tuple(dot(comarks(kind), row) for row in C))
+
+
+def dominant_walk(sparse, v) -> tuple[list[int], list[int]]:
+    """(v+, word): the dominant Weyl conjugate of an integer vector, reached
+    by reflecting at the first negative entry until none is left, and the
+    indices reflected in, in order.  sparse is the rows of weyl_tables for
+    a weight, its cols for a coweight."""
+    v = list(v)
+    word = []
+    while True:
+        for i, x in enumerate(v):
+            if x < 0:
+                for j, y in sparse[i]:
+                    v[j] -= x * y
+                word.append(i)
+                break
+        else:
+            return v, word
+
+
+def alcove_walk(kind: Kind, c, d) -> tuple[list[int], list]:
+    """(d h~, word) for h = c/d: h~ = w(h) + q lies in the fundamental
+    alcove of W x Q^vee, so h~ is dominant and theta(h~) <= 1, q lies in
+    Q^vee, and w is the product of the reflections in word, each entry a
+    simple index or "theta" (Kac, Infinite-dimensional Lie algebras, ch. 8).
+    The walk goes to the dominant chamber, and while theta(h) > 1 reflects
+    in the wall theta = 1, whose linear part is s_theta.  Each step moves c
+    by integer multiples of integer vectors, so d stays."""
+    table = weyl_tables(kind)
+    c, word = dominant_walk(table.cols, c)
+    while (t := dot(table.marks, c)) > d:
+        c = [x - (t - d) * y for x, y in zip(c, table.theta)]
+        word.append("theta")
+        c, more = dominant_walk(table.cols, c)
+        word += more
+    return c, word
+
+
+def unwalk(kind: Kind, word, c) -> list[int]:
+    """w^{-1} c on the integer numerators of a coweight, w the linear part
+    of a walk's word."""
+    table = weyl_tables(kind)
+    c = list(c)
+    for op in reversed(word):
+        if op == "theta":
+            t = dot(table.marks, c)
+            c = [x - t * y for x, y in zip(c, table.theta)]
+        else:
+            ci = c[op]
+            for j, y in table.cols[op]:
+                c[j] -= ci * y
+    return c
+
+
+def in_alcove_range(kind: Kind, h) -> bool:
+    """alpha(h) >= -1 for every root alpha.  Roots come in pairs +-alpha and
+    the largest alpha(h) is theta(h+) for the dominant conjugate h+."""
+    c, d = scale_vector(h)
+    table = weyl_tables(kind)
+    return dot(table.marks, dominant_walk(table.cols, c)[0]) <= d
+
+
+def in_coroot_lattice(kind: Kind, v) -> bool:
+    """v in Q^vee.  The alcove walk keeps v mod Q^vee and takes an integral
+    v to an integral point of the alcove: 0, or one minuscule coweight per
+    non-zero class of P^vee/Q^vee."""
+    c, d = scale_vector(v)
+    return d == 1 and not any(alcove_walk(kind, c, 1)[0])
+
+
 class RootSystem:
     """All combinatorial data of one simple Lie algebra.
 
@@ -136,13 +229,8 @@ class RootSystem:
         # (alpha_i, alpha_j) = C[i][j] d_j / 2
         self._root_gram_scaled, self._root_gram_den = _reduced(
             [[C[i][j] * norm[j] for j in range(l)] for i in range(l)], 2 * nd)
-        # nonzero entries of each row and each column of C
-        self._rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.cartan)
-        self._cols = tuple(tuple((j, self.cartan[j][i]) for j in range(l) if self.cartan[j][i])
-                           for i in range(l))
-        # theta^vee in fundamental-coweight coordinates: <alpha_j, theta^vee>
-        self.highest_coroot = tuple(sum(a * x for a, x in zip(self.comarks, row))
-                                    for row in self.cartan)
+        tables = weyl_tables(kind)
+        self._rows, self._cols = tables.rows, tables.cols
         self.roots = self._generate_roots()
         self.positive_roots = sorted(r for r in self.roots if self._is_positive(r))
         self._sanity()
@@ -245,8 +333,7 @@ class RootSystem:
         return tuple(Fraction(x, d) for x in u)
 
     def in_coroot_lattice(self, c) -> bool:
-        u, d = self._coroot_scaled(c)
-        return all(x % d == 0 for x in u)
+        return in_coroot_lattice(self.kind, c)
 
     # -- Weyl group actions -------------------------------------------------
 
@@ -257,34 +344,13 @@ class RootSystem:
             r[j] -= mi * x
         return tuple(r)
 
-    def reflect_scaled_coweight(self, c: list, i: int) -> None:
-        """s_i in place on the integer numerators of a scaled coweight."""
-        ci = c[i]
-        for j, x in self._cols[i]:
-            c[j] -= ci * x
-
     def reflect_coweight(self, c, i):
         c, d = scale_vector(c)
-        c = list(c)
-        self.reflect_scaled_coweight(c, i)
-        return tuple(Fraction(x, d) for x in c)
-
-    def _dominant_int(self, m) -> tuple[int, ...]:
-        """The dominant Weyl conjugate of an integer weight."""
-        m = list(m)
-        rows = self._rows
-        while True:
-            for i, x in enumerate(m):
-                if x < 0:
-                    for j, cij in rows[i]:
-                        m[j] -= x * cij
-                    break
-            else:
-                return tuple(m)
+        return tuple(Fraction(x, d) for x in unwalk(self.kind, [i], c))   # s_i = s_i^{-1}
 
     def dominant_weight_conjugate(self, m):
         m, d = scale_vector(m)
-        dom = self._dominant_int(m)
+        dom = tuple(dominant_walk(self._rows, m)[0])
         return dom if d == 1 else tuple(Fraction(x, d) for x in dom)
 
     def level(self, m) -> Fraction:
@@ -308,19 +374,12 @@ def weyl_antidominant(rs: RootSystem, h) -> tuple[Vec, list[int]]:
     """The antidominant chamber representative of h with the reflection word.
 
     Returns (h_minus, word) with every simple-root value of h_minus <= 0 and
-    h_minus = s_{word[-1]} ... s_{word[0]} h.
+    h_minus = s_{word[-1]} ... s_{word[0]} h.  Reflections are linear, so
+    this is minus the dominant walk on -h, with the same word.
     """
     c, d = scale_vector(h)
-    c = list(c)
-    word: list[int] = []
-    while True:
-        for i, x in enumerate(c):
-            if x > 0:
-                rs.reflect_scaled_coweight(c, i)
-                word.append(i)
-                break
-        else:
-            return tuple(Fraction(x, d) for x in c), word
+    minus, word = dominant_walk(rs._cols, [-x for x in c])
+    return tuple(Fraction(-x, d) for x in minus), word
 
 
 def dominant_weights_of_level(rs: RootSystem, k: int) -> list[tuple]:
@@ -418,7 +477,7 @@ def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
             while True:
                 shifted = tuple(a + b for a, b in zip(shifted, wroot))
                 pair += step
-                mult = mults.get(rs._dominant_int(shifted))
+                mult = mults.get(tuple(dominant_walk(rs._rows, shifted)[0]))
                 if mult is None:
                     break
                 acc += mult * pair

@@ -19,14 +19,16 @@ from .liealg import (
     AffineStructure,
     RootSystem,
     affine_conformal_weight,
+    alcove_walk,
     build_root_system,
     dominant_weights_of_level,
     dot,
+    in_alcove_range,
     min_weight_pairing,
     scale_vector,
+    unwalk,
     weyl_antidominant,
 )
-from .kacaut import alcove_point, apply_inverse_linear
 from .modcurve import GENUS_ZERO_LEVELS, dedekind_psi, divisors, euler_phi, factorize
 from .qseries import EtaQuotient
 
@@ -256,17 +258,21 @@ def alcove_representative(rs: RootSystem, h):
     lowers the norm of h' on the coset: h' - s alpha^vee (s = +-1) is
     shorter only if s alpha(h') > 1.  The bound is rechecked in integers.
     """
-    tilde, word = alcove_point(rs, h)
-    cur, d = scale_vector(apply_inverse_linear(rs, word, tilde))
+    c, d = scale_vector(h)
+    tilde, word = alcove_walk(rs.kind, c, d)
+    cur = unwalk(rs.kind, word, tilde)
     if any(abs(dot(root, cur)) > d for root in rs.roots):
         raise ArithmeticError(f"alcove reduction of {tuple(h)} left the alcove")
     return tuple(Fraction(x, d) for x in cur)
 
 
-def check_alcove_condition(rs: RootSystem, h) -> bool:
-    """alpha(h) >= -1 for every root, in integers over the denominator of h."""
-    scaled, den = scale_vector(h)
-    return all(dot(r, scaled) >= -den for r in rs.roots)
+def _require_alcove_range(components, hs) -> None:
+    """The precondition of the twisted weight: alpha(h_i) >= -1 on every
+    factor, else a ValueError naming the factor."""
+    for (kind, _), h in zip(components, hs):
+        if not in_alcove_range(kind, h):
+            raise ValueError(
+                f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
 
 
 def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:
@@ -279,13 +285,11 @@ def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:
     comps = structure.components
     if len(lambdas) != len(comps) or len(hs) != len(comps):
         raise ValueError("one weight and one Cartan element per simple factor")
+    _require_alcove_range(comps, hs)
     total = Fraction(0)
     hh = Fraction(0)
     for (kind, level), lam, h in zip(comps, lambdas, hs):
         rs = build_root_system(kind)
-        if not check_alcove_condition(rs, h):
-            raise ValueError(
-                f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
         total += affine_conformal_weight(rs, level, lam)
         total += min_weight_pairing(rs, lam, h)
         hh += level * rs.coweight_form(h, h)
@@ -365,10 +369,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1, rho_cap=
     comps = structure.components
     if len(hs) != len(comps):
         raise ValueError("one Cartan element per simple factor")
-    for (kind, _), h in zip(comps, hs):
-        if not check_alcove_condition(build_root_system(kind), h):
-            raise ValueError(
-                f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
+    _require_alcove_range(comps, hs)
     us, hh, bound = _setup_for(structure, hs)
     if Fraction(rho_cap) + 1 - bound + hh / 2 < floor:
         raise ValueError(

@@ -10,6 +10,7 @@ beyond it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
@@ -104,6 +105,8 @@ def etaq_expand(f: EtaQuotient, prec) -> FracPowerSeries:
     if prec <= lead:
         raise EmptySeriesError(f"precision {prec} does not reach the leading exponent {lead}")
     top = ceil(prec - lead)                     # g_0 .. g_{top-1} lie below prec
+    if top > sys.maxsize:
+        raise ValueError(f"precision {prec} needs more terms than a list can index")
     c = [0] * top
     for d, r in f.exps.items():
         for dk in range(d, top, d):             # d sigma(m/d) = sum of dk over dk | m

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -200,6 +201,17 @@ def test_case_run_all_end_to_end(capsys):
     assert out.count("PASS") == 15 and "FAIL" not in out
 
 
+# SHA-256 of `orbdim case run --all --format json` stdout, also under python -O:
+# every report, the i > 1 screening lists included, byte for byte.
+CASE_RUN_ALL_JSON_SHA256 = "f6c6bed8ca7bdba1d3a05acc4715d13fb8f2744831c36cbfc8cdeac407f6e958"
+
+
+def test_case_run_all_json_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "case", "run", "--all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CASE_RUN_ALL_JSON_SHA256
+
+
 def test_screen_case_15(capsys):
     code, out, _ = run_cli(capsys, "screen", "--case", "15", "--format", "json")
     assert code == 0
@@ -240,6 +252,10 @@ def test_screen_case_15(capsys):
     (["dcoeff", "--n", "11", "--i", "1", "--j", "1", "--k", "1"], "11 is not a genus-zero level"),
     (["cusps", "--n", "0"], "n must be positive"),
     (["coeffs", "--n", "11"], "11 is not a genus-zero level"),
+    (["eta", "--quotient", "2:1", "--prec", "1e999"], "more terms than a list can index"),
+    (["hauptmodul", "--n", "2", "--prec", "1e999"], "more terms than a list can index"),
+    (["fs", "--n", "2", "--cusp", "1/2", "--prec", "1e999"], "more terms than a list can index"),
+    (["fs", "--n", "2", "--cusp", "1/2", "--prec", "-3"], "does not reach the leading exponent"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""

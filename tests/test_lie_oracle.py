@@ -12,14 +12,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from orbdim.kacaut import alcove_point, apply_inverse_linear
 from orbdim.liealg import (
+    alcove_walk,
     build_root_system,
     dominant_weights_of_level,
+    dot,
+    in_alcove_range,
+    in_coroot_lattice,
+    scale_vector,
+    unwalk,
     weight_system,
     weyl_antidominant,
     weyl_dimension,
     weyl_orbit,
+    weyl_tables,
 )
 from orbdim.orbifold import alcove_representative
 
@@ -365,11 +371,13 @@ def test_alcove_reduction_matches_oracle(kind):
     rs = build_root_system(kind)
     rng = random.Random(f"alcove-{kind}")
     for h in [_coweight(rng, rs.rank) for _ in range(5)] + [(0,) * rs.rank]:
-        tilde, word = alcove_point(rs, h)
+        c, d = scale_vector(h)
+        tilde, word = alcove_walk(kind, c, d)
         old_tilde, old_word = _alcove_point(rs, h)
-        assert tilde == old_tilde
+        assert tuple(Fraction(x, d) for x in tilde) == old_tilde
         assert word == old_word
-        assert apply_inverse_linear(rs, word, tilde) == _apply_inverse_linear(rs, word, tilde)
+        assert tuple(Fraction(x, d) for x in unwalk(kind, word, tilde)) == \
+            _apply_inverse_linear(rs, word, old_tilde)
         assert alcove_representative(rs, h) == _alcove_representative(rs, h)
 
 
@@ -391,5 +399,43 @@ def test_integer_matrices_match_fraction_gauss_jordan(kind):
         _scale_matrix(oracle.gram_coweights)
     assert (rs._root_gram_scaled, rs._root_gram_den) == _scale_matrix(oracle.root_gram)
     theta = rs.marks
-    assert rs.highest_coroot == tuple(sum(a * x for a, x in zip(theta, row))
-                                      for row in oracle.root_gram)
+    assert weyl_tables(kind).theta == tuple(sum(a * x for a, x in zip(theta, row))
+                                            for row in oracle.root_gram)
+
+
+def _check_alcove_condition(rs, h):
+    """alpha(h) >= -1 for every root, in integers over the denominator of h."""
+    scaled, den = scale_vector(h)
+    return all(dot(r, scaled) >= -den for r in rs.roots)
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_walk_lattice_tests_match_oracles(kind):
+    """in_alcove_range against the loop over all roots, in_coroot_lattice
+    against the Fraction C^{-1}, on random points and their alcove
+    representatives.  h = -Lambda_i^vee / a_i has min alpha(h) = -theta_i / a_i
+    = -1 exactly; 1 + 1/a_i times it goes below -1."""
+    rs = build_root_system(kind)
+    rng = random.Random(f"lattice-{kind}")
+    l = rs.rank
+    for i, a in enumerate(rs.marks):
+        edge = tuple(Fraction(-int(j == i), a) for j in range(l))
+        beyond = tuple((1 + Fraction(1, a)) * x for x in edge)
+        assert in_alcove_range(kind, edge) and _check_alcove_condition(rs, edge)
+        assert not in_alcove_range(kind, beyond) and not _check_alcove_condition(rs, beyond)
+    seen = set()
+    for _ in range(12):
+        den = rng.choice([1, 2, 3, 4, 6])
+        h = tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(l))
+        ks = [rng.randint(-3, 3) for _ in range(l)]
+        coroot = tuple(dot(row, ks) for row in rs.cartan)      # sum_j k_j alpha_j^vee
+        v = tuple(rng.randint(-3, 3) for _ in range(l))
+        for w in (h, alcove_representative(rs, h)):
+            ok = in_alcove_range(kind, w)
+            assert ok == _check_alcove_condition(rs, w), w
+            seen.add(("alcove", ok))
+        for w in (h, v, coroot, tuple(x + y for x, y in zip(v, coroot))):
+            ok = in_coroot_lattice(kind, w)
+            assert ok == _in_coroot_lattice(rs, w), w
+            seen.add(("coroot", ok))
+    assert seen == {("alcove", True), ("alcove", False), ("coroot", True), ("coroot", False)}

@@ -13,7 +13,7 @@ from orbdim.liealg import (
     dominant_weights_of_level,
     weyl_antidominant,
 )
-from orbdim.orbifold import check_alcove_condition, safe_rho_cap, screen_problematic_modules
+from orbdim.orbifold import _require_alcove_range, safe_rho_cap, screen_problematic_modules
 
 
 def _pairing_norm_bound(rs, level, h):
@@ -33,14 +33,12 @@ def _screen_oracle(structure, hs, floor=1, rho_cap=3):
     comps = structure.components
     if len(hs) != len(comps):
         raise ValueError("one Cartan element per simple factor")
+    _require_alcove_range(comps, hs)
     factors = []
     hh = Fraction(0)
     bound = Fraction(0)
     for (kind, level), h in zip(comps, hs):
         rs = build_root_system(kind)
-        if not check_alcove_condition(rs, h):
-            raise ValueError(
-                f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
         h_minus, _ = weyl_antidominant(rs, h)
         lams = dominant_weights_of_level(rs, level)
         data = [(lam, affine_conformal_weight(rs, level, lam),
