@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Kind = tuple[str, int]
 
@@ -154,6 +154,13 @@ def coxeter(kind: Kind) -> int:
     return 1 + sum(marks(kind))
 
 
+def cartan_determinant(kind: Kind) -> int:
+    """det C: the order of P/Q and of P^vee/Q^vee (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 13.1)."""
+    letter, l = validate_kind(kind)
+    return {"A": l + 1, "B": 2, "C": 2, "D": 4, "E": 9 - l}.get(letter, 1)
+
+
 @dataclass(frozen=True)
 class AffineDiagram:
     """An affine Dynkin diagram of type base^(twist) with its Kac labels.
@@ -163,7 +170,8 @@ class AffineDiagram:
     automorphism with coordinates s is twist * sum_i labels[i] s[i].
     fixed_by_zero_set memoises kacaut.fixed_from_s: the kinds of the
     subdiagram on each zero set classified so far.  It takes no part in
-    equality or hashing.
+    equality or hashing, nor does the sparse table neighbours, built on
+    first use.
     """
 
     base: Kind
@@ -176,6 +184,13 @@ class AffineDiagram:
     @property
     def num_nodes(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def neighbours(self) -> tuple[dict[int, int], ...]:
+        """neighbours[i] maps each node j != i joined to i to gcm[i][j]: the
+        sparse table that classification and the automorphism search read."""
+        return tuple({j: x for j, x in enumerate(row) if x and j != i}
+                     for i, row in enumerate(self.gcm))
 
     def check_null(self):
         n = self.num_nodes
@@ -291,38 +306,42 @@ def admissible_twists(kind: Kind) -> list[int]:
 
 
 def diagram_automorphisms(diagram: AffineDiagram) -> list[tuple[int, ...]]:
-    """All node permutations preserving the GCM and the labels.
+    """All node permutations preserving the GCM and the labels, ascending.
 
-    The diagrams are tiny (at most 25 nodes, path- or cycle-like), so a
-    straightforward backtracking search is plenty.
+    The diagram is connected, so a partial map is extended along edges:
+    the nodes are mapped in breadth-first order from node 0, each to a
+    neighbour of an earlier neighbour's image, with the same label and
+    bonds.  A node t is a valid image of v when every earlier neighbour u
+    of v goes to a neighbour of t by the same bond both ways, so each
+    candidate costs only its degree.  A complete map then sends the
+    finitely many edges injectively, hence onto, the edges, and so
+    non-edges to non-edges.
     """
+    adj = diagram.neighbours
     n = diagram.num_nodes
-    G = diagram.gcm
-    lab = diagram.labels
-    rows = [tuple(sorted((G[i][j], G[j][i]) for j in range(n) if j != i and G[i][j]))
-            for i in range(n)]
-
+    sig = [(diagram.labels[i], sorted((x, adj[j][i]) for j, x in adj[i].items()))
+           for i in range(n)]
+    order = [0]
+    for v in order:
+        order += [j for j in adj[v] if j not in order]
+    pos = {v: k for k, v in enumerate(order)}
+    back = [[(u, x, adj[u][v]) for u, x in adj[v].items() if pos[u] < k]
+            for k, v in enumerate(order)]
+    image = [0] * n
+    used = [False] * n
     perms = []
 
-    def backtrack(mapping, used):
-        i = len(mapping)
-        if i == n:
-            perms.append(tuple(mapping))
+    def extend(k):
+        if k == n:
+            perms.append(tuple(image))
             return
-        for t in range(n):
-            if used[t] or lab[t] != lab[i] or rows[t] != rows[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if G[i][j] != G[t][mapping[j]] or G[j][i] != G[mapping[j]][t]:
-                    ok = False
-                    break
-            if ok:
-                mapping.append(t)
-                used[t] = True
-                backtrack(mapping, used)
-                mapping.pop()
+        v, earlier = order[k], back[k]
+        for t in adj[image[earlier[0][0]]] if k else range(n):
+            if not used[t] and sig[t] == sig[v] and all(
+                    adj[t].get(image[u]) == x and adj[image[u]][t] == y for u, x, y in earlier):
+                image[v], used[t] = t, True
+                extend(k + 1)
                 used[t] = False
 
-    backtrack([], [False] * n)
-    return perms
+    extend(0)
+    return sorted(perms)

@@ -3,12 +3,24 @@
 A conjugacy class of order-n automorphisms of a simple algebra is a twist
 k in {1,2,3} together with coprime non-negative node coordinates s on the
 twisted affine diagram, with n = k * sum_i a_i s_i; the fixed subalgebra is
-read off the subdiagram of nodes with s_i = 0 plus an abelian part.  Classes
-are stored up to diagram automorphisms of the affine diagram, which is
-conjugacy under the full automorphism group of the algebra: each class is
-represented by the lexicographically least s of its orbit, and
-enumerate_classes returns the classes of each twist in ascending order of
-that s, an order callers may rely on.
+read off the subdiagram of nodes with s_i = 0 plus an abelian part (Kac,
+Infinite-dimensional Lie algebras, Thm 8.6 and 8.8).  Classes are stored up
+to diagram automorphisms of the affine diagram, which is conjugacy under
+the full automorphism group of the algebra: each class is represented by
+the lexicographically least s of its orbit, and enumerate_classes returns
+the classes of each twist in ascending order of that s, an order callers
+may rely on.
+
+The admissibility scan needs only what a class fixes, and that depends on k
+and the zero set Z = {i : s_i = 0} alone: the components of the subdiagram
+on Z and an abelian part of rank |Z^c| - 1.  So _cycle_options walks the
+supports S = Z^c up to diagram automorphisms, not the classes.  A support S
+carries a class of order dividing r = k t iff t - sum_{i in S} a_i is a
+non-negative combination of the marks {a_i : i in S}, a coin problem; a
+label vector with gcd g > 1 is g times a class of order r/g with the same
+support, so no gcd test is needed.  Classes and supports come from one
+orderly walk, _least_vectors, which differs between the two only in the
+values a node may take.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from .cartan import (
     untwisted_diagram,
     validate_kind,
 )
-from .liealg import RootSystem, alcove_walk, build_root_system, dot, scale_vector
+from .liealg import RootSystem, alcove_walk, dot, scale_vector
 from .modcurve import divisors
 
 
@@ -37,53 +49,61 @@ class UnknownDiagramShape(ValueError):
     pass
 
 
-def classify_components(gcm, nodes) -> list[Kind]:
-    """Connected components of a sub-GCM, classified as finite simple kinds."""
-    nodes = list(nodes)
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
+def classify_components(diagram: AffineDiagram, nodes) -> list[Kind]:
+    """Connected components of the subdiagram on nodes, classified as finite
+    simple kinds.  The search reads the sparse table diagram.neighbours.
+    Each component is a zero set of its own: its kind is classified once and
+    kept in diagram.fixed_by_zero_set, as fixed_from_s keeps whole zero sets."""
+    neighbours, known = diagram.neighbours, diagram.fixed_by_zero_set
+    left = set(nodes)
+    kinds = []
+    for seed in nodes:
+        if seed not in left:
+            continue
+        left.discard(seed)
+        comp, frontier = [seed], [seed]
         while frontier:
-            i = frontier.pop()
-            for j in remaining - comp:
-                if gcm[i][j] != 0:
-                    comp.add(j)
+            for j in neighbours[frontier.pop()]:
+                if j in left:
+                    left.discard(j)
+                    comp.append(j)
                     frontier.append(j)
-        remaining -= comp
-        comps.append(sorted(comp))
-    return sorted(_classify_one(gcm, comp) for comp in comps)
+        key = tuple(sorted(comp))
+        kind = known.get(key)
+        if kind is None:
+            kind = known[key] = (_classify_one(neighbours, comp),)
+        kinds += kind
+    return sorted(kinds)
 
 
-def _classify_one(gcm, comp) -> Kind:
+def _classify_one(neighbours, comp) -> Kind:
     r = len(comp)
     if r == 1:
         return ("A", 1)
-    neighbours = {i: [j for j in comp if j != i and gcm[i][j] != 0] for i in comp}
-    degrees = sorted(len(v) for v in neighbours.values())
-    edges = [(i, j) for i in comp for j in comp if i < j and gcm[i][j] != 0]
-    multiplicities = {e: gcm[e[0]][e[1]] * gcm[e[1]][e[0]] for e in edges}
+    members = set(comp)
+    adj = {i: [j for j in neighbours[i] if j in members] for i in comp}
+    degrees = sorted(len(v) for v in adj.values())
+    multiplicities = {(i, j): neighbours[i][j] * neighbours[j][i]
+                      for i in comp for j in adj[i] if i < j}
     n_double = sum(1 for m in multiplicities.values() if m == 2)
     n_triple = sum(1 for m in multiplicities.values() if m == 3)
     if any(m > 3 for m in multiplicities.values()) or n_triple + n_double > 1:
-        raise UnknownDiagramShape(f"component {comp} is not of finite type")
+        raise UnknownDiagramShape(f"component {sorted(comp)} is not of finite type")
     if n_triple:
         if r != 2:
             raise UnknownDiagramShape(f"triple bond in a rank-{r} component")
         return ("G", 2)
     if degrees[-1] > 3 or sum(1 for d in degrees if d == 3) > 1:
-        raise UnknownDiagramShape(f"component {comp} has an invalid branch structure")
-    branch = next((i for i in comp if len(neighbours[i]) == 3), None)
+        raise UnknownDiagramShape(f"component {sorted(comp)} has an invalid branch structure")
+    branch = next((i for i in comp if len(adj[i]) == 3), None)
     if branch is not None:
         if n_double:
             raise UnknownDiagramShape("branch node together with a double bond")
         lengths = []
-        for start in neighbours[branch]:
+        for start in adj[branch]:
             length, prev, cur = 1, branch, start
             while True:
-                nxt = [j for j in neighbours[cur] if j != prev]
+                nxt = [j for j in adj[cur] if j != prev]
                 if not nxt:
                     break
                 prev, cur = cur, nxt[0]
@@ -99,27 +119,24 @@ def _classify_one(gcm, comp) -> Kind:
         if lengths == [1, 2, 4]:
             return ("E", 8)
         raise UnknownDiagramShape(f"branch lengths {lengths} are not of finite type")
-    # path: order it end to end
-    ends = [i for i in comp if len(neighbours[i]) == 1]
-    path = [ends[0]]
-    while len(path) < r:
-        nxt = [j for j in neighbours[path[-1]] if j not in path]
-        path.append(nxt[0])
+    if degrees[0] != 1:
+        raise UnknownDiagramShape(f"component {sorted(comp)} is a cycle")
     if not n_double:
         return ("A", r)
     if r == 2:
         return ("B", 2)
+    # path: order it end to end
+    path = [min(i for i in comp if len(adj[i]) == 1)]
+    while len(path) < r:
+        path.append(next(j for j in adj[path[-1]] if len(path) < 2 or j != path[-2]))
     u, v = next(e for e, m in multiplicities.items() if m == 2)
     pos = sorted((path.index(u), path.index(v)))
     if pos == [1, 2] and r == 4:
         return ("F", 4)
     if pos[0] == 0 or pos[1] == r - 1:
-        if pos[1] == r - 1:
-            end, inner = path[-1], path[-2]
-        else:
+        if pos[1] != r - 1:
             path.reverse()
-            end, inner = path[-1], path[-2]
-        if gcm[inner][end] == -2:
+        if neighbours[path[-2]][path[-1]] == -2:
             return ("B", r)       # short end node
         return ("C", r)           # long end node
     raise UnknownDiagramShape(f"double bond at interior position {pos} of a path")
@@ -142,9 +159,6 @@ class KacClass:
     @property
     def twist(self) -> int:
         return self.diagram.twist
-
-    def is_inner(self) -> bool:
-        return self.twist == 1
 
     def fixed_dimension(self) -> int:
         return sum(classical_dimension(k) for k in self.fixed_components) + self.fixed_abelian
@@ -180,8 +194,97 @@ def fixed_from_s(diagram: AffineDiagram, s) -> tuple[tuple[Kind, ...], int]:
     zero = tuple([i for i, x in enumerate(s) if not x])
     comps = diagram.fixed_by_zero_set.get(zero)
     if comps is None:
-        comps = diagram.fixed_by_zero_set[zero] = tuple(classify_components(diagram.gcm, zero))
+        comps = diagram.fixed_by_zero_set[zero] = tuple(classify_components(diagram, zero))
     return comps, len(s) - len(zero) - 1
+
+
+def _least_vectors(diagram: AffineDiagram, autos, budget: int, binary: bool):
+    """The least member of every orbit of label vectors, in ascending order.
+
+    With binary false the vectors are s >= 0 with sum_i a_i s_i = budget;
+    with binary true they are the 0/1 vectors x with sum_i a_i x_i <= budget,
+    zero included.  The two differ only in the values each node may take.
+
+    The search is an orderly generation (R. C. Read, "Every one a winner",
+    Ann. Discrete Math. 2 (1978)).  It sets s[0], s[1], ... in turn, each in
+    ascending order; without binary the last coordinate is fixed by the
+    budget.  For every non-identity diagram automorphism pi it carries j,
+    with the invariant that the image t = s o pi (t[m] = s[pi[m]]) agrees
+    with s on positions 0..j-1.  Position j can be compared once s[j] and
+    s[pi[j]] are both set, that is at node w = max(j, pi[j]), so (pi, j)
+    waits in the bucket of node w.  Once s[i] is set, node i takes each
+    (pi, j) from its bucket and advances j while j <= i, pi[j] <= i and
+    t[j] = s[j].  If t[j] and s[j] are then both known and t[j] < s[j],
+    every completion has an image smaller than itself, so the branch is
+    cut; if t[j] > s[j], no completion has t < s, and pi is dropped for the
+    rest of the branch; otherwise (pi, j) moves to the bucket of its next
+    wake node, or is dropped if s o pi = s.  These moves are undone before
+    node i tries its next value, and automorphisms in later buckets are not
+    touched, so a node costs only what its own bucket holds.  Once the
+    budget is spent every later coordinate is 0, so the whole tail is set
+    at once and each waiting automorphism is compared on the complete
+    vector.  A complete s that survives is no larger than any of its
+    images, so it is the least member of its orbit; conversely every prefix
+    of a least member survives, so each orbit is reached exactly once, and
+    in ascending lexicographic order.
+    """
+    labels = diagram.labels
+    last = diagram.num_nodes - 1
+    identity = tuple(range(last + 1))
+    s = [0] * (last + 1)
+    buckets = [[] for _ in s]
+    for perm in autos:
+        if perm != identity:
+            buckets[perm[0]].append((perm, 0))
+    out = []
+
+    def zero_tail(i):
+        s[i:] = [0] * (last + 1 - i)
+        for waiting in buckets[i:]:
+            for perm, j in waiting:
+                while j <= last and s[perm[j]] == s[j]:
+                    j += 1
+                if j <= last and s[perm[j]] < s[j]:
+                    return
+        out.append(tuple(s))
+
+    def rec(i, left):
+        if not left:
+            zero_tail(i)
+            return
+        a = labels[i]
+        if binary:
+            values = (0, 1) if a <= left else (0,)
+        elif i == last:
+            v, r = divmod(left, a)
+            values = () if r else (v,)
+        else:
+            values = range(left // a + 1)
+        waiting = buckets[i]
+        for v in values:
+            s[i] = v
+            moved = []
+            for perm, j in waiting:
+                while j <= i and perm[j] <= i and s[perm[j]] == s[j]:
+                    j += 1
+                if j > last:
+                    continue                    # s o pi = s
+                wake = perm[j] if perm[j] > j else j
+                if wake > i:
+                    buckets[wake].append((perm, j))
+                    moved.append(wake)
+                elif s[perm[j]] < s[j]:
+                    break
+            else:
+                if i < last:
+                    rec(i + 1, left - v * a)
+                else:
+                    out.append(tuple(s))
+            for wake in moved:
+                buckets[wake].pop()
+
+    rec(0, budget)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -193,31 +296,9 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
     its orbit under the diagram automorphisms, and within a twist the
     classes come in ascending lexicographic order of s.  This order is part
     of the contract: `orbdim kac` prints it and callers index into it.
-
-    The search is an orderly generation (R. C. Read, "Every one a winner",
-    Ann. Discrete Math. 2 (1978)).  It sets s[0], s[1], ... in turn, each in
-    ascending order, and the last coordinate is fixed by the budget
-    sum_i a_i s_i = order/k.  For every non-identity diagram automorphism
-    pi it carries j, with the invariant that the image t = s o pi
-    (t[m] = s[pi[m]]) agrees with s on positions 0..j-1.  Position j can be
-    compared once s[j] and s[pi[j]] are both set, that is at node
-    w = max(j, pi[j]), so (pi, j) waits in the bucket of node w.  Once s[i]
-    is set, node i takes each (pi, j) from its bucket and advances j while
-    j <= i, pi[j] <= i and t[j] = s[j].  If t[j] and s[j] are then both
-    known and t[j] < s[j], every completion has an image smaller than
-    itself, so the branch is cut; if t[j] > s[j], no completion has t < s,
-    and pi is dropped for the rest of the branch; otherwise (pi, j) moves to
-    the bucket of its next wake node, or is dropped if s o pi = s.  These
-    moves are undone before node i tries its next value, and automorphisms
-    in later buckets are not touched, so a node costs only what its own
-    bucket holds.  A complete s that survives is no larger than any of its
-    images, so it is the least member of its orbit; conversely every prefix
-    of a least member survives, so each orbit is reached exactly once.  The
-    recursion visits label vectors in ascending lexicographic order, so the
-    output is each orbit's least member in ascending order: the tuple
-    obtained by canonicalising every composition with a min over the group
-    and keeping first occurrences.  The fixed algebra of each class is
-    classified once per zero set, see fixed_from_s.
+    The vectors come from the orderly walk _least_vectors, which keeps
+    those with gcd(s) = 1; the fixed algebra of each class is classified
+    once per zero set, see fixed_from_s.
     """
     kind = validate_kind(kind)
     if order < 1:
@@ -227,46 +308,10 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
         if order % k:
             continue
         diagram, autos = _auto_orbit_reps(kind, k)
-        labels = diagram.labels
-        last = diagram.num_nodes - 1
-        identity = tuple(range(last + 1))
-        s = [0] * (last + 1)
-        buckets = [[] for _ in s]
-        for perm in autos:
-            if perm != identity:
-                buckets[perm[0]].append((perm, 0))
-
-        def rec(i, left):
-            if i == last:
-                v, r = divmod(left, labels[i])
-                values = () if r else (v,)
-            else:
-                values = range(left // labels[i] + 1)
-            waiting = buckets[i]
-            for v in values:
-                s[i] = v
-                moved = []
-                for perm, j in waiting:
-                    while j <= i and perm[j] <= i and s[perm[j]] == s[j]:
-                        j += 1
-                    if j > last:
-                        continue                    # s o pi = s
-                    wake = perm[j] if perm[j] > j else j
-                    if wake > i:
-                        buckets[wake].append((perm, j))
-                        moved.append(wake)
-                    elif s[perm[j]] < s[j]:
-                        break
-                else:
-                    if i < last:
-                        rec(i + 1, left - v * labels[i])
-                    elif gcd(*s) == 1:
-                        comps, ab = fixed_from_s(diagram, s)
-                        out.append(KacClass(diagram, tuple(s), order, comps, ab))
-                for wake in moved:
-                    buckets[wake].pop()
-
-        rec(0, order // k)
+        for s in _least_vectors(diagram, autos, order // k, False):
+            if gcd(*s) == 1:
+                comps, ab = fixed_from_s(diagram, s)
+                out.append(KacClass(diagram, s, order, comps, ab))
     return tuple(out)
 
 
@@ -336,25 +381,13 @@ class CyclePart:
 
 
 @dataclass(frozen=True)
-class InnerPart:
-    """A single factor acted on by exp(-2 pi i h_0) for a rational coweight h."""
-
-    index: int
-    h: tuple
-
-
-@dataclass(frozen=True)
 class SemisimpleAut:
     parts: tuple
 
     def order(self, kinds) -> int:
         total = 1
         for part in self.parts:
-            if isinstance(part, CyclePart):
-                total = lcm(total, len(part.indices) * part.residual.order)
-            else:
-                rs = build_root_system(kinds[part.index])
-                total = lcm(total, inner_from_coweight(rs, part.h)[0])
+            total = lcm(total, len(part.indices) * part.residual.order)
         return total
 
 
@@ -372,21 +405,14 @@ def fixed_subalgebra_semisimple(aut: SemisimpleAut, kinds):
     comps: list[Kind] = []
     abelian = 0
     for part in aut.parts:
-        if isinstance(part, CyclePart):
-            cycle_kinds = {kinds[i] for i in part.indices}
-            if len(cycle_kinds) != 1:
-                raise ValueError("cycles must permute isomorphic factors")
-            if part.residual.base not in cycle_kinds:
-                raise ValueError("residual class acts on the wrong kind")
-            covered.extend(part.indices)
-            comps.extend(part.residual.fixed_components)
-            abelian += part.residual.fixed_abelian
-        else:
-            covered.append(part.index)
-            rs = build_root_system(kinds[part.index])
-            _, (c, ab), _ = inner_from_coweight(rs, part.h)
-            comps.extend(c)
-            abelian += ab
+        cycle_kinds = {kinds[i] for i in part.indices}
+        if len(cycle_kinds) != 1:
+            raise ValueError("cycles must permute isomorphic factors")
+        if part.residual.base not in cycle_kinds:
+            raise ValueError("residual class acts on the wrong kind")
+        covered.extend(part.indices)
+        comps.extend(part.residual.fixed_components)
+        abelian += part.residual.fixed_abelian
     if sorted(covered) != list(range(len(kinds))):
         raise ValueError("automorphism parts must cover every factor exactly once")
     dim = sum(classical_dimension(k) for k in comps) + abelian
@@ -426,17 +452,87 @@ def witness_fault(kinds, witness, target_components, target_abelian: int, n: int
 
 
 @lru_cache(maxsize=None)
+def _supports(kind: Kind, k: int, budget: int):
+    """(x, sum_i a_i x_i, {a_i : x_i = 1} ascending) for the least member x
+    of every orbit of non-zero 0/1 vectors on the twist-k diagram with
+    sum_i a_i x_i <= budget."""
+    diagram, autos = _auto_orbit_reps(kind, k)
+    labels = diagram.labels
+    return tuple((x, dot(labels, x), tuple(sorted({a for a, xi in zip(labels, x) if xi})))
+                 for x in _least_vectors(diagram, autos, budget, True) if any(x))
+
+
+@lru_cache(maxsize=None)
+def _coin_table(coins: tuple[int, ...], budget: int):
+    """(last, least) for v, w = 0..budget: last[v] is a coin c with v - c a
+    non-negative combination of the coins (0 for v = 0), or None when v is
+    none; least[w] is the least t | budget with t - w such a combination, or
+    None when there is none."""
+    last = [0] + [None] * budget
+    for v in range(1, budget + 1):
+        last[v] = next((c for c in coins if c <= v and last[v - c] is not None), None)
+    ts = divisors(budget)
+    least = [next((t for t in ts if t >= w and last[t - w] is not None), None)
+             for w in range(budget + 1)]
+    return last, least
+
+
+def _witness_labels(diagram, autos, x, extra, last):
+    """x plus `extra` paid in the coins of `last`, as the least member of its
+    orbit.  A 0/1 vector x from _supports is one already."""
+    if not extra:
+        return x
+    s = list(x)
+    while extra:
+        c = last[extra]
+        s[next(i for i, xi in enumerate(x) if xi and diagram.labels[i] == c)] += 1
+        extra -= c
+    return min(tuple(s[i] for i in perm) for perm in autos)
+
+
+@lru_cache(maxsize=None)
 def _cycle_options(kind: Kind, n: int):
     """What a p-cycle of `kind` factors, with a residual class of order
     dividing n/p, can fix: each distinct (p, ((component, multiplicity), ...),
-    abelian rank) once, with one witness class."""
+    abelian rank) once, with one witness class.
+
+    By Kac (Infinite-dimensional Lie algebras, Thm 8.6 and 8.8) the fixed
+    algebra of the class with twist k and labels s depends only on k and the
+    zero set Z = {i : s_i = 0}: the components are those of the subdiagram
+    on Z, and the abelian rank is |Z^c| - 1.  Diagram automorphisms permute
+    the zero sets and keep the fixed algebra, so the options come from the
+    supports S = Z^c up to automorphisms, see _supports.  A class with
+    support S and order r = k t exists iff t - sum_{i in S} a_i is a
+    non-negative combination of the marks {a_i : i in S}: a coin problem,
+    answered by one table of size at most n.  An option for p needs r | n/p,
+    that is t | n/(p k).  Labels s with gcd g > 1 need no test: s/g has the
+    same support and is a class of order r/g, which also divides n/p.  The
+    witness of each option comes from the first support found, with its
+    least t, and is the least member of its orbit.  Its gcd is 1: were it
+    g > 1, t/g would be a smaller valid t.
+    """
     table = {}
     for p in divisors(n):
-        for r in divisors(n // p):
-            for cls in enumerate_classes(kind, r):
-                comps = tuple(sorted(Counter(cls.fixed_components).items()))
-                table.setdefault((p, comps, cls.fixed_abelian), cls)
-    return tuple((p, comps, ab, cls) for (p, comps, ab), cls in table.items())
+        m = n // p
+        for k in admissible_twists(kind):
+            if m % k:
+                continue
+            diagram, autos = _auto_orbit_reps(kind, k)
+            budget = m // k
+            for x, weight, coins in _supports(kind, k, n // k):
+                if weight > budget:
+                    continue
+                last, least = _coin_table(coins, budget)
+                t = least[weight]
+                if t is None:
+                    continue
+                comps, ab = fixed_from_s(diagram, x)
+                if (p, comps, ab) not in table:
+                    s = _witness_labels(diagram, autos, x, t - weight, last)
+                    order = k * dot(diagram.labels, s)
+                    table[p, comps, ab] = KacClass(diagram, s, order, comps, ab)
+    return tuple((p, tuple(sorted(Counter(comps).items())), ab, cls)
+                 for (p, comps, ab), cls in table.items())
 
 
 def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: int):

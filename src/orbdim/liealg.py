@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .cartan import (
     Kind,
+    cartan_determinant,
     cartan_matrix,
     classical_dimension,
     comarks,
@@ -185,11 +186,17 @@ def in_alcove_range(kind: Kind, h) -> bool:
 
 
 def in_coroot_lattice(kind: Kind, v) -> bool:
-    """v in Q^vee.  The alcove walk keeps v mod Q^vee and takes an integral
-    v to an integral point of the alcove: 0, or one minuscule coweight per
-    non-zero class of P^vee/Q^vee."""
+    """v in Q^vee.  det C * P^vee lies in Q^vee, as det C is the order of
+    P^vee/Q^vee, so an integral v is first reduced entrywise mod det C,
+    towards 0: an entry keeps its sign and entries below det C in absolute
+    value stay, so small vectors walk as before.  The alcove walk keeps v
+    mod Q^vee and takes an integral v to an integral point of the alcove:
+    0, or one minuscule coweight per non-zero class of P^vee/Q^vee."""
     c, d = scale_vector(v)
-    return d == 1 and not any(alcove_walk(kind, c, 1)[0])
+    if d != 1:
+        return False
+    m = cartan_determinant(kind)
+    return not any(alcove_walk(kind, [x % m if x >= 0 else -(-x % m) for x in c], 1)[0])
 
 
 class RootSystem:

@@ -13,12 +13,13 @@ import pytest
 
 from orbdim.cartan import Kind, classical_dimension, kind_name, untwisted_diagram
 from orbdim.cases import fixed_dims_profile, load_cases
-from orbdim.kacaut import classify_components, coweight_to_kac_labels, inner_from_coweight
+from orbdim.kacaut import coweight_to_kac_labels, inner_from_coweight
 from orbdim.liealg import RootSystem, build_root_system, dot, scale_vector
 from orbdim.modcurve import divisors
 from orbdim.orbifold import DimProfile
 
 from test_lie_oracle import KINDS as LIE_KINDS, fraction_matrices
+from test_zero_set_oracle import _classify_components
 
 KINDS = LIE_KINDS + [("A", 12), ("B", 10), ("C", 10), ("D", 10)]
 
@@ -77,7 +78,7 @@ def _classify_root_subsystem(rs: RootSystem, roots) -> list[Kind]:
                 raise ArithmeticError("root subsystem pairing must be integral")
             row.append(int(entry))
         C.append(row)
-    return classify_components(C, range(r))
+    return _classify_components(C, range(r))
 
 
 def _fixed_dims_profile_oracle(case) -> DimProfile:

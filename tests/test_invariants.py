@@ -95,7 +95,7 @@ def test_enumerate_classes_match_inner_route_for_case_factors():
             rs = build_root_system(kind)
             order, (comps, ab), _ = inner_from_coweight(rs, h)
             matches = [cls for cls in enumerate_classes(kind, order)
-                       if cls.is_inner() and cls.fixed_components == comps
+                       if cls.twist == 1 and cls.fixed_components == comps
                        and cls.fixed_abelian == ab]
             assert matches, (case.id, kind, order)
 

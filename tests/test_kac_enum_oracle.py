@@ -3,8 +3,9 @@
 `_enumerate_classes_oracle` is the enumeration that `enumerate_classes`
 replaced, kept verbatim and uncached: it walks every composition of the
 budget and canonicalises each one with a min over the diagram
-automorphisms.  It classifies every fixed algebra with classify_components
-directly, so the per-zero-set cache of fixed_from_s is under test too.  Both
+automorphisms.  It classifies every fixed algebra with the dense oracle
+classifier of test_zero_set_oracle directly, so the per-zero-set cache of
+fixed_from_s and the sparse classifier are under test too.  Both
 must return the same tuple of classes, order included, for every type of
 rank <= 8 at orders 1-10 and for the two inputs that dominate the case
 pipeline, (A11, 6) and (A17, 4).
@@ -18,10 +19,11 @@ from orbdim.cartan import Kind, admissible_twists, validate_kind
 from orbdim.kacaut import (
     KacClass,
     _auto_orbit_reps,
-    classify_components,
     enumerate_classes,
     fixed_from_s,
 )
+
+from test_zero_set_oracle import _classify_components
 
 KINDS = ([("A", l) for l in range(1, 9)] + [("B", l) for l in range(2, 9)]
          + [("C", l) for l in range(2, 9)] + [("D", l) for l in range(4, 9)]
@@ -33,7 +35,7 @@ LARGE = [(("A", 11), 6), (("A", 17), 4)]
 def _fixed_direct(diagram, s):
     """Fixed components and abelian rank straight from the zero set, uncached."""
     zero = [i for i in range(diagram.num_nodes) if s[i] == 0]
-    return tuple(classify_components(diagram.gcm, zero)), sum(1 for x in s if x) - 1
+    return tuple(_classify_components(diagram.gcm, zero)), sum(1 for x in s if x) - 1
 
 
 def _enumerate_classes_oracle(kind: Kind, order: int) -> tuple[KacClass, ...]:
@@ -88,8 +90,8 @@ def test_enumeration_matches_oracle_on_large_diagrams(kind, order):
 
 @pytest.mark.parametrize("kind, order", LARGE)
 def test_memoised_fixed_algebra_matches_direct_classification(kind, order):
-    """fixed_from_s, cached per zero set, answers every class as an uncached
-    classify_components does, whether the zero set is new or cached."""
+    """fixed_from_s, cached per zero set, answers every class as the uncached
+    dense classifier does, whether the zero set is new or cached."""
     for cls in enumerate_classes(kind, order):
         direct = _fixed_direct(cls.diagram, cls.s)
         assert (cls.fixed_components, cls.fixed_abelian) == direct, cls.s

@@ -11,7 +11,6 @@ from orbdim.cartan import (
 )
 from orbdim.kacaut import (
     CyclePart,
-    InnerPart,
     SemisimpleAut,
     admits_fixed_subalgebra,
     coweight_to_kac_labels,
@@ -271,11 +270,13 @@ def test_semisimple_composites():
     aut = SemisimpleAut((CyclePart((0, 1), enumerate_classes(a8, 1)[0]), CyclePart((2,), outer_b4)))
     comps, ab, dim = fixed_subalgebra_semisimple(aut, [a8, a8, a8])
     assert comps == (("A", 8), ("B", 4)) and ab == 0
-    # mixed inner part
+    # a regular element of order 5 on one A4, the identity on the other
     a4 = ("A", 4)
-    aut = SemisimpleAut((InnerPart(0, (F(1, 5),) * 4), CyclePart((1,), enumerate_classes(a4, 1)[0])))
+    regular = next(c for c in enumerate_classes(a4, 5) if c.s == (1,) * 5)
+    aut = SemisimpleAut((CyclePart((0,), regular), CyclePart((1,), enumerate_classes(a4, 1)[0])))
     comps, ab, dim = fixed_subalgebra_semisimple(aut, [a4, a4])
     assert comps == (("A", 4),) and ab == 4
+    assert aut.order([a4, a4]) == 5
     with pytest.raises(ValueError):
         fixed_subalgebra_semisimple(SemisimpleAut((CyclePart((0, 1), id_e8),)), [e8, ("A", 8)])
 
@@ -331,7 +332,7 @@ def test_inner_class_fixed_dim_via_reconstructed_coweight():
         rs = root_system(kind)
         for n in (1, 2, 3, 4, 5, 6):
             for cls in enumerate_classes(kind, n):
-                if not cls.is_inner():
+                if cls.twist != 1:
                     continue
                 h = tuple(F(si, n) for si in cls.s[1:])
                 order, (comps, ab), dim = inner_from_coweight(rs, h)

@@ -12,7 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from orbdim.cartan import cartan_determinant
 from orbdim.liealg import (
+    _adjugate,
     alcove_walk,
     build_root_system,
     dominant_weights_of_level,
@@ -401,6 +403,7 @@ def test_integer_matrices_match_fraction_gauss_jordan(kind):
     theta = rs.marks
     assert weyl_tables(kind).theta == tuple(sum(a * x for a, x in zip(theta, row))
                                             for row in oracle.root_gram)
+    assert cartan_determinant(kind) == _adjugate(rs.cartan)[1]
 
 
 def _check_alcove_condition(rs, h):
@@ -409,12 +412,16 @@ def _check_alcove_condition(rs, h):
     return all(dot(r, scaled) >= -den for r in rs.roots)
 
 
+LARGE_ENTRIES = {("E", 8): 10**3, ("A", 24): 10**6}
+
+
 @pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_walk_lattice_tests_match_oracles(kind):
     """in_alcove_range against the loop over all roots, in_coroot_lattice
     against the Fraction C^{-1}, on random points and their alcove
     representatives.  h = -Lambda_i^vee / a_i has min alpha(h) = -theta_i / a_i
-    = -1 exactly; 1 + 1/a_i times it goes below -1."""
+    = -1 exactly; 1 + 1/a_i times it goes below -1.  E8 and A24 also get
+    integer vectors with entries up to LARGE_ENTRIES."""
     rs = build_root_system(kind)
     rng = random.Random(f"lattice-{kind}")
     l = rs.rank
@@ -424,6 +431,14 @@ def test_walk_lattice_tests_match_oracles(kind):
         assert in_alcove_range(kind, edge) and _check_alcove_condition(rs, edge)
         assert not in_alcove_range(kind, beyond) and not _check_alcove_condition(rs, beyond)
     seen = set()
+    big = LARGE_ENTRIES.get(kind)
+    for _ in range(12 if big else 0):
+        # reduced mod det C before the walk, so as cheap as small entries
+        ks = [rng.randint(-big, big) for _ in range(l)]
+        coroot = tuple(dot(row, ks) for row in rs.cartan)
+        v = tuple(rng.randint(-big, big) for _ in range(l))
+        for w in (v, coroot, tuple(x + y for x, y in zip(v, coroot))):
+            assert in_coroot_lattice(kind, w) == _in_coroot_lattice(rs, w), w
     for _ in range(12):
         den = rng.choice([1, 2, 3, 4, 6])
         h = tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(l))

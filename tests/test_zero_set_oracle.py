@@ -1,0 +1,301 @@
+"""Differential tests of the admissibility options read off zero-set orbits.
+
+The oracles are the code that the zero-set route replaced, kept verbatim:
+`_cycle_options_oracle` enumerates every Kac class of every order r | n/p,
+`_classify_components` and `_classify_one` scan the dense GCM, and
+`_diagram_automorphisms` backtracks over node permutations.  The option key
+sets must agree on every (kind, n) pair that `verify_all` and
+`regenerate_tables` ask for, on (A24, 6) and on seeded pairs; every witness
+must be a class of order dividing n/p that fixes its option's algebra and is
+the least member of its orbit.  Classification must agree on every proper
+zero set of every affine diagram of rank <= 8, and the automorphism groups
+on every diagram there is.
+"""
+
+import random
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations
+from math import gcd
+
+import pytest
+
+from orbdim import cases, cli, kacaut
+from orbdim.cartan import (
+    _VALID_RANKS,
+    AffineDiagram,
+    Kind,
+    admissible_twists,
+    diagram_automorphisms,
+    twisted_diagram,
+    untwisted_diagram,
+    validate_kind,
+)
+from orbdim.kacaut import (
+    UnknownDiagramShape,
+    _cycle_options,
+    classify_components,
+    enumerate_classes,
+)
+from orbdim.liealg import dot
+from orbdim.modcurve import divisors
+
+SEED = 20261018
+SEEDED_PAIRS = 24
+
+
+# -- the oracles --------------------------------------------------------------
+
+def _cycle_options_oracle(kind: Kind, n: int):
+    """What a p-cycle of `kind` factors, with a residual class of order
+    dividing n/p, can fix: each distinct (p, ((component, multiplicity), ...),
+    abelian rank) once, with one witness class."""
+    table = {}
+    for p in divisors(n):
+        for r in divisors(n // p):
+            for cls in enumerate_classes(kind, r):
+                comps = tuple(sorted(Counter(cls.fixed_components).items()))
+                table.setdefault((p, comps, cls.fixed_abelian), cls)
+    return tuple((p, comps, ab, cls) for (p, comps, ab), cls in table.items())
+
+
+def _classify_components(gcm, nodes) -> list[Kind]:
+    """Connected components of a sub-GCM, classified as finite simple kinds."""
+    nodes = list(nodes)
+    remaining = set(nodes)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in remaining - comp:
+                if gcm[i][j] != 0:
+                    comp.add(j)
+                    frontier.append(j)
+        remaining -= comp
+        comps.append(sorted(comp))
+    return sorted(_classify_one(gcm, comp) for comp in comps)
+
+
+def _classify_one(gcm, comp) -> Kind:
+    r = len(comp)
+    if r == 1:
+        return ("A", 1)
+    neighbours = {i: [j for j in comp if j != i and gcm[i][j] != 0] for i in comp}
+    degrees = sorted(len(v) for v in neighbours.values())
+    edges = [(i, j) for i in comp for j in comp if i < j and gcm[i][j] != 0]
+    multiplicities = {e: gcm[e[0]][e[1]] * gcm[e[1]][e[0]] for e in edges}
+    n_double = sum(1 for m in multiplicities.values() if m == 2)
+    n_triple = sum(1 for m in multiplicities.values() if m == 3)
+    if any(m > 3 for m in multiplicities.values()) or n_triple + n_double > 1:
+        raise UnknownDiagramShape(f"component {comp} is not of finite type")
+    if n_triple:
+        if r != 2:
+            raise UnknownDiagramShape(f"triple bond in a rank-{r} component")
+        return ("G", 2)
+    if degrees[-1] > 3 or sum(1 for d in degrees if d == 3) > 1:
+        raise UnknownDiagramShape(f"component {comp} has an invalid branch structure")
+    branch = next((i for i in comp if len(neighbours[i]) == 3), None)
+    if branch is not None:
+        if n_double:
+            raise UnknownDiagramShape("branch node together with a double bond")
+        lengths = []
+        for start in neighbours[branch]:
+            length, prev, cur = 1, branch, start
+            while True:
+                nxt = [j for j in neighbours[cur] if j != prev]
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+                length += 1
+            lengths.append(length)
+        lengths.sort()
+        if lengths[0] == 1 and lengths[1] == 1:
+            return ("D", r)
+        if lengths == [1, 2, 2]:
+            return ("E", 6)
+        if lengths == [1, 2, 3]:
+            return ("E", 7)
+        if lengths == [1, 2, 4]:
+            return ("E", 8)
+        raise UnknownDiagramShape(f"branch lengths {lengths} are not of finite type")
+    # path: order it end to end
+    ends = [i for i in comp if len(neighbours[i]) == 1]
+    path = [ends[0]]
+    while len(path) < r:
+        nxt = [j for j in neighbours[path[-1]] if j not in path]
+        path.append(nxt[0])
+    if not n_double:
+        return ("A", r)
+    if r == 2:
+        return ("B", 2)
+    u, v = next(e for e, m in multiplicities.items() if m == 2)
+    pos = sorted((path.index(u), path.index(v)))
+    if pos == [1, 2] and r == 4:
+        return ("F", 4)
+    if pos[0] == 0 or pos[1] == r - 1:
+        if pos[1] == r - 1:
+            end, inner = path[-1], path[-2]
+        else:
+            path.reverse()
+            end, inner = path[-1], path[-2]
+        if gcm[inner][end] == -2:
+            return ("B", r)       # short end node
+        return ("C", r)           # long end node
+    raise UnknownDiagramShape(f"double bond at interior position {pos} of a path")
+
+
+def _diagram_automorphisms(diagram: AffineDiagram) -> list[tuple[int, ...]]:
+    """All node permutations preserving the GCM and the labels.
+
+    The diagrams are tiny (at most 25 nodes, path- or cycle-like), so a
+    straightforward backtracking search is plenty.
+    """
+    n = diagram.num_nodes
+    G = diagram.gcm
+    lab = diagram.labels
+    rows = [tuple(sorted((G[i][j], G[j][i]) for j in range(n) if j != i and G[i][j]))
+            for i in range(n)]
+
+    perms = []
+
+    def backtrack(mapping, used):
+        i = len(mapping)
+        if i == n:
+            perms.append(tuple(mapping))
+            return
+        for t in range(n):
+            if used[t] or lab[t] != lab[i] or rows[t] != rows[i]:
+                continue
+            ok = True
+            for j in range(i):
+                if G[i][j] != G[t][mapping[j]] or G[j][i] != G[mapping[j]][t]:
+                    ok = False
+                    break
+            if ok:
+                mapping.append(t)
+                used[t] = True
+                backtrack(mapping, used)
+                mapping.pop()
+                used[t] = False
+
+    backtrack([], [False] * n)
+    return perms
+
+
+# -- inputs -------------------------------------------------------------------
+
+def _diagrams(max_rank=24):
+    """Every affine diagram, untwisted and twisted, of rank <= max_rank."""
+    out = []
+    for letter, ranks in _VALID_RANKS.items():
+        for rank in ranks:
+            kind = (letter, rank)
+            if rank > max_rank or validate_kind(kind) != kind:
+                continue                        # D3 is A3
+            for k in admissible_twists(kind):
+                out.append(untwisted_diagram(kind) if k == 1 else twisted_diagram(kind, k))
+    return out
+
+
+def _pipeline_pairs(monkeypatch):
+    """The (kind, n) pairs whose option tables one verify_all and one
+    regenerate_tables read, in the order they are first asked for."""
+    pairs = []
+    inner = kacaut._cycle_options
+
+    def recorded(kind, n):
+        if (kind, n) not in pairs:
+            pairs.append((kind, n))
+        return inner(kind, n)
+
+    monkeypatch.setattr(kacaut, "_cycle_options", recorded)
+    reports, _ = cases.verify_all(cases.load_cases(), cases.load_schellekens())
+    cli.regenerate_tables()
+    monkeypatch.undo()
+    assert all(r.passed for r in reports)
+    return pairs
+
+
+def _seeded_pairs():
+    rng = random.Random(SEED)
+    kinds = sorted({validate_kind(d.base) for d in _diagrams(8)})
+    return [(rng.choice(kinds), rng.randint(1, 12)) for _ in range(SEEDED_PAIRS)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_autos(kind, k):
+    return _diagram_automorphisms(untwisted_diagram(kind) if k == 1 else twisted_diagram(kind, k))
+
+
+# -- checks -------------------------------------------------------------------
+
+def _check_options(kind, n):
+    """Same option keys as the oracle, each once, and every witness a
+    certificate of its option."""
+    options = _cycle_options(kind, n)
+    keys = [(p, comps, ab) for p, comps, ab, _ in options]
+    assert len(keys) == len(set(keys)), (kind, n)
+    assert set(keys) == {(p, comps, ab) for p, comps, ab, _ in _cycle_options_oracle(kind, n)}, \
+        (kind, n)
+    for p, comps, ab, cls in options:
+        d, s = cls.diagram, cls.s
+        assert cls.base == validate_kind(kind) and (n // p) % cls.order == 0, (kind, n, p, s)
+        assert cls.twist * dot(d.labels, s) == cls.order and gcd(*s) == 1, (kind, n, s)
+        zero = [i for i, x in enumerate(s) if x == 0]
+        fixed = tuple(_classify_components(d.gcm, zero))
+        assert (fixed, len(s) - len(zero) - 1) == (cls.fixed_components, cls.fixed_abelian)
+        assert tuple(sorted(Counter(fixed).items())) == comps and cls.fixed_abelian == ab
+        assert s == min(tuple(s[i] for i in perm) for perm in _oracle_autos(cls.base, cls.twist))
+
+
+def test_options_match_oracle_on_pipeline_pairs(monkeypatch):
+    pairs = _pipeline_pairs(monkeypatch)
+    assert len(pairs) == 38
+    for kind, n in pairs:
+        _check_options(kind, n)
+
+
+def test_options_match_oracle_on_a24_order_6():
+    _check_options(("A", 24), 6)
+    assert len(_cycle_options(("A", 24), 6)) == 705
+
+
+@pytest.mark.parametrize("kind, n", _seeded_pairs(), ids=lambda v: str(v))
+def test_options_match_oracle_on_seeded_pairs(kind, n):
+    _check_options(kind, n)
+
+
+def test_small_witnesses_are_enumerated_classes():
+    """A witness is the very class enumerate_classes lists for its order."""
+    for kind, n in ((("A", 5), 12), (("D", 4), 8), (("E", 6), 6), (("C", 4), 10)):
+        for _, _, _, cls in _cycle_options(kind, n):
+            assert cls in enumerate_classes(kind, cls.order), cls.label()
+
+
+@pytest.mark.parametrize("diagram", _diagrams(8),
+                         ids=lambda d: f"{d.base[0]}{d.base[1]}^{d.twist}")
+def test_sparse_classification_matches_dense_on_every_zero_set(diagram):
+    nodes = range(diagram.num_nodes)
+    for size in range(diagram.num_nodes):
+        for zero in combinations(nodes, size):
+            assert classify_components(diagram, zero) == \
+                _classify_components(diagram.gcm, zero), zero
+
+
+def test_sparse_classification_rejects_what_is_not_finite():
+    """The whole affine diagram is no finite kind: a cycle for A_l^(1)."""
+    for kind in (("A", 4), ("D", 5), ("E", 6), ("B", 3), ("G", 2)):
+        d = untwisted_diagram(kind)
+        with pytest.raises(UnknownDiagramShape):
+            classify_components(d, range(d.num_nodes))
+
+
+def test_automorphisms_match_backtracking_on_every_diagram():
+    diagrams = _diagrams()
+    assert len(diagrams) == 142        # 96 untwisted, 46 twisted
+    for diagram in diagrams:
+        assert diagram_automorphisms(diagram) == _diagram_automorphisms(diagram), \
+            (diagram.base, diagram.twist)
