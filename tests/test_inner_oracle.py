@@ -3,7 +3,8 @@ the Kac coordinates of the alcove point, against the root-subsystem route it
 replaced, kept here verbatim as the oracle, together with the per-root
 fixed_dims_profile.  The one change: the root Gram matrix comes from the
 Fraction construction in test_lie_oracle, since RootSystem keeps only its
-integer form."""
+integer form.  The subsystem is classified by the dense classify_components
+that test_zero_set_oracle keeps verbatim."""
 
 import random
 from fractions import Fraction
