@@ -39,7 +39,6 @@ from .orbifold import (
     cycle_shape_stats,
     dim_orbifold,
     render_weight_tuple,
-    safe_rho_cap,
     screen_problematic_modules,
     twist_type,
     vacuum_anomaly,
@@ -467,8 +466,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
             if not in_coroot_lattice(rs.kind, diff) or not in_alcove_range(rs.kind, rep):
                 ok_rep = False
         report.add(f"(g) i={i} representative contract", ok_rep, True, ok_rep)
-        cap = safe_rho_cap(case.source, reps, floor=1)
-        found = screen_problematic_modules(case.source, reps, floor=1, rho_cap=cap)
+        found = screen_problematic_modules(case.source, reps, floor=1)
         rendered = [
             {"weights": render_weight_tuple(lams), "rho": _jsonable(rho), "twisted": _jsonable(tw)}
             for lams, rho, tw in found

@@ -8,6 +8,7 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -46,10 +47,9 @@ def _emit(payload, fmt: str, table_rows=None, headers=None):
     if fmt == "json":
         print(json.dumps(payload, indent=1, sort_keys=True))
     elif fmt == "csv":
-        rows = table_rows or []
-        print(",".join(headers or []))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(headers or [])
+        writer.writerows(table_rows or [])
     else:
         if table_rows is None:
             print(json.dumps(payload, indent=1, sort_keys=True))
@@ -184,9 +184,7 @@ def cmd_screen(args) -> int:
     reps = cases_mod.representative_for_power(case, args.i)
     try:
         floor = _rational("--floor", args.floor)
-        cap = args.rho_cap if args.rho_cap is not None else orbifold.safe_rho_cap(
-            case.source, reps, floor=floor)
-        found = orbifold.screen_problematic_modules(case.source, reps, floor=floor, rho_cap=cap)
+        found = orbifold.screen_problematic_modules(case.source, reps, floor=floor)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -305,9 +303,7 @@ def regenerate_tables():
                 "vacuumWeight": _frac_str(orbifold.vacuum_anomaly(record.shape)),
             })
         if case.problematic_modules:
-            found = orbifold.screen_problematic_modules(
-                case.source, case.h, floor=1,
-                rho_cap=orbifold.safe_rho_cap(case.source, case.h))
+            found = orbifold.screen_problematic_modules(case.source, case.h, floor=1)
             screening[case.id] = _screening_rows(found)
     out["case_summary.json"] = rows
     out["fixed_ranks.json"] = ranks
@@ -406,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True)
     p.add_argument("--i", type=int, default=1, help="power of the automorphism")
     p.add_argument("--floor", default="1")
-    p.add_argument("--rho-cap", type=int, default=None, dest="rho_cap")
     add_format(p)
     p.set_defaults(func=cmd_screen)
 

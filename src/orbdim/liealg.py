@@ -334,11 +334,6 @@ class RootSystem:
         """(h, h') on the coweight side."""
         return self._form(self.gram_coweights_scaled, self.gram_coweights_den, c1, c2)
 
-    def coweight_to_coroot_coords(self, c) -> Vec:
-        """Coordinates of h on the simple coroots: u = C^{-1} c."""
-        u, d = self._coroot_scaled(c)
-        return tuple(Fraction(x, d) for x in u)
-
     def in_coroot_lattice(self, c) -> bool:
         return in_coroot_lattice(self.kind, c)
 
@@ -350,15 +345,6 @@ class RootSystem:
         for j, x in self._rows[i]:
             r[j] -= mi * x
         return tuple(r)
-
-    def reflect_coweight(self, c, i):
-        c, d = scale_vector(c)
-        return tuple(Fraction(x, d) for x in unwalk(self.kind, [i], c))   # s_i = s_i^{-1}
-
-    def dominant_weight_conjugate(self, m):
-        m, d = scale_vector(m)
-        dom = tuple(dominant_walk(self._rows, m)[0])
-        return dom if d == 1 else tuple(Fraction(x, d) for x in dom)
 
     def level(self, m) -> Fraction:
         c, d = scale_vector(m)

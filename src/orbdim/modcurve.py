@@ -98,10 +98,6 @@ def cusp_classes(n: int) -> list[CuspClass]:
     return reps
 
 
-def cusp_class_count(n: int) -> int:
-    return sum(euler_phi(gcd(c, n // c)) for c in divisors(n))
-
-
 def find_cusp(n: int, a: int, c: int) -> CuspClass:
     """The stored representative equivalent to a/c (c must divide n)."""
     if n % c:

@@ -4,7 +4,9 @@ Covers the closed-form orbifold dimension coefficients c_d, the low-order
 coefficients d_{i,j,k} of the correction term R, type arithmetic for
 finite-order automorphisms, cycle-shape bookkeeping for lattice
 automorphisms, and the conformal-weight screening that isolates problematic
-modules in the two hard uniqueness cases.
+modules in the two hard uniqueness cases.  The screening reads the integer
+tables of RootSystem and searches on integers over one common denominator;
+its cap on rho(M) is derived from the data, not passed in.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from .liealg import (
     affine_conformal_weight,
     alcove_walk,
     build_root_system,
+    dominant_walk,
     dominant_weights_of_level,
     dot,
     in_alcove_range,
     min_weight_pairing,
     scale_vector,
     unwalk,
-    weyl_antidominant,
+    weyl_tables,
 )
 from .modcurve import GENUS_ZERO_LEVELS, dedekind_psi, divisors, euler_phi, factorize
 from .qseries import EtaQuotient
@@ -233,18 +236,6 @@ def cycle_shape_stats(shape: CycleShape):
     return {"degree": shape.degree(), "fixedRank": shape.fixed_rank(), "etaProduct": eta}
 
 
-def parse_cycle_shape(text: str) -> CycleShape:
-    """Parse 't:b,t:b,...' or 't^b t^b' notation."""
-    factors: dict[int, int] = {}
-    chunks = text.replace("^", ":").replace(" ", ",").split(",")
-    for chunk in chunks:
-        if not chunk:
-            continue
-        t_str, b_str = chunk.split(":")
-        factors[int(t_str)] = factors.get(int(t_str), 0) + int(b_str)
-    return CycleShape(factors)
-
-
 # -- alcove representatives and twisted conformal weights ----------------
 
 def alcove_representative(rs: RootSystem, h):
@@ -298,100 +289,105 @@ def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _level_table(kind, level: int):
-    """(lambda, rho) for each dominant weight of level <= k, rho its affine
-    conformal weight.  Depends on the factor only, never on h."""
+    """(R, ((lambda, r), ...)) over the dominant weights of level <= k, with
+    rho(lambda) = r / R their affine conformal weight
+    (lambda + 2 delta, lambda) / (2(k + h^vee)).  On the integer weight Gram
+    matrix G over its denominator, r = sum_i (lambda_i + 2) (G lambda)_i and
+    R = 2(k + h^vee) times that denominator.  Depends on the factor only,
+    never on h."""
     rs = build_root_system(kind)
-    return tuple((lam, affine_conformal_weight(rs, level, lam))
-                 for lam in dominant_weights_of_level(rs, level))
+    G = rs.gram_weights_scaled
+    return (2 * (level + rs.dual_coxeter) * rs.gram_weights_den,
+            tuple((lam, sum((x + 2) * dot(row, lam) for x, row in zip(lam, G)))
+                  for lam in dominant_weights_of_level(rs, level)))
 
 
 @lru_cache(maxsize=1024)
-def _screen_setup(structure: AffineStructure, hs):
-    """(us, <h,h>, min-term bound) for a semisimple h = (h_1, ..., h_r).
+def _factor_setup(kind, level: int, c, d: int):
+    """(U, E, k <h,h>, min-term bound) for one factor at h = c / d.
 
-    us[i] = C^{-1} h_i^- with h_i^- the antidominant conjugate of h_i, so the
-    min term of lambda = sum m_j Lambda_j on factor i is sum m_j us[i][j].
-    On the simplex of level <= k dominant weights that linear form is least
-    at a vertex 0 or (k/a_j^vee) Lambda_j, so -min <= k max(0, -u_j/a_j^vee);
-    the bound is the sum of these over the factors.
+    u = U / E = C^{-1} h^- with h^- the antidominant conjugate of h, so the
+    min term of lambda = sum m_j Lambda_j is sum m_j u_j.  On the simplex of
+    level <= k dominant weights that linear form is least at a vertex 0 or
+    (k/a_j^vee) Lambda_j, so -min <= k max(0, -u_j/a_j^vee), the bound.
+    k <h,h> and the bound are its only Fractions.
     """
-    us = []
-    hh = Fraction(0)
-    bound = Fraction(0)
-    for (kind, level), h in zip(structure.components, hs):
-        rs = build_root_system(kind)
-        u = rs.coweight_to_coroot_coords(weyl_antidominant(rs, h)[0])
-        us.append(u)
-        hh += level * rs.coweight_form(h, h)
-        bound += level * max(Fraction(0), *(-x / a for x, a in zip(u, rs.comarks)))
-    return tuple(us), hh, bound
+    rs = build_root_system(kind)
+    minus = dominant_walk(weyl_tables(kind).cols, [-x for x in c])[0]    # -d h^-
+    U = tuple(-dot(row, minus) for row in rs.inv_scaled)
+    E = d * rs.inv_den
+    hh = Fraction(level * sum(x * dot(row, c) for x, row in zip(c, rs.gram_coweights_scaled)),
+                  rs.gram_coweights_den * d * d)
+    L = lcm(*rs.comarks)
+    bound = Fraction(level * max(0, *(-x * (L // a) for x, a in zip(U, rs.comarks))), E * L)
+    return U, E, hh, bound
 
 
-def _setup_for(structure: AffineStructure, hs):
-    """_screen_setup on h made hashable and exact, the form its cache keys on."""
-    return _screen_setup(structure, tuple(tuple(Fraction(x) for x in h) for h in hs))
+def _setups(structure: AffineStructure, hs):
+    """_factor_setup of every factor, each h_i as integers over one denominator."""
+    if len(hs) != len(structure.components):
+        raise ValueError("one Cartan element per simple factor")
+    return [_factor_setup(kind, level, *scale_vector(h))
+            for (kind, level), h in zip(structure.components, hs)]
 
 
 def safe_rho_cap(structure: AffineStructure, hs, floor=1) -> int:
     """Smallest integer cap >= 3 such that modules with rho(M) > cap provably
-    keep their twisted weight above the floor."""
-    _, hh, bound = _setup_for(structure, hs)
-    need = Fraction(floor) - 1 + bound - hh / 2
-    return max(3, -(-need.numerator // need.denominator))
+    keep their twisted weight at or above the floor: cap + 1 - bound +
+    <h,h>/2 >= floor, with bound the sum of the factors' min-term bounds."""
+    need = Fraction(floor) - 1 + sum(bound - hh / 2 for _, _, hh, bound in _setups(structure, hs))
+    return max(3, ceil(need))
 
 
-def screen_problematic_modules(structure: AffineStructure, hs, floor=1, rho_cap=3):
-    """Modules with integral conformal weight in [2, rho_cap] whose twisted
-    weight drops below the floor.
+def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
+    """Modules with integral conformal weight in [2, cap] whose twisted
+    weight drops below the floor, cap = safe_rho_cap(structure, hs, floor).
 
-    Returns a sorted list of (lambda_tuple, rho(M), rho(M^{(h)})).  Verifies
-    first that the cap is safe: any module with rho(M) > rho_cap has integral
-    rho(M) >= rho_cap + 1 and min terms >= -bound, where bound is the
-    linear-programming bound of _screen_setup, an upper bound on -sum min
-    over every dominant weight tuple of the structure.  So
-    rho(M^{(h)}) >= rho_cap + 1 - bound + <h,h>/2 >= floor, and the check
-    depends on the bound alone, not on the search below.
+    Returns a sorted list of (lambda_tuple, rho(M), rho(M^{(h)})).  The cap
+    loses nothing: any module with rho(M) > cap has integral
+    rho(M) >= cap + 1 and min terms >= -bound, where bound is the sum of the
+    factors' linear-programming bounds (_factor_setup), an upper bound on
+    -sum min over every dominant weight tuple of the structure.  So
+    rho(M^{(h)}) >= cap + 1 - bound + <h,h>/2 >= floor by the choice of cap,
+    which depends on the bound alone, not on the search below.
 
-    The search is an exact integer branch-and-bound over the factors.  Every
-    rho and every min term sum m_j u_j is scaled by one common denominator D
-    (the lcm of the denominators of the factors' rho values and of their u
-    vectors), so the search only adds integers.  Each factor's weights are
-    bucketed by the key (rho D, (rho + min) D); the search walks the keys,
-    a few per factor, instead of the weights.  A branch is cut by two suffix
-    lower bounds: rho, once the partial sum is above rho_cap D (the factors
-    still to come can add 0, the rho of the zero weight), and rho + min, once
-    the partial sum plus the least keys of the factors still to come reaches
-    (floor - <h,h>/2) D.  Only the buckets of leaves with rho integral and
-    >= 2 are expanded back into weight tuples, all of which share the leaf's
-    rho(M) and rho(M^{(h)}).
+    The search is an exact integer branch-and-bound over the factors.  Each
+    factor holds rho = r / R (_level_table) and u = U / E (_factor_setup);
+    every rho and every min term sum m_j u_j is scaled by D = lcm of the R's
+    and E's, through the integer factors D // R and D // E, so the search
+    only adds integers and builds no Fraction before its output.  Each
+    factor's weights are bucketed by the key (rho D, (rho + min) D); the
+    search walks the keys, a few per factor, instead of the weights.  A
+    branch is cut by two suffix lower bounds: rho, once the partial sum is
+    above cap D (the factors still to come can add 0, the rho of the zero
+    weight), and rho + min, once the partial sum plus the least keys of the
+    factors still to come reaches (floor - <h,h>/2) D.  Only the buckets of
+    leaves with rho integral and >= 2 are expanded back into weight tuples,
+    all of which share the leaf's rho(M) and rho(M^{(h)}).
     """
     floor = Fraction(floor)
     comps = structure.components
-    if len(hs) != len(comps):
-        raise ValueError("one Cartan element per simple factor")
+    cap = safe_rho_cap(structure, hs, floor)
     _require_alcove_range(comps, hs)
-    us, hh, bound = _setup_for(structure, hs)
-    if Fraction(rho_cap) + 1 - bound + hh / 2 < floor:
-        raise ValueError(
-            f"rho cap {rho_cap} is not provably safe here (min-term bound {bound}, "
-            f"<h,h>/2 = {hh / 2}); raise the cap")
+    setups = _setups(structure, hs)
     tables = [_level_table(kind, level) for kind, level in comps]
-    D = lcm(*(rho.denominator for table in tables for _, rho in table),
-            *(x.denominator for u in us for x in u))
+    D = lcm(*(R for R, _ in tables), *(E for _, E, _, _ in setups))
     buckets = []
-    for table, u in zip(tables, us):
-        scaled_u = [int(x * D) for x in u]
+    for (R, table), (U, E, _, _) in zip(tables, setups):
+        scale = D // R
+        u = [x * (D // E) for x in U]
         keyed: dict[tuple[int, int], list] = {}
-        for lam, rho in table:
-            r = int(rho * D)
-            keyed.setdefault((r, r + sum(m * x for m, x in zip(lam, scaled_u))), []).append(lam)
+        for lam, r in table:
+            r *= scale
+            keyed.setdefault((r, r + dot(lam, u)), []).append(lam)
         buckets.append(sorted(keyed.items()))
     # least_after[i]: the least scaled rho + min that factors i, i+1, ... add
     least_after = [0] * (len(buckets) + 1)
     for i in range(len(buckets) - 1, -1, -1):
         least_after[i] = least_after[i + 1] + min(t for (_, t), _ in buckets[i])
-    cap = Fraction(rho_cap) * D // 1
-    limit = ceil((floor - hh / 2) * D)      # a leaf's scaled rho + min stays below
+    half = sum(hh for _, _, hh, _ in setups) / 2
+    top = cap * D
+    limit = ceil((floor - half) * D)        # a leaf's scaled rho + min stays below
     hits = []
 
     def rec(idx, r_acc, t_acc, chosen):
@@ -401,13 +397,12 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1, rho_cap=
             return
         room = limit - least_after[idx + 1] - t_acc
         for (r, t), lams in buckets[idx]:
-            if r_acc + r > cap:
+            if r_acc + r > top:
                 break
             if t < room:
                 rec(idx + 1, r_acc + r, t_acc + t, chosen + (lams,))
 
     rec(0, 0, 0, ())
-    half = hh / 2
     out = [(lams, Fraction(r, D), Fraction(t, D) + half)
            for r, t, chosen in hits for lams in product(*chosen)]
     out.sort(key=lambda rec: (rec[2], rec[0]))

@@ -80,13 +80,6 @@ class EtaQuotient:
         """Order at infinity: (1/24) sum_d d r_d."""
         return Fraction(sum(d * r for d, r in self.exps.items()), 24)
 
-    def merged_with(self, other: "EtaQuotient") -> "EtaQuotient":
-        level = lcm(self.level, other.level)
-        exps = dict(self.exps)
-        for d, r in other.exps.items():
-            exps[d] = exps.get(d, 0) + r
-        return EtaQuotient(level, exps)
-
     def label(self) -> str:
         """Compact d:r notation, ascending divisors."""
         return ",".join(f"{d}:{self.exps[d]}" for d in sorted(self.exps))

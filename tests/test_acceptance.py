@@ -185,10 +185,9 @@ def test_criterion_7_screening_lists():
     with Budget("7 (screening lists)", 300.0):
         cases = load_cases()
         table = load_schellekens()
-        from orbdim.orbifold import safe_rho_cap, screen_problematic_modules
+        from orbdim.orbifold import screen_problematic_modules
         for case in cases:
-            found = screen_problematic_modules(
-                case.source, case.h, floor=1, rho_cap=safe_rho_cap(case.source, case.h))
+            found = screen_problematic_modules(case.source, case.h, floor=1)
             if case.id == "11":
                 assert len(found) == 11
                 assert sorted(tw for _, _, tw in found) == [F(3, 5)] * 3 + [F(4, 5)] * 8

@@ -1,5 +1,7 @@
 import ast
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -54,6 +56,27 @@ def test_cusps_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "cusp,width"
     assert set(lines[1:]) == {"1/1,4", "1/2,1", "1/4,1"}
+
+
+@pytest.mark.parametrize("argv, headers, count", [
+    (["screen", "--case", "11"], ["weights", "rho(M)", "rho(M^h)"], 11),
+    (["schellekens", "scan", "--dim", "36", "--fixed", "A2+D4", "--order", "1"],
+     ["no", "structure", "dim"], 1),
+])
+def test_csv_rows_parse_to_the_json_rows(capsys, argv, headers, count):
+    """Weight tuples and level labels hold commas; a CSV reader must still see
+    one field per column, equal to the json output."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and "\r" not in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == headers
+    assert all(len(row) == len(headers) for row in rows)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    keys = {"rho(M)": "rho", "rho(M^h)": "twisted"}
+    want = [[str(record[keys.get(h, h)]) for h in headers] for record in json.loads(out)]
+    assert rows[1:] == want and len(want) == count
+    assert any("," in field for row in want for field in row)
 
 
 def test_eta_and_hauptmodul(capsys):
@@ -227,7 +250,7 @@ def test_screen_case_15(capsys):
     (["screen", "--case", "15", "--i", "-1"], "--i must lie in 1..7"),
     (["screen", "--case", "11", "--floor", "abc"], "--floor must be a rational number"),
     (["screen", "--case", "11", "--floor", "1/0"], "--floor must be a rational number"),
-    (["screen", "--case", "15", "--rho-cap", "1"], "not provably safe"),
+    (["screen", "--case", "15", "--rho-cap", "1"], "unrecognized arguments: --rho-cap 1"),
     (["screen", "--case", "99"], "no case with id 99"),
     (["inner", "--algebra", "A2", "--h", "1/0,1"], "--h coordinate must be a rational number"),
     (["hauptmodul", "--n", "6", "--prec", "1/0"], "--prec must be a rational number"),
@@ -259,7 +282,12 @@ def test_screen_case_15(capsys):
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""
-    code, out, err = run_cli(capsys, *argv)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exc:           # argparse's own errors: its usage, then one line
+        code, (out, err) = exc.code, capsys.readouterr()
+        assert err.startswith("usage: orbdim ")
+        err = err.strip().splitlines()[-1]
     assert code == 2
     assert out == ""
     assert message in err and len(err.strip().splitlines()) == 1

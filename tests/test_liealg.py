@@ -18,6 +18,8 @@ from orbdim.liealg import (
     weyl_orbit,
 )
 
+from test_lie_oracle import _coweight_to_coroot_coords
+
 F = Fraction
 
 ALL_KINDS = (
@@ -155,7 +157,7 @@ def test_pairing_duality_through_coroot_coordinates():
         for _ in range(5):
             m = tuple(rng.randint(0, 3) for _ in range(rs.rank))
             c = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rs.rank))
-            u = rs.coweight_to_coroot_coords(c)
+            u = _coweight_to_coroot_coords(rs, c)
             # lambda(alpha_j^vee) = m_j
             direct = sum(F(mi) * ui for mi, ui in zip(m, u))
             assert rs.pair_weight_coweight(m, c) == direct

@@ -7,7 +7,6 @@ import pytest
 from orbdim.modcurve import (
     ETA_HAUPTMODUL_LEVELS,
     CuspClass,
-    cusp_class_count,
     cusp_classes,
     cusp_function,
     dedekind_psi,
@@ -44,7 +43,6 @@ def test_cusp_classes_small_levels():
 def test_cusp_counts_and_width_sums_to_30():
     for n in range(1, 31):
         reps = cusp_classes(n)
-        assert len(reps) == cusp_class_count(n)
         assert len(reps) == sum(euler_phi(gcd(c, n // c)) for c in divisors(n))
         assert sum(r.width for r in reps) == dedekind_psi(n)
 

@@ -16,7 +16,6 @@ from orbdim.orbifold import (
     d_coefficient,
     dim_orbifold,
     general_dimension_relation,
-    parse_cycle_shape,
     render_weight_tuple,
     screen_problematic_modules,
     twist_type,
@@ -133,7 +132,7 @@ PAPER_SHAPES = {
 
 def test_cycle_shapes_and_vacuum_anomaly():
     for text, (rank, rho) in PAPER_SHAPES.items():
-        shape = parse_cycle_shape(text)
+        shape = CycleShape({int(t): int(b) for t, b in (part.split(":") for part in text.split(","))})
         stats = cycle_shape_stats(shape)
         assert stats["degree"] == 24
         assert stats["fixedRank"] == rank

@@ -1,5 +1,6 @@
 """Differential test of the integer branch-and-bound screener against the
-plain recursive enumerator it replaced, kept here as the oracle."""
+plain recursive enumerator it replaced, kept here as the oracle, and of its
+integer tables against the Fraction formulas they replaced."""
 
 import random
 from fractions import Fraction
@@ -11,9 +12,18 @@ from orbdim.liealg import (
     affine_conformal_weight,
     build_root_system,
     dominant_weights_of_level,
+    scale_vector,
     weyl_antidominant,
 )
-from orbdim.orbifold import _require_alcove_range, safe_rho_cap, screen_problematic_modules
+from orbdim.orbifold import (
+    _factor_setup,
+    _level_table,
+    _require_alcove_range,
+    safe_rho_cap,
+    screen_problematic_modules,
+)
+
+from test_lie_oracle import _coweight_to_coroot_coords
 
 
 def _pairing_norm_bound(rs, level, h):
@@ -84,9 +94,9 @@ def test_all_32_screens_match_the_oracle():
     nonempty = 0
     for case, i in SCREENS:
         reps = representative_for_power(case, i)
-        cap = safe_rho_cap(case.source, reps, floor=1)
-        want = _screen_oracle(case.source, reps, floor=1, rho_cap=cap)
-        _assert_same(screen_problematic_modules(case.source, reps, floor=1, rho_cap=cap), want)
+        want = _screen_oracle(case.source, reps, floor=1,
+                              rho_cap=safe_rho_cap(case.source, reps, floor=1))
+        _assert_same(screen_problematic_modules(case.source, reps, floor=1), want)
         nonempty += bool(want)
     assert nonempty >= 2       # the eleven- and seventeen-element lists at least
 
@@ -99,22 +109,59 @@ def test_random_floors_match_the_oracle(floor):
     picked += [(c, 1) for c in load_cases() if c.id in ("11", "15")]
     for case, i in picked:
         reps = representative_for_power(case, i)
-        cap = safe_rho_cap(case.source, reps, floor=floor)
-        want = _screen_oracle(case.source, reps, floor=floor, rho_cap=cap)
-        _assert_same(screen_problematic_modules(case.source, reps, floor=floor, rho_cap=cap),
-                     want)
+        want = _screen_oracle(case.source, reps, floor=floor,
+                              rho_cap=safe_rho_cap(case.source, reps, floor=floor))
+        _assert_same(screen_problematic_modules(case.source, reps, floor=floor), want)
 
 
 def test_larger_caps_and_fractional_caps_match_the_oracle():
+    """The derived cap loses nothing: the oracle at larger caps finds the same."""
     case11 = next(c for c in load_cases() if c.id == "11")
+    got = screen_problematic_modules(case11.source, case11.h, floor=1)
     for cap in (3, Fraction(7, 2), 5):
-        _assert_same(screen_problematic_modules(case11.source, case11.h, floor=1, rho_cap=cap),
-                     _screen_oracle(case11.source, case11.h, floor=1, rho_cap=cap))
+        _assert_same(got, _screen_oracle(case11.source, case11.h, floor=1, rho_cap=cap))
 
 
 def test_unprovable_cap_raises():
     case15 = next(c for c in load_cases() if c.id == "15")
     assert safe_rho_cap(case15.source, case15.h) > 1
-    for screen in (screen_problematic_modules, _screen_oracle):
-        with pytest.raises(ValueError, match="not provably safe"):
-            screen(case15.source, case15.h, floor=1, rho_cap=1)
+    with pytest.raises(ValueError, match="not provably safe"):
+        _screen_oracle(case15.source, case15.h, floor=1, rho_cap=1)
+
+
+def test_one_cartan_element_per_factor():
+    case15 = next(c for c in load_cases() if c.id == "15")
+    for hs in (case15.h[:1], case15.h + case15.h[:1]):
+        for call in (safe_rho_cap, screen_problematic_modules):
+            with pytest.raises(ValueError, match="one Cartan element per simple factor"):
+                call(case15.source, hs)
+
+
+def test_level_tables_match_affine_conformal_weight():
+    factors = {factor for case in load_cases() for factor in case.source.components}
+    assert len(factors) == 34
+    for kind, level in sorted(factors):
+        rs = build_root_system(kind)
+        R, table = _level_table(kind, level)
+        assert [lam for lam, _ in table] == dominant_weights_of_level(rs, level)
+        for lam, r in table:
+            assert type(r) is int
+            assert Fraction(r, R) == affine_conformal_weight(rs, level, lam)
+
+
+def test_factor_setups_match_the_fraction_formulas():
+    """u = C^{-1} h^-, k <h,h> and the min-term bound of every factor of the 32
+    screens' representatives, against weyl_antidominant, the Fraction inverse
+    Cartan matrix, coweight_form and the oracle's LP bound."""
+    checked = 0
+    for case, i in SCREENS:
+        for (kind, level), h in zip(case.source.components, representative_for_power(case, i)):
+            rs = build_root_system(kind)
+            U, E, hh, bound = _factor_setup(kind, level, *scale_vector(h))
+            assert all(type(x) is int for x in U) and type(E) is int
+            h_minus, _ = weyl_antidominant(rs, h)
+            assert tuple(Fraction(x, E) for x in U) == _coweight_to_coroot_coords(rs, h_minus)
+            assert hh == level * rs.coweight_form(h, h)
+            assert bound == _pairing_norm_bound(rs, level, h)
+            checked += 1
+    assert checked == sum((c.n - 1) * len(c.source.components) for c in load_cases())
