@@ -16,6 +16,13 @@ see scale_vector.  Pairings, forms, reflections, Weyl dimensions and
 Freudenthal's recursion then add and multiply ints; a Fraction is built
 only for a returned value.  Integral weights come back as ints, coweights
 as Fractions.
+
+Two kernels serve weight systems.  Pairing a whole weight system against one
+coweight h pays for h once: each root system keeps (h, C^{-1} h scaled) for
+the last tuple h it was given, found again by identity, so each further
+weight costs one dot product.  A Weyl orbit is expanded from its dominant
+member by lowering steps only, s_i at the i with mu_i > 0, which reach the
+whole orbit (see weyl_orbit).
 """
 
 from __future__ import annotations
@@ -238,6 +245,8 @@ class RootSystem:
             [[C[i][j] * norm[j] for j in range(l)] for i in range(l)], 2 * nd)
         tables = weyl_tables(kind)
         self._rows, self._cols = tables.rows, tables.cols
+        # (c, _coroot_scaled(c)) for the last tuple c, replaced in one assignment
+        self._last_coweight = (None, None)
         self.roots = self._generate_roots()
         self.positive_roots = sorted(r for r in self.roots if self._is_positive(r))
         self._sanity()
@@ -309,10 +318,23 @@ class RootSystem:
         c, d = scale_vector(h)
         return Fraction(dot(root, c), d)
 
-    def _coroot_scaled(self, c) -> tuple[list[int], int]:
-        """(u, d) with C^{-1} c = u / d: h on the simple coroots."""
-        c, d = scale_vector(c)
-        return [dot(row, c) for row in self.inv_scaled], d * self.inv_den
+    def _coroot_scaled(self, c) -> tuple[tuple[int, ...], int]:
+        """(u, d) with C^{-1} c = u / d: h on the simple coroots.
+
+        A one-slot memo holds the last c and its answer, looked up by
+        identity, so pairing a weight system against one h scales h once.
+        Only a plain tuple is stored: a list or a subclass may change
+        between calls.  The memo holds a reference to c, so no other object
+        can take its id while it is stored, and u is a tuple, so no caller
+        can change the stored answer."""
+        last = self._last_coweight
+        if last[0] is c:
+            return last[1]
+        n, d = scale_vector(c)
+        out = tuple([dot(row, n) for row in self.inv_scaled]), d * self.inv_den
+        if type(c) is tuple:
+            self._last_coweight = (c, out)
+        return out
 
     def pair_weight_coweight(self, m, c) -> Fraction:
         """lambda(h) = m^T C^{-1} c."""
@@ -398,19 +420,27 @@ def dominant_weights_of_level(rs: RootSystem, k: int) -> list[tuple]:
     return sorted(out)
 
 
-def _check_dominant_integral(rs, m):
-    for x in m:
-        xf = Fraction(x)
-        if xf.denominator != 1 or xf < 0:
-            raise ValueError(f"weight {m} is not dominant integral")
+def _integral(m) -> tuple[int, ...]:
+    """m as a tuple of ints; ValueError if an entry is not an integer."""
+    out = [Fraction(x) for x in m]
+    if any(x.denominator != 1 for x in out):
+        raise ValueError(f"weight {tuple(m)} is not integral")
+    return tuple([x.numerator for x in out])
+
+
+def _dominant_integral(m) -> tuple[int, ...]:
+    """m as a tuple of ints; ValueError unless it is dominant integral."""
+    out = _integral(m)
+    if any(x < 0 for x in out):
+        raise ValueError(f"weight {tuple(m)} is not dominant integral")
+    return out
 
 
 def weyl_dimension(rs: RootSystem, m) -> int:
     """Weyl dimension formula, exact."""
-    _check_dominant_integral(rs, m)
     # (lambda + delta, alpha) / (delta, alpha); the common scale of the Gram
     # matrix cancels between numerator and denominator
-    lam_delta = [int(x) + 1 for x in m]
+    lam_delta = [x + 1 for x in _dominant_integral(m)]
     num = den = 1
     for _, g in rs._positive_pairings:
         num *= dot(lam_delta, g)
@@ -429,9 +459,7 @@ def _weight_system_cached(kind: Kind, m: tuple):
 
 def weight_system(rs: RootSystem, m) -> dict[tuple, int]:
     """Weights of the irreducible module of highest weight m, with multiplicities."""
-    m = tuple(int(x) for x in m)
-    _check_dominant_integral(rs, m)
-    return _weight_system_cached(rs.kind, m)
+    return _weight_system_cached(rs.kind, _dominant_integral(m))
 
 
 def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
@@ -487,15 +515,25 @@ def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
 
 
 def weyl_orbit(rs: RootSystem, m) -> set[tuple]:
-    """Orbit of a weight under the Weyl group (weight coordinates)."""
-    start = tuple(int(x) for x in m)
+    """Orbit of an integral weight under the Weyl group (weight coordinates).
+
+    The walk starts at the dominant conjugate lambda of m and takes only
+    lowering steps mu -> s_i mu = mu - mu_i alpha_i with mu_i > 0.  These
+    reach the whole orbit, by induction on the height of lambda - mu, which
+    lies in Q+ for every mu in the orbit.  Height 0 is lambda itself.  A mu
+    != lambda is not dominant, as the orbit meets the dominant chamber once,
+    so mu_i < 0 for some i.  Then s_i mu = mu - mu_i alpha_i is higher than
+    mu, so it is reached, and (s_i mu)_i = -mu_i > 0, so mu = s_i(s_i mu) is
+    a lowering step from it.
+    """
+    start = tuple(dominant_walk(rs._rows, _integral(m))[0])
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for w in frontier:
-            for i in range(rs.rank):
-                if w[i] != 0:
+            for i, x in enumerate(w):
+                if x > 0:
                     r = rs.reflect_weight(w, i)
                     if r not in seen:
                         seen.add(r)
@@ -506,7 +544,7 @@ def weyl_orbit(rs: RootSystem, m) -> set[tuple]:
 
 def affine_conformal_weight(rs: RootSystem, k: int, m) -> Fraction:
     """(lambda + 2 delta, lambda) / (2(k + h_vee)) for a level <= k weight."""
-    _check_dominant_integral(rs, m)
+    _dominant_integral(m)
     if rs.level(m) > k:
         raise ValueError(f"weight {tuple(m)} has level above {k}")
     shifted = tuple(x + 2 for x in m)
@@ -518,9 +556,14 @@ def min_weight_pairing(rs: RootSystem, m, h) -> Fraction:
 
     Equals lambda evaluated at the antidominant Weyl conjugate of h, since
     the minimum over the weight polytope is attained on the extreme orbit.
+    With h = c/d, h_minus = -(dominant conjugate of -c)/d, and the pairing
+    runs on integers until the one Fraction returned.
     """
-    h_minus, _ = weyl_antidominant(rs, h)
-    return rs.pair_weight_coweight(m, h_minus)
+    c, d = scale_vector(h)
+    minus, _ = dominant_walk(rs._cols, [-x for x in c])
+    n, dm = scale_vector(m)
+    u = [dot(row, minus) for row in rs.inv_scaled]
+    return Fraction(-dot(n, u), d * rs.inv_den * dm)
 
 
 @dataclass(frozen=True)
