@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from orbdim.cartan import cartan_determinant
+from orbdim.kacaut import module_order_bound
 from orbdim.liealg import (
     _adjugate,
     alcove_walk,
@@ -22,6 +23,7 @@ from orbdim.liealg import (
     dot,
     in_alcove_range,
     in_coroot_lattice,
+    min_weight_pairing,
     scale_vector,
     unwalk,
     weight_system,
@@ -356,12 +358,99 @@ def test_pairings_forms_and_reflections_match_oracle(kind):
             assert rs.reflect_weight(m, i) == _reflect_weight(rs, m, i)
 
 
+class _TupleSubclass(tuple):
+    pass
+
+
+def _module_order_bound(rs, h):
+    """Smallest k with k h in Q^vee: the lcm of the denominators of C^{-1} h."""
+    return lcm(*(x.denominator for x in _coweight_to_coroot_coords(rs, h)))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_pairing_memo_matches_oracle(kind):
+    """The root system keeps the last tuple coweight and C^{-1} of it, found
+    by identity; every way of handing a coweight in again gives the oracle's
+    pairing, and module_order_bound, the memo's other reader, the oracle's
+    order."""
+    rs = build_root_system(kind)
+    rng = random.Random(f"memo-{kind}")
+    wts = [_weight(rng, rs.rank) for _ in range(3)] + [_weight(rng, rs.rank, True)]
+
+    def check(c):
+        for m in wts:
+            assert rs.pair_weight_coweight(m, c) == _pair_weight_coweight(rs, m, c)
+        assert module_order_bound(rs, c) == _module_order_bound(rs, c)
+
+    h1, h2 = _coweight(rng, rs.rank), _coweight(rng, rs.rank)
+    check(h1)                                   # the same tuple twice
+    check(h1)
+    assert rs._last_coweight[0] is h1
+    twin = tuple(list(h1))                      # equal but distinct
+    assert twin == h1 and twin is not h1
+    check(twin)
+    assert rs._last_coweight[0] is twin
+    for c in (h1, h2, h1, h2):                  # two coweights in turn
+        check(c)
+    as_list = list(h2)                          # a list changed in place
+    check(as_list)
+    as_list[0] += Fraction(1, 7)
+    as_list[-1] = -as_list[-1] + 1
+    check(as_list)
+    assert rs._last_coweight[0] is h2
+    sub = _TupleSubclass(h1)                    # a tuple subclass
+    check(sub)
+    check(sub)
+    assert rs._last_coweight[0] is h2
+    u, d = rs._coroot_scaled(h2)
+    assert type(u) is tuple and tuple(Fraction(x, d) for x in u) == \
+        _coweight_to_coroot_coords(rs, h2)
+
+
+@lru_cache(maxsize=None)
+def _small_highest_weights(kind):
+    """Dominant weights of level 1 and 2 whose modules have dimension <= 400,
+    shared by the tests of one kind."""
+    rs = build_root_system(kind)
+    pool = [lam for level in (1, 2) for lam in dominant_weights_of_level(rs, level)]
+    return sorted({lam for lam in pool if _weyl_dimension(rs, lam) <= 400})
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_orbits_from_non_dominant_starts_match_oracle(kind):
+    """The lowering-only walk from the dominant conjugate finds the same orbit
+    as the oracle's walk over every non-zero entry, from seeded weights of
+    the small weight systems, most of them not dominant."""
+    rs = build_root_system(kind)
+    rng = random.Random(f"orbits-{kind}")
+    starts = []
+    for lam in _small_highest_weights(kind):
+        ws = sorted(weight_system(rs, lam))
+        starts += rng.sample(ws, min(2, len(ws)))
+    assert any(min(w) < 0 for w in starts)
+    for w in starts:
+        assert weyl_orbit(rs, w) == _weyl_orbit(rs, w)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_min_weight_pairing_matches_brute_force(kind):
+    rs = build_root_system(kind)
+    rng = random.Random(f"min-pairing-{kind}")
+    hs = [_coweight(rng, rs.rank) for _ in range(2)]
+    # lambda(h) = sum_i lambda_i u_i with u = C^{-1} h from the Fraction inverse
+    us = [_coweight_to_coroot_coords(rs, h) for h in hs]
+    for lam in _small_highest_weights(kind):
+        ws = weight_system(rs, lam)
+        for h, u in zip(hs, us):
+            assert min_weight_pairing(rs, lam, h) == \
+                min(sum(x * y for x, y in zip(w, u)) for w in ws)
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_weight_systems_and_dimensions_match_oracle(kind):
     rs = build_root_system(kind)
     rng = random.Random(f"weights-{kind}")
-    pool = [lam for level in (1, 2) for lam in dominant_weights_of_level(rs, level)]
-    pool = sorted({lam for lam in pool if _weyl_dimension(rs, lam) <= 400})
+    pool = _small_highest_weights(kind)
     for lam in pool:
         assert weyl_dimension(rs, lam) == _weyl_dimension(rs, lam)
     for lam in [pool[0], pool[-1]] + rng.sample(pool, min(2, len(pool))):

@@ -97,6 +97,25 @@ def test_weight_system_small():
     assert ws == {(2,): 1, (0,): 1, (-2,): 1}
 
 
+@pytest.mark.parametrize("call, weight", [
+    (weight_system, (F(3, 2), 0)),
+    (weight_system, (1.9, 0)),
+    (weyl_orbit, (F(1, 2), F(-1, 2))),
+    (weyl_dimension, (F(3, 2), 0)),
+], ids=["weight_system-3/2", "weight_system-1.9", "weyl_orbit-1/2", "weyl_dimension-3/2"])
+def test_non_integral_weights_raise(call, weight):
+    # weight_system and weyl_orbit used to truncate these to an integral weight
+    with pytest.raises(ValueError, match="not integral"):
+        call(root_system("A2"), weight)
+
+
+def test_weyl_orbit_accepts_integral_non_dominant_weights():
+    a2 = root_system("A2")
+    assert weyl_orbit(a2, (1, -1)) == weyl_orbit(a2, (0, 1)) == {(0, 1), (1, -1), (-1, 0)}
+    assert weyl_orbit(a2, (F(-1), 2.0)) == weyl_orbit(a2, (1, 1))
+    assert weight_system(a2, (2.0, F(0))) == weight_system(a2, (2, 0))
+
+
 def test_weight_system_adjoint_a4():
     a4 = root_system("A4")
     ws = weight_system(a4, (1, 0, 0, 1))
