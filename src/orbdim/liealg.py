@@ -19,19 +19,24 @@ as Fractions.
 
 Two kernels serve weight systems.  Pairing a whole weight system against one
 coweight h pays for h once: each root system keeps (h, C^{-1} h scaled) for
-the last tuple h it was given, found again by identity, so each further
-weight costs one dot product.  A Weyl orbit is expanded from its dominant
-member by lowering steps only, s_i at the i with mu_i > 0, which reach the
-whole orbit (see weyl_orbit).
+the last tuple h it was given, found again by identity, and an integer
+weight is then paired by one dot product, with no rescaling.  Freudenthal's
+recursion fills the weight dict orbit by orbit as each dominant
+multiplicity is found and reads every weight of a root string from that
+dict.  An orbit is expanded as a tree rooted at its dominant member, in
+which every other member has one parent, so each member is made once and
+no seen set is kept (see orbit_tree).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .cartan import (
@@ -48,8 +53,6 @@ from .cartan import (
     root_norms,
     validate_kind,
 )
-
-Vec = tuple[Fraction, ...]
 
 
 def scale_vector(v) -> tuple[tuple[int, ...], int]:
@@ -337,8 +340,16 @@ class RootSystem:
         return out
 
     def pair_weight_coweight(self, m, c) -> Fraction:
-        """lambda(h) = m^T C^{-1} c."""
+        """lambda(h) = m^T C^{-1} c.  A weight whose dot product with the
+        integer C^{-1} c scaled is an int needs no scaling; Fractions, floats
+        and numeric strings go through scale_vector."""
         u, d = self._coroot_scaled(c)
+        try:
+            s = dot(m, u)
+        except TypeError:               # strings do not add to ints
+            s = None
+        if type(s) is int:
+            return Fraction(s, d)
         m, dm = scale_vector(m)
         return Fraction(dot(m, u), d * dm)
 
@@ -362,7 +373,10 @@ class RootSystem:
     # -- Weyl group actions -------------------------------------------------
 
     def reflect_weight(self, m, i):
+        """s_i m, as a tuple; a tuple m with m_i = 0 comes back as itself."""
         mi = m[i]
+        if not mi and type(m) is tuple:
+            return m
         r = list(m)
         for j, x in self._rows[i]:
             r[j] -= mi * x
@@ -383,18 +397,6 @@ def root_system(spec) -> RootSystem:
     if isinstance(spec, str):
         return build_root_system(parse_kind(spec))
     return build_root_system(validate_kind(tuple(spec)))
-
-
-def weyl_antidominant(rs: RootSystem, h) -> tuple[Vec, list[int]]:
-    """The antidominant chamber representative of h with the reflection word.
-
-    Returns (h_minus, word) with every simple-root value of h_minus <= 0 and
-    h_minus = s_{word[-1]} ... s_{word[0]} h.  Reflections are linear, so
-    this is minus the dominant walk on -h, with the same word.
-    """
-    c, d = scale_vector(h)
-    minus, word = dominant_walk(rs._cols, [-x for x in c])
-    return tuple(Fraction(-x, d) for x in minus), word
 
 
 def dominant_weights_of_level(rs: RootSystem, k: int) -> list[tuple]:
@@ -452,19 +454,22 @@ def weyl_dimension(rs: RootSystem, m) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_system_cached(kind: Kind, m: tuple):
-    rs = build_root_system(kind)
-    return _weight_system(rs, m)
+def _weight_system_cached(kind: Kind, m: tuple) -> Mapping[tuple, int]:
+    return MappingProxyType(_weight_system(build_root_system(kind), m))
 
 
-def weight_system(rs: RootSystem, m) -> dict[tuple, int]:
-    """Weights of the irreducible module of highest weight m, with multiplicities."""
+def weight_system(rs: RootSystem, m) -> Mapping[tuple, int]:
+    """Weights of the irreducible module of highest weight m, with
+    multiplicities, as a read-only view: the cache hands the same mapping
+    to every caller."""
     return _weight_system_cached(rs.kind, _dominant_integral(m))
 
 
 def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
     """Freudenthal's recursion on integers: every inner product is scaled by
-    the Gram denominator, which cancels in the quotient."""
+    the Gram denominator, which cancels in the quotient.  The dict lists the
+    orbits of the dominant weights in order of depth below lam, each orbit
+    in the order of orbit_tree."""
     G = rs.gram_weights_scaled
     den = rs.inv_den
     cols = list(zip(*rs.inv_scaled))
@@ -482,64 +487,83 @@ def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
         v = [x + 1 for x in mu]
         return sum(x * dot(row, v) for x, row in zip(v, G))
 
-    mults: dict[tuple, int] = {}
+    # (alpha in weight coordinates, g, (alpha, alpha)) per positive root,
+    # g_a = (Lambda_a, alpha), all scaled
+    roots = [(w, g, dot(w, g)) for w, g in rs._positive_pairings]
+    full: dict[tuple, int] = {}
+    get = full.get
     norm_top = norm(lam)
     for depth, mu in dominant:
         if depth == 0:
-            mults[mu] = 1
-            continue
-        acc = 0
-        for wroot, g in rs._positive_pairings:
-            # weights along mu + k alpha form a contiguous string, and their
-            # dominant conjugates lie at strictly smaller depth, hence are
-            # already in mults; the first miss ends the string.
-            pair, step = dot(mu, g), dot(wroot, g)
-            shifted = mu
-            while True:
-                shifted = tuple(a + b for a, b in zip(shifted, wroot))
-                pair += step
-                mult = mults.get(tuple(dominant_walk(rs._rows, shifted)[0]))
+            val = 1
+        else:
+            # weights along mu + k alpha, k >= 1, form a contiguous string,
+            # and each has its dominant conjugate at a smaller depth, so its
+            # orbit is already in full; the first miss ends the string.
+            acc = 0
+            for wroot, g, step in roots:
+                shifted = tuple(map(add, mu, wroot))
+                mult = get(shifted)
                 if mult is None:
-                    break
-                acc += mult * pair
-        val, r = divmod(2 * acc, norm_top - norm(mu))
-        if r:
-            raise ArithmeticError(f"Freudenthal multiplicity of {mu} in {lam} is not integral")
-        mults[mu] = val
-    # expand dominant multiplicities over the Weyl orbits
-    full: dict[tuple, int] = {}
-    for mu, mult in mults.items():
-        for w in weyl_orbit(rs, mu):
-            full[w] = mult
+                    continue
+                pair = dot(mu, g)
+                while mult is not None:
+                    pair += step
+                    acc += mult * pair
+                    shifted = tuple(map(add, shifted, wroot))
+                    mult = get(shifted)
+            val, r = divmod(2 * acc, norm_top - norm(mu))
+            if r:
+                raise ArithmeticError(f"Freudenthal multiplicity of {mu} in {lam} is not integral")
+        full.update(dict.fromkeys(orbit_tree(rs._rows, mu), val))
     return full
 
 
-def weyl_orbit(rs: RootSystem, m) -> set[tuple]:
-    """Orbit of an integral weight under the Weyl group (weight coordinates).
+def orbit_tree(rows, lam) -> list[tuple[int, ...]]:
+    """The Weyl orbit of a dominant integral weight lam, each member once,
+    level by level down from lam.  rows is the rows of weyl_tables.
 
-    The walk starts at the dominant conjugate lambda of m and takes only
-    lowering steps mu -> s_i mu = mu - mu_i alpha_i with mu_i > 0.  These
-    reach the whole orbit, by induction on the height of lambda - mu, which
-    lies in Q+ for every mu in the orbit.  Height 0 is lambda itself.  A mu
-    != lambda is not dominant, as the orbit meets the dominant chamber once,
-    so mu_i < 0 for some i.  Then s_i mu = mu - mu_i alpha_i is higher than
-    mu, so it is reached, and (s_i mu)_i = -mu_i > 0, so mu = s_i(s_i mu) is
-    a lowering step from it.
+    Every mu != lam in the orbit has exactly one parent: s_f mu, f the least
+    index with mu_f < 0.  Such an f exists, as the orbit meets the dominant
+    chamber only in lam.  The parent s_f mu = mu - mu_f alpha_f is higher
+    than mu, so following parents climbs through the finite orbit and stops
+    at a member with no negative entry, which is lam.  The walk keeps the
+    child s_i nu of nu exactly when nu is its parent: nu_i > 0, so that
+    (s_i nu)_i = -nu_i < 0, and (s_i nu)_j >= 0 for every j < i.  Each
+    member is then reached once, down its chain of parents from lam.
+
+    With f the least index of nu with nu_f < 0 (the rank for lam), every
+    i < f with nu_i > 0 passes, since s_i adds nu_i |C_ij| >= 0 to each
+    other entry j; an i > f passes only if (s_i nu)_f = nu_f - nu_i C_if
+    >= 0, so only if i is a neighbour of f, and those are tested.
     """
-    start = tuple(dominant_walk(rs._rows, _integral(m))[0])
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i, x in enumerate(w):
-                if x > 0:
-                    r = rs.reflect_weight(w, i)
-                    if r not in seen:
-                        seen.add(r)
-                        new.append(r)
-        frontier = new
-    return seen
+    # beyond[f]: the neighbours of node f above f
+    beyond = [tuple(j for j, _ in row if j > f) for f, row in enumerate(rows)] + [()]
+    out, firsts = [lam], [len(lam)]
+    for nu, f in zip(out, firsts):      # both grow while they are read
+        for i, x in enumerate(nu[:f]):
+            if x > 0:
+                r = list(nu)
+                for j, y in rows[i]:
+                    r[j] -= x * y
+                out.append(tuple(r))
+                firsts.append(i)
+        for i in beyond[f]:
+            x = nu[i]
+            if x > 0:
+                r = list(nu)
+                for j, y in rows[i]:
+                    r[j] -= x * y
+                if min(r[:i]) >= 0:
+                    out.append(tuple(r))
+                    firsts.append(i)
+    return out
+
+
+def weyl_orbit(rs: RootSystem, m) -> set[tuple]:
+    """Orbit of an integral weight under the Weyl group (weight coordinates):
+    the orbit tree of its dominant conjugate."""
+    return set(orbit_tree(rs._rows, tuple(dominant_walk(rs._rows, _integral(m))[0])))
 
 
 def affine_conformal_weight(rs: RootSystem, k: int, m) -> Fraction:

@@ -7,6 +7,7 @@ built here as RootSystem used to build them, by Fraction Gauss-Jordan."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
 from math import lcm
 from types import SimpleNamespace
 
@@ -24,10 +25,10 @@ from orbdim.liealg import (
     in_alcove_range,
     in_coroot_lattice,
     min_weight_pairing,
+    orbit_tree,
     scale_vector,
     unwalk,
     weight_system,
-    weyl_antidominant,
     weyl_dimension,
     weyl_orbit,
     weyl_tables,
@@ -341,7 +342,8 @@ def test_pairings_forms_and_reflections_match_oracle(kind):
         num, d = scale_vector(c)
         for i in range(rs.rank):        # s_i = s_i^{-1}
             assert tuple(Fraction(x, d) for x in unwalk(kind, [i], num)) == _reflect_coweight(rs, c, i)
-        h_minus, word = weyl_antidominant(rs, c)
+        minus, word = dominant_walk(weyl_tables(kind).cols, [-x for x in num])
+        h_minus = tuple(Fraction(-x, d) for x in minus)
         old_minus, old_word = _weyl_antidominant(rs, c)
         assert h_minus == old_minus
         assert word == old_word
@@ -418,18 +420,52 @@ def _small_highest_weights(kind):
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_orbits_from_non_dominant_starts_match_oracle(kind):
-    """The lowering-only walk from the dominant conjugate finds the same orbit
-    as the oracle's walk over every non-zero entry, from seeded weights of
-    the small weight systems, most of them not dominant."""
+    """The orbit tree of the dominant conjugate lists each member once and
+    finds the same orbit as the oracle's walk over every non-zero entry,
+    from seeded weights of the small weight systems, most of them not
+    dominant, and from seeded small highest weights."""
     rs = build_root_system(kind)
     rng = random.Random(f"orbits-{kind}")
+    rows = weyl_tables(kind).rows
+    pool = _small_highest_weights(kind)
     starts = []
-    for lam in _small_highest_weights(kind):
+    for lam in pool:
         ws = sorted(weight_system(rs, lam))
         starts += rng.sample(ws, min(2, len(ws)))
     assert any(min(w) < 0 for w in starts)
+    starts += rng.sample(pool, min(4, len(pool)))
     for w in starts:
-        assert weyl_orbit(rs, w) == _weyl_orbit(rs, w)
+        tree = orbit_tree(rows, tuple(dominant_walk(rows, w)[0]))
+        assert len(tree) == len(set(tree))
+        assert set(tree) == weyl_orbit(rs, w) == _weyl_orbit(rs, w)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_pairing_and_reflection_input_types_match_oracle(kind):
+    """pair_weight_coweight pairs a weight of ints without scaling it; int
+    lists, bools, Fractions, floats, numeric strings and mixed entries give
+    the oracle's value too.  reflect_weight returns a tuple for a list and a
+    tuple m itself when m_i = 0."""
+    rs = build_root_system(kind)
+    rng = random.Random(f"types-{kind}")
+    l = rs.rank
+    h = _coweight(rng, l)
+    ints = [_weight(rng, l) for _ in range(3)]
+    fracs = [_weight(rng, l, True) for _ in range(2)]
+    inputs = [tuple(bool(x % 2) for x in ints[0])]
+    for m in ints + fracs:
+        inputs += [m, list(m), tuple(map(Fraction, m)), tuple(map(float, m)), tuple(map(str, m)),
+                   tuple(conv(x) for conv, x in zip(cycle((int, Fraction, float, str)), m))]
+    for m in inputs:
+        got = rs.pair_weight_coweight(m, h)
+        assert type(got) is Fraction and got == _pair_weight_coweight(rs, m, h), m
+    for i in range(l):
+        m = list(ints[1])
+        m[i] = 0
+        reflected = rs.reflect_weight(m, i)
+        assert type(reflected) is tuple and reflected == _reflect_weight(rs, m, i) == tuple(m)
+        t = tuple(m)
+        assert rs.reflect_weight(t, i) is t
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -453,10 +489,15 @@ def test_weight_systems_and_dimensions_match_oracle(kind):
     pool = _small_highest_weights(kind)
     for lam in pool:
         assert weyl_dimension(rs, lam) == _weyl_dimension(rs, lam)
+    rows = weyl_tables(kind).rows
     for lam in [pool[0], pool[-1]] + rng.sample(pool, min(2, len(pool))):
         ws = weight_system(rs, lam)
-        assert ws == _weight_system(rs, lam)
-        some = next(iter(ws))
+        oracle = _weight_system(rs, lam)
+        assert ws == oracle
+        # orbit by orbit in the oracle's order, each orbit in its tree's order
+        dominant = dict.fromkeys(tuple(dominant_walk(rows, w)[0]) for w in oracle)
+        assert list(ws) == [w for mu in dominant for w in orbit_tree(rows, mu)]
+        some = next(iter(oracle))
         assert weyl_orbit(rs, some) == _weyl_orbit(rs, some)
 
 

@@ -8,14 +8,16 @@ from orbdim.liealg import (
     AffineStructure,
     affine_conformal_weight,
     build_root_system,
+    dominant_walk,
     dominant_weights_of_level,
     min_weight_pairing,
     root_system,
     schellekens_constraint,
+    scale_vector,
     weight_system,
-    weyl_antidominant,
     weyl_dimension,
     weyl_orbit,
+    weyl_tables,
 )
 
 from test_lie_oracle import _coweight_to_coroot_coords
@@ -97,6 +99,18 @@ def test_weight_system_small():
     assert ws == {(2,): 1, (0,): 1, (-2,): 1}
 
 
+def test_weight_system_cannot_be_changed_by_a_caller():
+    # the cache hands the same mapping to every caller; it used to be the
+    # cached dict itself, so a write showed up in every later call
+    a2 = root_system("A2")
+    ws = weight_system(a2, (1, 0))
+    with pytest.raises(TypeError):
+        ws[(9, 9)] = 5
+    with pytest.raises(TypeError):
+        del ws[(1, 0)]
+    assert weight_system(a2, (1, 0)) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+
+
 @pytest.mark.parametrize("call, weight", [
     (weight_system, (F(3, 2), 0)),
     (weight_system, (1.9, 0)),
@@ -145,10 +159,18 @@ def test_weight_system_weyl_invariant():
         assert reflected == ws
 
 
+def _antidominant(rs, h):
+    """h_minus = s_{word[-1]} ... s_{word[0]} h with every entry <= 0: minus
+    the dominant walk on -h, with the same word, as reflections are linear."""
+    c, d = scale_vector(h)
+    minus, word = dominant_walk(weyl_tables(rs.kind).cols, [-x for x in c])
+    return tuple(F(-x, d) for x in minus), word
+
+
 def test_weyl_antidominant():
     a4 = root_system("A4")
     h = (F(1, 5),) * 4
-    h_minus, word = weyl_antidominant(a4, h)
+    h_minus, word = _antidominant(a4, h)
     assert all(c <= 0 for c in h_minus)
     assert h_minus == tuple(-x for x in h)  # -w0 is the diagram flip for A4
     # same multiset of root pairings
@@ -160,10 +182,10 @@ def test_weyl_antidominant():
         a4.pair_weight_coweight(w, h) for w in weyl_orbit(a4, (1, 0, 0, 0))
     )
     zero = (F(0),) * 4
-    hm, word = weyl_antidominant(a4, zero)
+    hm, word = _antidominant(a4, zero)
     assert hm == zero and word == []
     a1 = root_system("A1")
-    hm, word = weyl_antidominant(a1, (F(1),))
+    hm, word = _antidominant(a1, (F(1),))
     assert hm == (F(-1),) and word == [0]
 
 

@@ -13,7 +13,6 @@ from orbdim.liealg import (
     build_root_system,
     dominant_weights_of_level,
     scale_vector,
-    weyl_antidominant,
 )
 from orbdim.orbifold import (
     _factor_setup,
@@ -23,12 +22,12 @@ from orbdim.orbifold import (
     screen_problematic_modules,
 )
 
-from test_lie_oracle import _coweight_to_coroot_coords
+from test_lie_oracle import _coweight_to_coroot_coords, _weyl_antidominant
 
 
 def _pairing_norm_bound(rs, level, h):
     """max over dominant lambda of level <= k of -min mu(h): a corner of an LP."""
-    h_minus, _ = weyl_antidominant(rs, h)
+    h_minus, _ = _weyl_antidominant(rs, h)
     best = Fraction(0)
     for j in range(rs.rank):
         unit = tuple(int(i == j) for i in range(rs.rank))
@@ -49,7 +48,7 @@ def _screen_oracle(structure, hs, floor=1, rho_cap=3):
     bound = Fraction(0)
     for (kind, level), h in zip(comps, hs):
         rs = build_root_system(kind)
-        h_minus, _ = weyl_antidominant(rs, h)
+        h_minus, _ = _weyl_antidominant(rs, h)
         lams = dominant_weights_of_level(rs, level)
         data = [(lam, affine_conformal_weight(rs, level, lam),
                  rs.pair_weight_coweight(lam, h_minus)) for lam in lams]
@@ -151,15 +150,15 @@ def test_level_tables_match_affine_conformal_weight():
 
 def test_factor_setups_match_the_fraction_formulas():
     """u = C^{-1} h^-, k <h,h> and the min-term bound of every factor of the 32
-    screens' representatives, against weyl_antidominant, the Fraction inverse
-    Cartan matrix, coweight_form and the oracle's LP bound."""
+    screens' representatives, against the Fraction antidominant walk, the
+    Fraction inverse Cartan matrix, coweight_form and the oracle's LP bound."""
     checked = 0
     for case, i in SCREENS:
         for (kind, level), h in zip(case.source.components, representative_for_power(case, i)):
             rs = build_root_system(kind)
             U, E, hh, bound = _factor_setup(kind, level, *scale_vector(h))
             assert all(type(x) is int for x in U) and type(E) is int
-            h_minus, _ = weyl_antidominant(rs, h)
+            h_minus, _ = _weyl_antidominant(rs, h)
             assert tuple(Fraction(x, E) for x in U) == _coweight_to_coroot_coords(rs, h_minus)
             assert hh == level * rs.coweight_form(h, h)
             assert bound == _pairing_norm_bound(rs, level, h)
