@@ -235,15 +235,16 @@ def _parse_fixed_spec(spec: str):
             continue
         if chunk.lower().startswith("ab:"):
             try:
-                abelian = (abelian or 0) + int(chunk[3:])
+                rank = int(chunk[3:])
             except ValueError:
                 raise ValueError(f"--fixed abelian rank must be an integer, got {chunk!r}") from None
+            if rank < 0:
+                raise ValueError(f"--fixed abelian rank must be non-negative, got {chunk!r}")
+            abelian = (abelian or 0) + rank
         else:
             comps.append(parse_kind(chunk))
     if not comps and abelian is None:
         raise ValueError(f"--fixed names no component and no ab: part, got {spec!r}")
-    if abelian is not None and abelian < 0:
-        raise ValueError(f"--fixed abelian rank must be non-negative, got {abelian}")
     return comps, abelian or 0
 
 

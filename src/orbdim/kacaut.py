@@ -21,6 +21,14 @@ label vector with gcd g > 1 is g times a class of order r/g with the same
 support, so no gcd test is needed.  Classes and supports come from one
 orderly walk, _least_vectors, which differs between the two only in the
 values a node may take.
+
+A scan only needs the options that can fit its target.  An option with
+twist k and support S has abelian rank |S| - 1 and components of total rank
+|Z| = nodes_k - |S|, one rank per node of a finite Dynkin diagram, so inside
+a target of component rank R and abelian rank A it needs nodes_k - R <= |S|
+<= A + 1.  Both bounds are conditions on the option itself, so the support
+walk is cut to that window and drops only whole options that never fit;
+see _cycle_options.
 """
 
 from __future__ import annotations
@@ -198,16 +206,17 @@ def fixed_from_s(diagram: AffineDiagram, s) -> tuple[tuple[Kind, ...], int]:
     return comps, len(s) - len(zero) - 1
 
 
-def _least_vectors(diagram: AffineDiagram, autos, budget: int, binary: bool):
+def _least_vectors(diagram: AffineDiagram, autos, budget: int, sizes=None):
     """The least member of every orbit of label vectors, in ascending order.
 
-    With binary false the vectors are s >= 0 with sum_i a_i s_i = budget;
-    with binary true they are the 0/1 vectors x with sum_i a_i x_i <= budget,
-    zero included.  The two differ only in the values each node may take.
+    With sizes None the vectors are s >= 0 with sum_i a_i s_i = budget;
+    with sizes = (lo, hi) they are the 0/1 vectors x with sum_i a_i x_i <=
+    budget and lo <= |x| <= hi, |x| the number of ones.  The two differ
+    only in the values each node may take.
 
     The search is an orderly generation (R. C. Read, "Every one a winner",
     Ann. Discrete Math. 2 (1978)).  It sets s[0], s[1], ... in turn, each in
-    ascending order; without binary the last coordinate is fixed by the
+    ascending order; without sizes the last coordinate is fixed by the
     budget.  For every non-identity diagram automorphism pi it carries j,
     with the invariant that the image t = s o pi (t[m] = s[pi[m]]) agrees
     with s on positions 0..j-1.  Position j can be compared once s[j] and
@@ -221,15 +230,23 @@ def _least_vectors(diagram: AffineDiagram, autos, budget: int, binary: bool):
     wake node, or is dropped if s o pi = s.  These moves are undone before
     node i tries its next value, and automorphisms in later buckets are not
     touched, so a node costs only what its own bucket holds.  Once the
-    budget is spent every later coordinate is 0, so the whole tail is set
-    at once and each waiting automorphism is compared on the complete
-    vector.  A complete s that survives is no larger than any of its
-    images, so it is the least member of its orbit; conversely every prefix
-    of a least member survives, so each orbit is reached exactly once, and
-    in ascending lexicographic order.
+    budget is spent, or a 0/1 vector has hi ones, every later coordinate is
+    0, so the whole tail is set at once and each waiting automorphism is
+    compared on the complete vector.  A 0/1 branch whose ones so far plus
+    its nodes left fall short of lo is cut.  A complete s that survives is
+    no larger than any of its images, so it is the least member of its
+    orbit; conversely every prefix of a least member survives, so each
+    orbit is reached exactly once, and in ascending lexicographic order.
+    The size bounds only cut branches with no completion in the window, so
+    the 0/1 walk emits exactly the vectors of the walk without them whose
+    size lies in the window, in the same order.
     """
     labels = diagram.labels
     last = diagram.num_nodes - 1
+    if sizes:
+        lo, hi = sizes
+        if lo > min(hi, last + 1) or lo and not budget:
+            return []
     identity = tuple(range(last + 1))
     s = [0] * (last + 1)
     buckets = [[] for _ in s]
@@ -253,8 +270,14 @@ def _least_vectors(diagram: AffineDiagram, autos, budget: int, binary: bool):
             zero_tail(i)
             return
         a = labels[i]
-        if binary:
-            values = (0, 1) if a <= left else (0,)
+        if sizes:
+            ones = sum(s[:i])
+            values = (0,) if ones + last - i >= lo else ()
+            # a one that spends the budget ends x, which then needs lo ones
+            if a <= left and ones < hi and (a < left or ones >= lo - 1):
+                values += (1,)
+            if ones + 1 == hi:
+                a = left                        # a one here ends x: spend it all
         elif i == last:
             v, r = divmod(left, a)
             values = () if r else (v,)
@@ -308,7 +331,7 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
         if order % k:
             continue
         diagram, autos = _auto_orbit_reps(kind, k)
-        for s in _least_vectors(diagram, autos, order // k, False):
+        for s in _least_vectors(diagram, autos, order // k):
             if gcd(*s) == 1:
                 comps, ab = fixed_from_s(diagram, s)
                 out.append(KacClass(diagram, s, order, comps, ab))
@@ -452,14 +475,14 @@ def witness_fault(kinds, witness, target_components, target_abelian: int, n: int
 
 
 @lru_cache(maxsize=None)
-def _supports(kind: Kind, k: int, budget: int):
+def _supports(kind: Kind, k: int, budget: int, lo: int, hi: int):
     """(x, sum_i a_i x_i, {a_i : x_i = 1} ascending) for the least member x
-    of every orbit of non-zero 0/1 vectors on the twist-k diagram with
-    sum_i a_i x_i <= budget."""
+    of every orbit of 0/1 vectors on the twist-k diagram with
+    sum_i a_i x_i <= budget and 1 <= lo <= |x| <= hi."""
     diagram, autos = _auto_orbit_reps(kind, k)
     labels = diagram.labels
     return tuple((x, dot(labels, x), tuple(sorted({a for a, xi in zip(labels, x) if xi})))
-                 for x in _least_vectors(diagram, autos, budget, True) if any(x))
+                 for x in _least_vectors(diagram, autos, budget, (lo, hi)))
 
 
 @lru_cache(maxsize=None)
@@ -490,11 +513,16 @@ def _witness_labels(diagram, autos, x, extra, last):
     return min(tuple(s[i] for i in perm) for perm in autos)
 
 
+_walked_tables: dict = {}     # (kind, n) -> {(comp_rank, abelian): table}
+
+
 @lru_cache(maxsize=None)
-def _cycle_options(kind: Kind, n: int):
+def _cycle_options(kind: Kind, n: int, comp_rank: int, abelian: int):
     """What a p-cycle of `kind` factors, with a residual class of order
-    dividing n/p, can fix: each distinct (p, ((component, multiplicity), ...),
-    abelian rank) once, with one witness class.
+    dividing n/p, can fix inside a target whose components have total rank
+    comp_rank and whose abelian part has rank `abelian`: each distinct
+    (p, ((component, multiplicity), ...), abelian rank) once, with one
+    witness class.
 
     By Kac (Infinite-dimensional Lie algebras, Thm 8.6 and 8.8) the fixed
     algebra of the class with twist k and labels s depends only on k and the
@@ -510,16 +538,40 @@ def _cycle_options(kind: Kind, n: int):
     witness of each option comes from the first support found, with its
     least t, and is the least member of its orbit.  Its gcd is 1: were it
     g > 1, t/g would be a smaller valid t.
+
+    Only supports that can fit the target are walked.  An option of twist k
+    with support S has abelian rank |S| - 1, and its components have total
+    rank |Z| = nodes_k - |S|, as each node of a finite Dynkin diagram is one
+    rank.  Inside the target both are bounded, so nodes_k - comp_rank <=
+    |S| <= abelian + 1; a twist whose window is empty builds nothing.  The
+    two bounds read ab <= abelian and rank(comps) <= comp_rank, conditions
+    on the option's key alone, so a key is kept with all its supports, and
+    so with the same first witness, or dropped as a whole: the table is the
+    full table, in the same order, less the options no target within the
+    bounds can hold.  The full table is comp_rank = abelian = rank(kind);
+    bounds above it change nothing and are clamped to it.  The same
+    filter, applied to a table already built for wider bounds, gives the
+    table without a walk.
     """
+    comp_rank, abelian = min(comp_rank, kind[1]), min(abelian, kind[1])
+    walked = _walked_tables.setdefault((kind, n), {})
+    for (r, a), wider in walked.items():
+        if r >= comp_rank and a >= abelian:
+            return tuple(o for o in wider if o[2] <= abelian
+                         and sum(c[1] * m for c, m in o[1]) <= comp_rank)
     table = {}
     for p in divisors(n):
         m = n // p
         for k in admissible_twists(kind):
             if m % k:
                 continue
+            nodes = _diagram(kind, k).num_nodes
+            lo, hi = max(nodes - comp_rank, 1), min(abelian + 1, nodes)
+            if lo > hi:
+                continue
             diagram, autos = _auto_orbit_reps(kind, k)
             budget = m // k
-            for x, weight, coins in _supports(kind, k, n // k):
+            for x, weight, coins in _supports(kind, k, n // k, lo, hi):
                 if weight > budget:
                     continue
                 last, least = _coin_table(coins, budget)
@@ -531,8 +583,9 @@ def _cycle_options(kind: Kind, n: int):
                     s = _witness_labels(diagram, autos, x, t - weight, last)
                     order = k * dot(diagram.labels, s)
                     table[p, comps, ab] = KacClass(diagram, s, order, comps, ab)
-    return tuple((p, tuple(sorted(Counter(comps).items())), ab, cls)
-                 for (p, comps, ab), cls in table.items())
+    walked[comp_rank, abelian] = tuple((p, tuple(sorted(Counter(comps).items())), ab, cls)
+                                       for (p, comps, ab), cls in table.items())
+    return walked[comp_rank, abelian]
 
 
 def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: int):
@@ -544,8 +597,14 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
     groups of equal kinds in turn with cycles from _cycle_options, so it
     branches on distinct fixed algebras, never on two classes fixing the same.
     """
+    if n < 1:
+        raise ValueError("the order must be a positive integer")
+    target_abelian = int(target_abelian)
+    if target_abelian < 0:
+        raise ValueError("the abelian rank must be non-negative")
     groups = sorted(Counter(validate_kind(tuple(k)) for k in kinds).items())
     left = Counter(validate_kind(tuple(k)) for k in target_components)
+    comp_rank = sum(k[1] * m for k, m in left.items())
     witness = []
 
     def fits(option, length, ab_left):
@@ -557,7 +616,8 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
         if gi == len(groups):
             return ab_left == 0 and not any(left.values())
         kind, count = groups[gi]
-        opts = [o for o in _cycle_options(kind, n) if fits(o, count, ab_left)]
+        opts = [o for o in _cycle_options(kind, n, comp_rank, target_abelian)
+                if fits(o, count, ab_left)]
         return search(gi, opts, 0, count, ab_left)
 
     def search(gi, opts, start, length, ab_left):
@@ -576,5 +636,5 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
             left.update(dict(comps))
         return False
 
-    found = enter(0, int(target_abelian))
+    found = enter(0, target_abelian)
     return (True, witness) if found else (False, None)

@@ -6,6 +6,9 @@ admitted: on every (case, entry) pair of the paper's Schellekens scans, and
 on seeded targets read off random automorphisms of the same structures at
 the same orders (admitted by construction) and on perturbations of those.
 Every witness the new search returns is checked to be a decomposition.
+The option tables are bounded by each target's component rank and abelian
+rank; the search must return the same (found, witness) as with every table
+unbounded.
 """
 
 import random
@@ -13,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from orbdim import kacaut
 from orbdim.cartan import validate_kind
 from orbdim.cases import load_cases, load_schellekens
 from orbdim.kacaut import admits_fixed_subalgebra, enumerate_classes
@@ -149,10 +153,22 @@ def _check_witness(kinds, comps, abelian, n, witness):
     assert sorted(fixed) == sorted(comps) and fixed_abelian == abelian
 
 
-def _agree(queries):
+def _unbounded(monkeypatch, kinds, comps, abelian, n):
+    """admits_fixed_subalgebra searching every option table unbounded."""
+    bounded = kacaut._cycle_options
+    full = float("inf")
+    with monkeypatch.context() as patch:
+        patch.setattr(kacaut, "_cycle_options",
+                      lambda kind, order, comp_rank, ab: bounded(kind, order, full, full))
+        return admits_fixed_subalgebra(kinds, comps, abelian, n)
+
+
+def _agree(monkeypatch, queries):
     admitted = 0
     for kinds, comps, abelian, n in queries:
         found, witness = admits_fixed_subalgebra(kinds, comps, abelian, n)
+        assert (found, witness) == _unbounded(monkeypatch, kinds, comps, abelian, n), \
+            (kinds, comps, abelian, n)
         assert found == _admits_oracle(kinds, comps, abelian, n)[0], (kinds, comps, abelian, n)
         if found:
             _check_witness(kinds, comps, abelian, n, witness)
@@ -162,16 +178,16 @@ def _agree(queries):
     return admitted
 
 
-def test_paper_scan_pairs_agree_with_oracle():
+def test_paper_scan_pairs_agree_with_oracle(monkeypatch):
     queries = _paper_queries()
     assert len(queries) == 43
-    assert _agree(queries) == 15          # one survivor per case
+    assert _agree(monkeypatch, queries) == 15          # one survivor per case
 
 
-def test_generated_and_perturbed_targets_agree_with_oracle():
+def test_generated_and_perturbed_targets_agree_with_oracle(monkeypatch):
     queries = _generated_queries()
     generated = len(_paper_queries()) * DRAWS_PER_PAIR
-    admitted = _agree(queries)
+    admitted = _agree(monkeypatch, queries)
     assert generated <= admitted < len(queries)
 
 
@@ -182,5 +198,5 @@ def test_generated_and_perturbed_targets_agree_with_oracle():
     ([("E", 8)] * 2, [("E", 8)], 0, 2),              # the swap of two E8 factors
     ([("E", 8)] * 2, [("E", 8)], 0, 3),              # no 2-cycle at odd order
 ])
-def test_edge_queries_agree_with_oracle(kinds, comps, abelian, n):
-    _agree([(kinds, comps, abelian, n)])
+def test_edge_queries_agree_with_oracle(monkeypatch, kinds, comps, abelian, n):
+    _agree(monkeypatch, [(kinds, comps, abelian, n)])

@@ -279,6 +279,8 @@ def test_screen_case_15(capsys):
     (["hauptmodul", "--n", "2", "--prec", "1e999"], "more terms than a list can index"),
     (["fs", "--n", "2", "--cusp", "1/2", "--prec", "1e999"], "more terms than a list can index"),
     (["fs", "--n", "2", "--cusp", "1/2", "--prec", "-3"], "does not reach the leading exponent"),
+    (["schellekens", "scan", "--dim", "624", "--fixed", "A1+ab:3+ab:-2", "--order", "6"],
+     "--fixed abelian rank must be non-negative, got 'ab:-2'"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""

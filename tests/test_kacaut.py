@@ -299,6 +299,16 @@ def test_admits_fixed_subalgebra_key_cases():
     assert not found
 
 
+@pytest.mark.parametrize("n, abelian, message", [
+    (0, 0, "the order must be a positive integer"),
+    (-3, 0, "the order must be a positive integer"),
+    (2, -1, "the abelian rank must be non-negative"),
+])
+def test_admits_fixed_subalgebra_rejects_what_it_cannot_mean(n, abelian, message):
+    with pytest.raises(ValueError, match=message):
+        admits_fixed_subalgebra([("E", 8)] * 2, [("E", 8)], abelian, n)
+
+
 def test_class_labels():
     cls = next(c for c in enumerate_classes(("E", 6), 2) if c.fixed_components == (("F", 4),))
     assert cls.label() == "E_6^(2); s=[1, 0, 0, 0, 0]; order=2; fixed=F4"

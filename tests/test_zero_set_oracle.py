@@ -4,18 +4,26 @@ The oracles are the code that the zero-set route replaced, kept verbatim:
 `_cycle_options_oracle` enumerates every Kac class of every order r | n/p,
 `_classify_components` and `_classify_one` scan the dense GCM, and
 `_diagram_automorphisms` backtracks over node permutations.  The option key
-sets must agree on every (kind, n) pair that `verify_all` and
-`regenerate_tables` ask for, on (A24, 6) and on seeded pairs; every witness
-must be a class of order dividing n/p that fixes its option's algebra and is
-the least member of its orbit.  Classification must agree on every proper
-zero set of every affine diagram of rank <= 8, and the automorphism groups
-on every diagram there is.
+sets of the full table must agree with the oracle's, and those of a table
+bounded by a target's component rank and abelian rank with the oracle's
+keys inside those bounds, on every (kind, n, bounds) that `verify_all` and
+`regenerate_tables` ask for, on (A24, 6) and on seeded pairs with seeded
+bounds.  The bounded table must be the full table less the options outside
+the bounds, witnesses and order included, whether the support walk builds
+it or a wider table is filtered.  The oracle takes as witness the first
+class of least order, the walk the first support, so witnesses are not
+compared with the oracle's; each must be a class of order dividing n/p that
+fixes its option's algebra and is the least member of its orbit.  The 0/1
+walk bounded by a size window must emit the unbounded walk's vectors inside
+the window, in order.  Classification must agree on every proper zero set
+of every affine diagram of rank <= 8, and the automorphism groups on every
+diagram there is.
 """
 
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -33,7 +41,9 @@ from orbdim.cartan import (
 )
 from orbdim.kacaut import (
     UnknownDiagramShape,
+    _auto_orbit_reps,
     _cycle_options,
+    _least_vectors,
     classify_components,
     enumerate_classes,
 )
@@ -42,6 +52,7 @@ from orbdim.modcurve import divisors
 
 SEED = 20261018
 SEEDED_PAIRS = 24
+FULL = float("inf")             # bounds that drop no option
 
 
 # -- the oracles --------------------------------------------------------------
@@ -201,15 +212,16 @@ def _diagrams(max_rank=24):
 
 
 def _pipeline_pairs(monkeypatch):
-    """The (kind, n) pairs whose option tables one verify_all and one
-    regenerate_tables read, in the order they are first asked for."""
+    """The (kind, n, component rank, abelian rank) whose option tables one
+    verify_all and one regenerate_tables read, in the order they are first
+    asked for."""
     pairs = []
     inner = kacaut._cycle_options
 
-    def recorded(kind, n):
-        if (kind, n) not in pairs:
-            pairs.append((kind, n))
-        return inner(kind, n)
+    def recorded(kind, n, comp_rank, abelian):
+        if (kind, n, comp_rank, abelian) not in pairs:
+            pairs.append((kind, n, comp_rank, abelian))
+        return inner(kind, n, comp_rank, abelian)
 
     monkeypatch.setattr(kacaut, "_cycle_options", recorded)
     reports, _ = cases.verify_all(cases.load_cases(), cases.load_schellekens())
@@ -225,6 +237,13 @@ def _seeded_pairs():
     return [(rng.choice(kinds), rng.randint(1, 12)) for _ in range(SEEDED_PAIRS)]
 
 
+def _seeded_bounds(kind, n):
+    """Two (component rank, abelian rank) bounds for a seeded pair; they run
+    past the rank of the kind, and some leave every twist an empty window."""
+    rng = random.Random(f"{SEED}-{kind}-{n}")
+    return [(rng.randint(0, kind[1] + 1), rng.randint(0, kind[1] + 1)) for _ in range(2)]
+
+
 @lru_cache(maxsize=None)
 def _oracle_autos(kind, k):
     return _diagram_automorphisms(untwisted_diagram(kind) if k == 1 else twisted_diagram(kind, k))
@@ -232,10 +251,22 @@ def _oracle_autos(kind, k):
 
 # -- checks -------------------------------------------------------------------
 
+def _in_bounds(option, comp_rank, abelian):
+    _, comps, ab, _ = option
+    return ab <= abelian and sum(c[1] * m for c, m in comps) <= comp_rank
+
+
+def _walked(kind, n, comp_rank, abelian):
+    """The table as the support walk builds it, with no wider table kept."""
+    _cycle_options.cache_clear()
+    kacaut._walked_tables.clear()
+    return _cycle_options(kind, n, comp_rank, abelian)
+
+
 def _check_options(kind, n):
     """Same option keys as the oracle, each once, and every witness a
     certificate of its option."""
-    options = _cycle_options(kind, n)
+    options = _walked(kind, n, FULL, FULL)
     keys = [(p, comps, ab) for p, comps, ab, _ in options]
     assert len(keys) == len(set(keys)), (kind, n)
     assert set(keys) == {(p, comps, ab) for p, comps, ab, _ in _cycle_options_oracle(kind, n)}, \
@@ -249,29 +280,74 @@ def _check_options(kind, n):
         assert (fixed, len(s) - len(zero) - 1) == (cls.fixed_components, cls.fixed_abelian)
         assert tuple(sorted(Counter(fixed).items())) == comps and cls.fixed_abelian == ab
         assert s == min(tuple(s[i] for i in perm) for perm in _oracle_autos(cls.base, cls.twist))
+    return options
+
+
+def _check_bounded(kind, n, comp_rank, abelian):
+    """The bounded table, walked or filtered from the full one, is the full
+    table less what lies outside the bounds, and its keys are the oracle's
+    inside them."""
+    bounded = _walked(kind, n, comp_rank, abelian)
+    full = _check_options(kind, n)
+    assert bounded == tuple(o for o in full if _in_bounds(o, comp_rank, abelian)), \
+        (kind, n, comp_rank, abelian)
+    assert _cycle_options(kind, n, comp_rank, abelian) == bounded
+    assert {o[:3] for o in bounded} == {o[:3] for o in _cycle_options_oracle(kind, n)
+                                        if _in_bounds(o, comp_rank, abelian)}
+    return bounded
 
 
 def test_options_match_oracle_on_pipeline_pairs(monkeypatch):
     pairs = _pipeline_pairs(monkeypatch)
-    assert len(pairs) == 38
-    for kind, n in pairs:
-        _check_options(kind, n)
+    # 38 (kind, n) pairs; A5, D4 and A9 at n = 2 are asked with two targets each,
+    # and E6 at n = 2 with two targets that clamp to the same bounds
+    assert len(pairs) == 42 and len({(kind, n) for kind, n, _, _ in pairs}) == 38
+    for kind, n, comp_rank, abelian in pairs:
+        _check_bounded(kind, n, comp_rank, abelian)
 
 
 def test_options_match_oracle_on_a24_order_6():
-    _check_options(("A", 24), 6)
-    assert len(_cycle_options(("A", 24), 6)) == 705
+    assert len(_check_options(("A", 24), 6)) == 705
+    assert _check_bounded(("A", 24), 6, 1, 0) == ()         # --fixed A1: no window
+    assert len(_check_bounded(("A", 24), 6, 24, 5)) == 705  # --fixed A24+ab:5: all of it
 
 
 @pytest.mark.parametrize("kind, n", _seeded_pairs(), ids=lambda v: str(v))
 def test_options_match_oracle_on_seeded_pairs(kind, n):
-    _check_options(kind, n)
+    for comp_rank, abelian in _seeded_bounds(kind, n):
+        _check_bounded(kind, n, comp_rank, abelian)
+
+
+def test_seeded_bounds_include_empty_windows():
+    """Some seeded bounds leave every twist of the kind an empty window."""
+    def empty(kind, comp_rank, abelian):
+        return all(kacaut._diagram(kind, k).num_nodes - comp_rank > abelian + 1
+                   for k in admissible_twists(kind))
+    assert any(empty(kind, r, a) for kind, n in _seeded_pairs() for r, a in _seeded_bounds(kind, n))
+
+
+@pytest.mark.parametrize("diagram", _diagrams(8),
+                         ids=lambda d: f"{d.base[0]}{d.base[1]}^{d.twist}")
+def test_size_window_keeps_the_walk_within_it(diagram):
+    """The 0/1 walk bounded by lo <= |x| <= hi emits exactly the least
+    orbit members of such sizes within the budget, ascending, for every
+    window; the oracle tests every 0/1 vector against every automorphism."""
+    _, autos = _auto_orbit_reps(diagram.base, diagram.twist)
+    oracle_autos = _oracle_autos(diagram.base, diagram.twist)
+    nodes = diagram.num_nodes
+    for budget in (0, 1, 4, sum(diagram.labels)):
+        everything = [x for x in product((0, 1), repeat=nodes) if dot(diagram.labels, x) <= budget
+                      and x == min(tuple(x[i] for i in perm) for perm in oracle_autos)]
+        for lo in range(nodes + 2):
+            for hi in range(nodes + 2):
+                assert _least_vectors(diagram, autos, budget, (lo, hi)) == \
+                    [x for x in everything if lo <= sum(x) <= hi], (budget, lo, hi)
 
 
 def test_small_witnesses_are_enumerated_classes():
     """A witness is the very class enumerate_classes lists for its order."""
     for kind, n in ((("A", 5), 12), (("D", 4), 8), (("E", 6), 6), (("C", 4), 10)):
-        for _, _, _, cls in _cycle_options(kind, n):
+        for _, _, _, cls in _cycle_options(kind, n, FULL, FULL):
             assert cls in enumerate_classes(kind, cls.order), cls.label()
 
 
