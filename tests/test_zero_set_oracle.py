@@ -299,8 +299,8 @@ def _check_bounded(kind, n, comp_rank, abelian):
 
 def test_options_match_oracle_on_pipeline_pairs(monkeypatch):
     pairs = _pipeline_pairs(monkeypatch)
-    # 38 (kind, n) pairs; A5, D4 and A9 at n = 2 are asked with two targets each,
-    # and E6 at n = 2 with two targets that clamp to the same bounds
+    # 38 (kind, n) pairs, four of them asked for two targets: A5, D4 and A9 at
+    # n = 2 for component ranks 15 and 12, E6 at n = 2 for 16 and 12
     assert len(pairs) == 42 and len({(kind, n) for kind, n, _, _ in pairs}) == 38
     for kind, n, comp_rank, abelian in pairs:
         _check_bounded(kind, n, comp_rank, abelian)
