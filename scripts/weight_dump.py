@@ -4,8 +4,10 @@ For every kind of the Lie oracle tests (tests/test_lie_oracle.py, KINDS) and
 every fundamental weight whose module has Weyl dimension at most 2000, print
 the sorted weight system with multiplicities, min_weight_pairing at a fixed
 coweight h and the brute-force minimum of mu(h) over the weight system.
-CI runs this with and without `python -O` and compares the two outputs byte
-for byte, since the tests' asserts are stripped under -O.
+Under "positive_roots", print the positive roots of every kind that cartan
+accepts (ACCEPTED_KINDS there).  CI runs this with and without `python -O`
+and compares the two outputs byte for byte, since the tests' asserts are
+stripped under -O.
 
 Run from the repository root: python scripts/weight_dump.py > weights.json
 """
@@ -20,7 +22,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from orbdim.cartan import kind_name  # noqa: E402
 from orbdim.liealg import build_root_system, min_weight_pairing, weight_system, weyl_dimension  # noqa: E402
-from test_lie_oracle import KINDS  # noqa: E402
+from test_lie_oracle import ACCEPTED_KINDS, KINDS  # noqa: E402
 
 MAX_DIM = 2000
 
@@ -45,6 +47,8 @@ def dump() -> dict:
                 "brute_min": str(min(rs.pair_weight_coweight(w, h) for w in ws)),
             })
         out[kind_name(kind)] = {"h": [str(x) for x in h], "modules": entries}
+    out["positive_roots"] = {kind_name(kind): build_root_system(kind).positive_roots
+                             for kind in ACCEPTED_KINDS}
     return out
 
 

@@ -55,22 +55,20 @@ def _data_text(name: str) -> str:
     return resources.files("orbdim.data").joinpath(name).read_text()
 
 
-def _rational(cid, name, value) -> Fraction:
+def _rational(where, name, value) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
-        raise DataLoadError(f"case {cid}: {name}: {value!r} is not a rational number") from None
+        raise DataLoadError(f"{where}: {name}: {value!r} is not a rational number") from None
 
 
-def _integer(cid, name, value) -> int:
-    if type(value) is not int:
-        raise DataLoadError(f"case {cid}: {name}: {value!r} is not an integer")
-    return value
-
-
-def _boolean(cid, name, value) -> bool:
-    if type(value) is not bool:
-        raise DataLoadError(f"case {cid}: {name}: {value!r} is not a boolean")
+def _typed(where, name, value, cls=int, least=None):
+    """value, if its type is exactly cls and it is not below least; else a
+    DataLoadError naming the record (where: "case 11", "entry 62") and field."""
+    if type(value) is not cls or (least is not None and value < least):
+        what = {int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}[cls]
+        what += "" if least is None else f" >= {least}"
+        raise DataLoadError(f"{where}: {name}: {value!r} is not {what}")
     return value
 
 
@@ -98,9 +96,17 @@ def load_schellekens(path=None) -> list[SchellekensEntry]:
     raw = json.loads(text)
     entries = []
     for node in raw["entries"]:
-        structure = _structure(node)
-        entry = SchellekensEntry(int(node["no"]), structure, int(node["dim"]),
-                                 node.get("transcription", "checked"))
+        where = f"entry {node.get('no', '?')}"
+        for key in ("no", "dim", "factors"):
+            if key not in node:
+                raise DataLoadError(f"{where}: missing field {key}")
+        no, dim = (_typed(where, key, node[key]) for key in ("no", "dim"))
+        _typed(where, "abelianRank", node.get("abelianRank", 0), least=0)
+        try:
+            structure = _structure(node)
+        except (ValueError, TypeError) as err:
+            raise DataLoadError(f"{where}: factors: {err}") from None
+        entry = SchellekensEntry(no, structure, dim, node.get("transcription", "checked"))
         if structure.dimension() != entry.dim:
             raise DataLoadError(
                 f"entry {entry.no}: stored dim {entry.dim} != computed {structure.dimension()}")
@@ -158,28 +164,29 @@ class OrbifoldCase:
         return " ".join(parts)
 
 
-def _coweights(cid, name, value, source):
+def _coweights(where, name, value, source):
     """Per-factor coweight coordinates: one list per source factor, of its rank."""
-    out = tuple(tuple(_rational(cid, name, v) for v in coords) for coords in value)
+    out = tuple(tuple(_rational(where, name, v) for v in _typed(where, name, coords, list))
+                for coords in _typed(where, name, value, list))
     if len(out) != len(source.components):
-        raise DataLoadError(f"case {cid}: {name} must list one coweight per source factor")
+        raise DataLoadError(f"{where}: {name} must list one coweight per source factor")
     for coords, (kind, _) in zip(out, source.components):
         if len(coords) != kind[1]:
-            raise DataLoadError(f"case {cid}: {name} coordinates do not match the rank of {kind}")
+            raise DataLoadError(f"{where}: {name} coordinates do not match the rank of {kind}")
     return out
 
 
-def _check_representative(cid, name, rep, source, i=1, h=None):
+def _check_representative(where, name, rep, source, i=1, h=None):
     """rep - i*h in the coroot lattice (when h is given) and alpha(rep) >= -1,
     the representative contract of step (g), checked with its functions.  They
     read Cartan data alone, so loading builds no root system."""
     for f, (kind, _) in enumerate(source.components):
         if h is not None and not in_coroot_lattice(
                 kind, [r - i * x for r, x in zip(rep[f], h[f])]):
-            raise DataLoadError(f"case {cid}: {name}: factor {f} ({kind_name(kind)}) "
+            raise DataLoadError(f"{where}: {name}: factor {f} ({kind_name(kind)}) "
                                 f"differs from {i}*h by a coweight outside the coroot lattice")
         if not in_alcove_range(kind, rep[f]):
-            raise DataLoadError(f"case {cid}: {name}: factor {f} ({kind_name(kind)}) "
+            raise DataLoadError(f"{where}: {name}: factor {f} ({kind_name(kind)}) "
                                 "has alpha < -1 for some root")
 
 
@@ -192,53 +199,50 @@ def load_cases(path=None) -> list[OrbifoldCase]:
     out = []
     for node in raw["cases"]:
         cid = node.get("id", "?")
+        where = f"case {cid}"
 
-        def need(key, parent=node, where=""):
-            if key not in parent:
-                raise DataLoadError(f"case {cid}: missing field {where}{key}")
+        def need(key, parent=node, path=""):
+            if type(parent) is not dict or key not in parent:
+                raise DataLoadError(f"{where}: missing field {path}{key}")
             return parent[key]
 
         def built(key, build, value):
-            """build(value), with a ValueError or TypeError naming the case and field."""
+            """build(value), with an error in it naming the case and field."""
             try:
                 return build(value)
-            except (ValueError, TypeError) as err:
-                raise DataLoadError(f"case {cid}: {key}: {err}") from None
+            except (ValueError, TypeError, AttributeError) as err:
+                raise DataLoadError(f"{where}: {key}: {err}") from None
 
         shapes = []
-        for snode in need("shapes"):
+        for snode in _typed(where, "shapes", need("shapes"), list):
             factors, length, fixed_genus, orbit_genus, coset, provenance = (
                 need(key, snode, "shapes[].") for key in ("factors", "classLength",
                 "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
             shape = built("shapes[].factors", lambda f: CycleShape(
                 {int(t): int(b) for t, b in f.items()}), factors)
             if shape.degree() != 24:
-                raise DataLoadError(f"case {cid}: shapes.factors has degree {shape.degree()}")
-            shapes.append(ShapeRecord(shape, _integer(cid, "shapes[].classLength", length),
+                raise DataLoadError(f"{where}: shapes.factors has degree {shape.degree()}")
+            shapes.append(ShapeRecord(shape, _typed(where, "shapes[].classLength", length),
                                       fixed_genus, orbit_genus, coset,
                                       provenance, snode.get("variant", "")))
         for key in ("source", "target"):
             need("factors", need(key), f"{key}.")
         source = built("source", _structure, need("source"))
         target = built("target", _structure, need("target"))
-        n = _integer(cid, "n", need("n"))
+        n = _typed(where, "n", need("n"))
         if n not in GENUS_ZERO_LEVELS - {1}:
-            raise DataLoadError(f"case {cid}: n: {n} is not a genus-zero level >= 2")
-        h = _coweights(cid, "h", need("h"), source)
-        _check_representative(cid, "h", h, source)
+            raise DataLoadError(f"{where}: n: {n} is not a genus-zero level >= 2")
+        h = _coweights(where, "h", need("h"), source)
+        _check_representative(where, "h", h, source)
         ih_reps = {}
-        for key, coords in node.get("ihReps", {}).items():
+        for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
             i = int(key) if key.isdecimal() else 0
             if not 1 <= i < n:
-                raise DataLoadError(f"case {cid}: ihReps key {key!r} must lie in 1..{n - 1}")
+                raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
             name = f"ihReps[{key!r}]"
-            ih_reps[i] = _coweights(cid, name, coords, source)
-            _check_representative(cid, name, ih_reps[i], source, i, h)
+            ih_reps[i] = _coweights(where, name, coords, source)
+            _check_representative(where, name, ih_reps[i], source, i, h)
         fixed = need("fixed")
-        problematic = node.get("problematicModules", 0)
-        if type(problematic) is not int or problematic < 0:
-            raise DataLoadError(f"case {cid}: problematicModules must be a non-negative "
-                                f"integer, got {problematic!r}")
         case = OrbifoldCase(
             id=str(cid),
             niemeier=need("niemeier"),
@@ -246,22 +250,26 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             shapes=tuple(shapes),
             source=source,
             h=h,
-            factor_orders=tuple(_integer(cid, "factorOrders", x) for x in need("factorOrders")),
-            h_norm_sq=_rational(cid, "hNormSq", need("hNormSq")),
+            factor_orders=tuple(_typed(where, "factorOrders", x) for x in
+                                _typed(where, "factorOrders", need("factorOrders"), list)),
+            h_norm_sq=_rational(where, "hNormSq", need("hNormSq")),
             fixed_components=built("fixed.components", lambda comps: tuple(sorted(
                 validate_kind(tuple(k)) for k in comps)), need("components", fixed, "fixed.")),
-            fixed_abelian=_integer(cid, "fixed.abelianRank", need("abelianRank", fixed, "fixed.")),
-            expected_d=_integer(cid, "expectedD", need("expectedD")),
+            fixed_abelian=_typed(where, "fixed.abelianRank",
+                                 need("abelianRank", fixed, "fixed."), least=0),
+            expected_d=_typed(where, "expectedD", need("expectedD")),
             target=target,
-            schellekens_no=_integer(cid, "schellekensNo", need("schellekensNo")),
-            rho_required=_boolean(cid, "rhoRequired", need("rhoRequired")),
-            shifted_rho=tuple(_rational(cid, "shiftedRho", v) for v in node.get("shiftedRho", [])),
+            schellekens_no=_typed(where, "schellekensNo", need("schellekensNo")),
+            rho_required=_typed(where, "rhoRequired", need("rhoRequired"), bool),
+            shifted_rho=tuple(_rational(where, "shiftedRho", v) for v in
+                              _typed(where, "shiftedRho", node.get("shiftedRho", []), list)),
             ih_reps=ih_reps,
-            problematic_modules=problematic,
+            problematic_modules=_typed(where, "problematicModules",
+                                       node.get("problematicModules", 0), least=0),
         )
         if case.expected_d != target.dimension():
             raise DataLoadError(
-                f"case {cid}: expectedD {case.expected_d} != dim of target {target.dimension()}")
+                f"{where}: expectedD {case.expected_d} != dim of target {target.dimension()}")
         out.append(case)
     if [c.id for c in out] != [str(i) for i in range(1, 16)]:
         raise DataLoadError("cases must be exactly 1..15 in order")

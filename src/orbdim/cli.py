@@ -199,9 +199,12 @@ def cmd_case_run(args) -> int:
     if args.format == "csv":
         print("case run has no csv format; use --format table or json", file=sys.stderr)
         return 2
+    if args.id is not None and args.all:
+        print(f"give a case id or --all, not both (got {args.id} and --all)", file=sys.stderr)
+        return 2
     all_cases = cases_mod.load_cases()
     table = cases_mod.load_schellekens()
-    if args.id == "--all" or args.all:
+    if args.id is None:
         selected = all_cases
     else:
         selected = [c for c in all_cases if c.id == args.id]
@@ -409,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("case", help="run the verification pipeline")
     case_sub = p.add_subparsers(dest="case_command")
     run = case_sub.add_parser("run")
-    run.add_argument("id", nargs="?", default="--all")
-    run.add_argument("--all", action="store_true")
+    run.add_argument("id", nargs="?", help="one case; all cases when omitted")
+    run.add_argument("--all", action="store_true", help="all cases, the default")
     add_format(run)
     run.set_defaults(func=cmd_case_run)
 

@@ -3,19 +3,20 @@
 Coordinates: weights are integer/rational vectors in the fundamental-weight
 basis (lambda = sum m_i Lambda_i), Cartan elements in the fundamental-
 coweight basis (h = sum c_i Lambda_i^vee).  Roots are kept in simple-root
-coordinates, where pairing against a coweight is a plain dot product.  The
-pairing of a weight against a coweight goes through the inverse Cartan
-matrix: lambda(h) = m^T C^{-1} c.
+coordinates, where pairing against a coweight is a plain dot product; a
+root system builds only the positive roots, by raising steps from the
+simple roots (see RootSystem._positive_roots).  The pairing of a weight
+against a coweight goes through the inverse Cartan matrix:
+lambda(h) = m^T C^{-1} c.
 
-Arithmetic runs on scaled integers.  A root system stores C^{-1}, the Gram
-matrix of the fundamental weights, that of the fundamental coweights and
-that of the simple roots each as an integer matrix over one common
-denominator, built from C by fraction-free elimination without a Fraction
-matrix, and a rational vector enters as (integer vector, one denominator),
-see scale_vector.  Pairings, forms, reflections, Weyl dimensions and
-Freudenthal's recursion then add and multiply ints; a Fraction is built
-only for a returned value.  Integral weights come back as ints, coweights
-as Fractions.
+Arithmetic runs on scaled integers.  A root system stores three integer
+matrices, C^{-1} and the Gram matrices of the fundamental weights and of
+the fundamental coweights, each over one common denominator, built from C
+by fraction-free elimination without a Fraction matrix, and a rational
+vector enters as (integer vector, one denominator), see scale_vector.
+Pairings, forms, reflections, Weyl dimensions and Freudenthal's recursion
+then add and multiply ints; a Fraction is built only for a returned value.
+Integral weights come back as ints, coweights as Fractions.
 
 Two kernels serve weight systems.  Pairing a whole weight system against one
 coweight h pays for h once: each root system keeps (h, C^{-1} h scaled) for
@@ -237,21 +238,17 @@ class RootSystem:
             if r:
                 raise ArithmeticError(f"{kind_name(kind)}: 2/(alpha, alpha) is not an integer")
             co.append(q)
-        C, inv = self.cartan, self.inv_scaled
+        inv = self.inv_scaled
         # (Lambda_i, Lambda_j) = d_i/2 (C^{-1})_{ji};  (Lambda_i^v, Lambda_j^v) = (2/d_i)(C^{-1})_{ij}
         self.gram_weights_scaled, self.gram_weights_den = _reduced(
             [[norm[i] * inv[j][i] for j in range(l)] for i in range(l)], 2 * nd * self.inv_den)
         self.gram_coweights_scaled, self.gram_coweights_den = _reduced(
             [[co[i] * inv[i][j] for j in range(l)] for i in range(l)], self.inv_den)
-        # (alpha_i, alpha_j) = C[i][j] d_j / 2
-        self._root_gram_scaled, self._root_gram_den = _reduced(
-            [[C[i][j] * norm[j] for j in range(l)] for i in range(l)], 2 * nd)
         tables = weyl_tables(kind)
         self._rows, self._cols = tables.rows, tables.cols
         # (c, _coroot_scaled(c)) for the last tuple c, replaced in one assignment
         self._last_coweight = (None, None)
-        self.roots = self._generate_roots()
-        self.positive_roots = sorted(r for r in self.roots if self._is_positive(r))
+        self.positive_roots = self._positive_roots()
         self._sanity()
 
     @cached_property
@@ -263,43 +260,38 @@ class RootSystem:
 
     # -- construction ------------------------------------------------------
 
-    def _generate_roots(self):
+    def _positive_roots(self):
+        """Phi+, sorted: the simple roots closed under the raising steps
+        s_i beta = beta - p alpha_i, p = <beta, alpha_i^vee> < 0.  A step stays
+        in Phi+, as s_i permutes Phi+ minus alpha_i (Humphreys, section 10.2).
+        A non-simple beta in Phi+ has some p > 0, so it is the raising step s_i
+        of the lower positive root s_i beta: by induction on height, all of Phi+."""
         l = self.rank
-        simple = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            new = []
-            for root in frontier:
-                for i, col in enumerate(self._cols):
-                    pairing = sum(root[j] * x for j, x in col)
-                    if not pairing:
-                        continue                # s_i fixes the root
-                    refl = list(root)
-                    refl[i] -= pairing
-                    t = tuple(refl)
-                    if t not in seen:
-                        seen.add(t)
-                        new.append(t)
-            frontier = new
-        seen |= {tuple(-x for x in r) for r in seen}
-        return sorted(seen)
+        found = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+        seen = set(found)
+        for root in found:                  # grows while it is read
+            for i, col in enumerate(self._cols):
+                pairing = sum(root[j] * x for j, x in col)
+                if pairing >= 0:
+                    continue                # s_i fixes or lowers the root
+                t = root[:i] + (root[i] - pairing,) + root[i + 1:]
+                if t not in seen:
+                    seen.add(t)
+                    found.append(t)
+        return sorted(found)
 
-    @staticmethod
-    def _is_positive(root):
-        for x in root:
-            if x > 0:
-                return True
-            if x < 0:
-                return False
-        return False
+    @cached_property
+    def roots(self):
+        """Phi, sorted: the positive roots and their negatives."""
+        return sorted(self.positive_roots + [tuple(-x for x in r) for r in self.positive_roots])
 
     def _sanity(self):
         name = kind_name(self.kind)
         theta = tuple(self.marks)
-        if len(self.roots) != self.dim - self.rank:
-            raise ArithmeticError(f"{name}: {len(self.roots)} roots, expected {self.dim - self.rank}")
-        if theta not in self.roots or self.root_pair_sq(theta) != 2:
+        if 2 * len(self.positive_roots) != self.dim - self.rank:
+            raise ArithmeticError(f"{name}: {len(self.positive_roots)} positive roots, "
+                                  f"expected {(self.dim - self.rank) // 2}")
+        if theta not in self.positive_roots or self.root_pair_sq(theta) != 2:
             raise ArithmeticError(f"{name}: the marks are not a long root")
         if self.coxeter != 1 + sum(self.marks) or self.dual_coxeter != 1 + sum(self.comarks):
             raise ArithmeticError(f"{name}: (dual) Coxeter number disagrees with the (co)marks")
@@ -307,9 +299,10 @@ class RootSystem:
     # -- basic forms and conversions ---------------------------------------
 
     def root_pair_sq(self, root) -> Fraction:
-        """(alpha, alpha) for a root in simple-root coordinates."""
-        return Fraction(sum(x * dot(row, root) for x, row in zip(root, self._root_gram_scaled)),
-                        self._root_gram_den)
+        """(alpha, alpha) for a root in simple-root coordinates, as the
+        weight form of alpha in weight coordinates."""
+        w = self.root_to_weight_coords(root)
+        return self.weight_form(w, w)
 
     def root_to_weight_coords(self, root) -> tuple:
         """m_j = <alpha, alpha_j^vee>."""
@@ -422,20 +415,14 @@ def dominant_weights_of_level(rs: RootSystem, k: int) -> list[tuple]:
     return sorted(out)
 
 
-def _integral(m) -> tuple[int, ...]:
-    """m as a tuple of ints; ValueError if an entry is not an integer."""
+def _dominant_integral(m) -> tuple[int, ...]:
+    """m as a tuple of ints; ValueError unless it is dominant integral."""
     out = [Fraction(x) for x in m]
     if any(x.denominator != 1 for x in out):
         raise ValueError(f"weight {tuple(m)} is not integral")
-    return tuple([x.numerator for x in out])
-
-
-def _dominant_integral(m) -> tuple[int, ...]:
-    """m as a tuple of ints; ValueError unless it is dominant integral."""
-    out = _integral(m)
     if any(x < 0 for x in out):
         raise ValueError(f"weight {tuple(m)} is not dominant integral")
-    return out
+    return tuple([x.numerator for x in out])
 
 
 def weyl_dimension(rs: RootSystem, m) -> int:
@@ -560,12 +547,6 @@ def orbit_tree(rows, lam) -> list[tuple[int, ...]]:
     return out
 
 
-def weyl_orbit(rs: RootSystem, m) -> set[tuple]:
-    """Orbit of an integral weight under the Weyl group (weight coordinates):
-    the orbit tree of its dominant conjugate."""
-    return set(orbit_tree(rs._rows, tuple(dominant_walk(rs._rows, _integral(m))[0])))
-
-
 def affine_conformal_weight(rs: RootSystem, k: int, m) -> Fraction:
     """(lambda + 2 delta, lambda) / (2(k + h_vee)) for a level <= k weight."""
     _dominant_integral(m)
@@ -598,12 +579,12 @@ class AffineStructure:
     abelian_rank: int = 0
 
     def __post_init__(self):
-        comps = tuple((validate_kind(tuple(k)), int(level)) for k, level in self.components)
+        comps = tuple((validate_kind(tuple(k)), level) for k, level in self.components)
         for _, level in comps:
-            if level <= 0:
+            if type(level) is not int or level <= 0:
                 raise ValueError("levels must be positive integers")
-        if self.abelian_rank < 0:
-            raise ValueError("abelian rank must be non-negative")
+        if type(self.abelian_rank) is not int or self.abelian_rank < 0:
+            raise ValueError("abelian rank must be a non-negative integer")
         object.__setattr__(self, "components", comps)
 
     def dimension(self) -> int:

@@ -247,12 +247,12 @@ def alcove_representative(rs: RootSystem, h):
     so |alpha(h~)| <= 1 for every root; alpha(h') = (w alpha)(h~) and w
     permutes the roots, so |alpha(h')| <= 1 too.  Hence no coroot step
     lowers the norm of h' on the coset: h' - s alpha^vee (s = +-1) is
-    shorter only if s alpha(h') > 1.  The bound is rechecked in integers.
+    shorter only if s alpha(h') > 1.  The bound is rechecked in integers on Phi+.
     """
     c, d = scale_vector(h)
     tilde, word = alcove_walk(rs.kind, c, d)
     cur = unwalk(rs.kind, word, tilde)
-    if any(abs(dot(root, cur)) > d for root in rs.roots):
+    if any(abs(dot(root, cur)) > d for root in rs.positive_roots):
         raise ArithmeticError(f"alcove reduction of {tuple(h)} left the alcove")
     return tuple(Fraction(x, d) for x in cur)
 

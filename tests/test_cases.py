@@ -158,6 +158,17 @@ def _set(*path_and_value):
     (lambda node: node["target"].pop("factors"), "missing field target.factors"),
     (_set("rhoRequired", "no"), "rhoRequired: 'no' is not a boolean"),
     (_set("rhoRequired", 0), "rhoRequired: 0 is not a boolean"),
+    (_set("fixed", "abelianRank", -1), "fixed.abelianRank: -1 is not an integer >= 0"),
+    (_set("h", 5), "h: 5 is not a list"),
+    (_set("h", 1, "abc"), "h: 'abc' is not a list"),
+    (_set("shiftedRho", 5), "shiftedRho: 5 is not a list"),
+    (_set("factorOrders", 5), "factorOrders: 5 is not a list"),
+    (_set("shapes", 5), "shapes: 5 is not a list"),
+    (_set("shapes", 0, "factors", 5), "shapes[].factors: 'int' object has no attribute 'items'"),
+    (_set("fixed", 5), "missing field fixed.components"),
+    (_set("ihReps", 5), "ihReps: 5 is not an object"),
+    (_set("source", "abelianRank", -1), "source: abelian rank must be a non-negative integer"),
+    (_set("target", "factors", 0, 2, 1.5), "target: levels must be positive integers"),
 ])
 def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     """Case 11 (n = 5) with one corrupted field fails to load, naming it."""
@@ -170,7 +181,29 @@ def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     assert str(err.value) == f"case 11: {message}"
 
 
-@pytest.mark.parametrize("value", [1.5, "11", True])
+@pytest.mark.parametrize("no, edit, message", [
+    (9, _set("dim", 48.9), "dim: 48.9 is not an integer"),
+    (6, _set("no", "6"), "no: '6' is not an integer"),
+    (62, lambda node: node.pop("dim"), "missing field dim"),
+    (62, lambda node: node.pop("factors"), "missing field factors"),
+    (62, _set("factors", 0, 0, "Q"), "factors: Q8 is not a simple Lie algebra kind in range"),
+    (62, _set("factors", 0, 2, 1.5), "factors: levels must be positive integers"),
+    (62, _set("factors", 0, ["B", 8]), "factors: not enough values to unpack (expected 3, got 2)"),
+    (7, _set("factors", 0, 1, True), "factors: ATrue is not a simple Lie algebra kind in range"),
+    (1, _set("abelianRank", -1), "abelianRank: -1 is not an integer >= 0"),
+])
+def test_schellekens_load_rejects_malformed_fields(tmp_path, no, edit, message):
+    """One corrupted field of one entry fails to load, naming the entry and field."""
+    raw = json.loads((DATA / "schellekens.json").read_text())
+    edit(raw["entries"][no])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(DataLoadError) as err:
+        load_schellekens(bad)
+    assert str(err.value) == f"entry {no}: {message}"
+
+
+@pytest.mark.parametrize("value", [1.5, "11", True, -1])
 def test_cases_load_rejects_bad_problematic_modules(tmp_path, value):
     raw = json.loads((DATA / "cases.json").read_text())
     raw["cases"][10]["problematicModules"] = value

@@ -224,6 +224,12 @@ def test_case_run_all_end_to_end(capsys):
     assert out.count("PASS") == 15 and "FAIL" not in out
 
 
+def test_case_run_without_an_id_runs_every_case(capsys):
+    _, every, _ = run_cli(capsys, "case", "run", "--all")
+    code, out, _ = run_cli(capsys, "case", "run")
+    assert code == 0 and out == every
+
+
 # SHA-256 of `orbdim case run --all --format json` stdout, also under python -O:
 # every report, the i > 1 screening lists included, byte for byte.
 CASE_RUN_ALL_JSON_SHA256 = "f6c6bed8ca7bdba1d3a05acc4715d13fb8f2744831c36cbfc8cdeac407f6e958"
@@ -281,6 +287,8 @@ def test_screen_case_15(capsys):
     (["fs", "--n", "2", "--cusp", "1/2", "--prec", "-3"], "does not reach the leading exponent"),
     (["schellekens", "scan", "--dim", "624", "--fixed", "A1+ab:3+ab:-2", "--order", "6"],
      "--fixed abelian rank must be non-negative, got 'ab:-2'"),
+    (["case", "run", "99", "--all"], "give a case id or --all, not both"),
+    (["case", "run", "--all", "4"], "give a case id or --all, not both"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""

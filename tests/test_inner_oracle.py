@@ -1,10 +1,11 @@
 """Differential test of inner_from_coweight, which reads the fixed algebra off
 the Kac coordinates of the alcove point, against the root-subsystem route it
 replaced, kept here verbatim as the oracle, together with the per-root
-fixed_dims_profile.  The one change: the root Gram matrix comes from the
-Fraction construction in test_lie_oracle, since RootSystem keeps only its
-integer form.  The subsystem is classified by the dense classify_components
-that test_zero_set_oracle keeps verbatim."""
+fixed_dims_profile.  Two changes: the root Gram matrix comes from the
+Fraction construction in test_lie_oracle, since RootSystem keeps none, and a
+root counts as positive when its simple-root coordinates are all >= 0.  The
+subsystem is classified by the dense classify_components that
+test_zero_set_oracle keeps verbatim."""
 
 import random
 from fractions import Fraction
@@ -54,7 +55,7 @@ def _inner_oracle(rs: RootSystem, h):
 
 def _classify_root_subsystem(rs: RootSystem, roots) -> list[Kind]:
     """Classify a closed root subsystem given by a list of ambient roots."""
-    positive = [r for r in roots if RootSystem._is_positive(r)]
+    positive = [r for r in roots if min(r) >= 0]
     if not positive:
         return []
     pos_set = set(positive)

@@ -11,12 +11,12 @@ from orbdim.liealg import (
     dominant_walk,
     dominant_weights_of_level,
     min_weight_pairing,
+    orbit_tree,
     root_system,
     schellekens_constraint,
     scale_vector,
     weight_system,
     weyl_dimension,
-    weyl_orbit,
     weyl_tables,
 )
 
@@ -114,19 +114,23 @@ def test_weight_system_cannot_be_changed_by_a_caller():
 @pytest.mark.parametrize("call, weight", [
     (weight_system, (F(3, 2), 0)),
     (weight_system, (1.9, 0)),
-    (weyl_orbit, (F(1, 2), F(-1, 2))),
     (weyl_dimension, (F(3, 2), 0)),
-], ids=["weight_system-3/2", "weight_system-1.9", "weyl_orbit-1/2", "weyl_dimension-3/2"])
+], ids=["weight_system-3/2", "weight_system-1.9", "weyl_dimension-3/2"])
 def test_non_integral_weights_raise(call, weight):
-    # weight_system and weyl_orbit used to truncate these to an integral weight
+    # weight_system used to truncate these to an integral weight
     with pytest.raises(ValueError, match="not integral"):
         call(root_system("A2"), weight)
 
 
 def test_weyl_orbit_accepts_integral_non_dominant_weights():
+    # the orbit of an integral weight is the orbit tree of its dominant conjugate
     a2 = root_system("A2")
-    assert weyl_orbit(a2, (1, -1)) == weyl_orbit(a2, (0, 1)) == {(0, 1), (1, -1), (-1, 0)}
-    assert weyl_orbit(a2, (F(-1), 2.0)) == weyl_orbit(a2, (1, 1))
+    rows = weyl_tables(a2.kind).rows
+
+    def orbit(m):
+        return set(orbit_tree(rows, tuple(dominant_walk(rows, m)[0])))
+    assert orbit((1, -1)) == orbit((0, 1)) == {(0, 1), (1, -1), (-1, 0)}
+    assert orbit((-1, 2)) == orbit((1, 1))
     assert weight_system(a2, (2.0, F(0))) == weight_system(a2, (2, 0))
 
 
@@ -179,7 +183,7 @@ def test_weyl_antidominant():
     assert before == after
     # brute-force orbit minimum of the pairing with the defining weight
     assert min_weight_pairing(a4, (1, 0, 0, 0), h) == min(
-        a4.pair_weight_coweight(w, h) for w in weyl_orbit(a4, (1, 0, 0, 0))
+        a4.pair_weight_coweight(w, h) for w in orbit_tree(weyl_tables(a4.kind).rows, (1, 0, 0, 0))
     )
     zero = (F(0),) * 4
     hm, word = _antidominant(a4, zero)
