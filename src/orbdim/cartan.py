@@ -34,7 +34,9 @@ def parse_kind(text: str) -> Kind:
 
 def validate_kind(kind: Kind) -> Kind:
     letter, rank = kind
-    if letter not in _VALID_RANKS or type(rank) is not int or rank not in _VALID_RANKS[letter]:
+    if not isinstance(rank, int):
+        raise ValueError(f"the rank {rank!r} of {letter} is not an integer")
+    if letter not in _VALID_RANKS or type(rank) is bool or rank not in _VALID_RANKS[letter]:
         raise ValueError(f"{letter}{rank} is not a simple Lie algebra kind in range")
     if letter == "D" and rank == 3:
         return ("A", 3)

@@ -288,7 +288,6 @@ def regenerate_tables():
                            for (i, j, k), v in sorted(orbifold.all_tabulated_triples(n).items())}
     out["d_tables.json"] = dtables
     all_cases = cases_mod.load_cases()
-    table = cases_mod.load_schellekens()
     rows = []
     ranks = []
     screening = {}

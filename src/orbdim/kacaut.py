@@ -4,7 +4,10 @@ A conjugacy class of order-n automorphisms of a simple algebra is a twist
 k in {1,2,3} together with coprime non-negative node coordinates s on the
 twisted affine diagram, with n = k * sum_i a_i s_i; the fixed subalgebra is
 read off the subdiagram of nodes with s_i = 0 plus an abelian part (Kac,
-Infinite-dimensional Lie algebras, Thm 8.6 and 8.8).  Classes are stored up
+Infinite-dimensional Lie algebras, Thm 8.6 and 8.8).  Each component of that
+subdiagram is classified by invariants, not by its shape: a tree with every
+subtree determinant positive is of finite type, and its rank, det C and
+number of short simple roots name the kind.  Classes are stored up
 to diagram automorphisms of the affine diagram, which is conjugacy under
 the full automorphism group of the algebra: each class is represented by
 the lexicographically least s of its orbit, and enumerate_classes returns
@@ -39,12 +42,15 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cartan import (
+    _VALID_RANKS,
     AffineDiagram,
     Kind,
     admissible_twists,
+    cartan_determinant,
     classical_dimension,
     diagram_automorphisms,
     kind_name,
+    root_norms,
     twisted_diagram,
     untwisted_diagram,
     validate_kind,
@@ -61,7 +67,20 @@ def classify_components(diagram: AffineDiagram, nodes) -> list[Kind]:
     """Connected components of the subdiagram on nodes, classified as finite
     simple kinds.  The search reads the sparse table diagram.neighbours.
     Each component is a zero set of its own: its kind is classified once and
-    kept in diagram.fixed_by_zero_set, as fixed_from_s keeps whole zero sets."""
+    kept in diagram.fixed_by_zero_set, as fixed_from_s keeps whole zero sets.
+
+    A component is of finite type iff it is a tree with a positive definite
+    symmetrised Cartan matrix (Kac, ch. 4).  The walk records each node's
+    parent and squared length, a_uv |v|^2 = a_vu |u|^2 from |seed|^2 = 6,
+    so lengths in ratio 2 or 3 stay integers; a remainder, or an edge back
+    to an earlier node other than the parent, raises.  Subtree determinants
+    then come from the leaves up, det T_v = 2 prod_c det T_c -
+    sum_c a_vc a_cv det(T_c - c) prod_{c' != c} det T_c'.  In the reverse
+    order of the walk each node follows its subtree, so every leading minor
+    is a product of these, and by Sylvester's criterion all are positive iff
+    the component is of finite type.  Rank, det C and the number of short
+    roots then name the kind, see _kind_of.
+    """
     neighbours, known = diagram.neighbours, diagram.fixed_by_zero_set
     left = set(nodes)
     kinds = []
@@ -69,85 +88,55 @@ def classify_components(diagram: AffineDiagram, nodes) -> list[Kind]:
         if seed not in left:
             continue
         left.discard(seed)
-        comp, frontier = [seed], [seed]
-        while frontier:
-            for j in neighbours[frontier.pop()]:
+        comp, up, norm, at = [seed], [None], [6], {seed: 0}
+        for i, u in enumerate(comp):
+            for j, a in neighbours[u].items():
                 if j in left:
                     left.discard(j)
+                    length, rest = divmod(neighbours[j][u] * norm[i], a)
+                    if rest:
+                        raise UnknownDiagramShape(f"the component of node {seed} is not of finite "
+                                                  "type: its root lengths are not in ratio 2 or 3")
+                    at[j] = len(comp)
                     comp.append(j)
-                    frontier.append(j)
+                    up.append(i)
+                    norm.append(length)
+                elif j in at and at[j] != up[i]:
+                    raise UnknownDiagramShape(f"the component of node {seed} is not of finite "
+                                              "type: it has a cycle")
         key = tuple(sorted(comp))
         kind = known.get(key)
         if kind is None:
-            kind = known[key] = (_classify_one(neighbours, comp),)
+            prod, cut = [1] * len(comp), [0] * len(comp)    # det(T_v - v), the sum above
+            for v in range(len(comp) - 1, -1, -1):
+                det = 2 * prod[v] - cut[v]
+                if det <= 0:
+                    raise UnknownDiagramShape(f"component {list(key)} is not of finite type: "
+                                              f"a subtree has determinant {det}")
+                p = up[v]
+                if p is not None:
+                    bond = neighbours[comp[p]][comp[v]] * neighbours[comp[v]][comp[p]]
+                    cut[p] = cut[p] * det + bond * prod[v] * prod[p]
+                    prod[p] *= det
+            top = max(norm)
+            kind = known[key] = (_kind_of(len(comp), det, sum(x < top for x in norm)),)
         kinds += kind
     return sorted(kinds)
 
 
-def _classify_one(neighbours, comp) -> Kind:
-    r = len(comp)
-    if r == 1:
-        return ("A", 1)
-    members = set(comp)
-    adj = {i: [j for j in neighbours[i] if j in members] for i in comp}
-    degrees = sorted(len(v) for v in adj.values())
-    multiplicities = {(i, j): neighbours[i][j] * neighbours[j][i]
-                      for i in comp for j in adj[i] if i < j}
-    n_double = sum(1 for m in multiplicities.values() if m == 2)
-    n_triple = sum(1 for m in multiplicities.values() if m == 3)
-    if any(m > 3 for m in multiplicities.values()) or n_triple + n_double > 1:
-        raise UnknownDiagramShape(f"component {sorted(comp)} is not of finite type")
-    if n_triple:
-        if r != 2:
-            raise UnknownDiagramShape(f"triple bond in a rank-{r} component")
-        return ("G", 2)
-    if degrees[-1] > 3 or sum(1 for d in degrees if d == 3) > 1:
-        raise UnknownDiagramShape(f"component {sorted(comp)} has an invalid branch structure")
-    branch = next((i for i in comp if len(adj[i]) == 3), None)
-    if branch is not None:
-        if n_double:
-            raise UnknownDiagramShape("branch node together with a double bond")
-        lengths = []
-        for start in adj[branch]:
-            length, prev, cur = 1, branch, start
-            while True:
-                nxt = [j for j in adj[cur] if j != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            lengths.append(length)
-        lengths.sort()
-        if lengths[0] == 1 and lengths[1] == 1:
-            return ("D", r)
-        if lengths == [1, 2, 2]:
-            return ("E", 6)
-        if lengths == [1, 2, 3]:
-            return ("E", 7)
-        if lengths == [1, 2, 4]:
-            return ("E", 8)
-        raise UnknownDiagramShape(f"branch lengths {lengths} are not of finite type")
-    if degrees[0] != 1:
-        raise UnknownDiagramShape(f"component {sorted(comp)} is a cycle")
-    if not n_double:
-        return ("A", r)
-    if r == 2:
-        return ("B", 2)
-    # path: order it end to end
-    path = [min(i for i in comp if len(adj[i]) == 1)]
-    while len(path) < r:
-        path.append(next(j for j in adj[path[-1]] if len(path) < 2 or j != path[-2]))
-    u, v = next(e for e, m in multiplicities.items() if m == 2)
-    pos = sorted((path.index(u), path.index(v)))
-    if pos == [1, 2] and r == 4:
-        return ("F", 4)
-    if pos[0] == 0 or pos[1] == r - 1:
-        if pos[1] != r - 1:
-            path.reverse()
-        if neighbours[path[-2]][path[-1]] == -2:
-            return ("B", r)       # short end node
-        return ("C", r)           # long end node
-    raise UnknownDiagramShape(f"double bond at interior position {pos} of a path")
+@lru_cache(maxsize=None)
+def _kind_of(rank: int, det: int, short: int) -> Kind:
+    """The finite kind of the given rank with det C = det and `short` short
+    simple roots.  These three tell the kinds of one rank apart, but for
+    B2 = C2 and A3 = D3, which come out as B2 and A3."""
+    for letter, ranks in _VALID_RANKS.items():
+        if rank in ranks:
+            kind = validate_kind((letter, rank))
+            norms = root_norms(kind)
+            if cartan_determinant(kind) == det and sum(x < max(norms) for x in norms) == short:
+                return kind
+    raise UnknownDiagramShape(f"no finite kind has rank {rank}, det C = {det} "
+                              f"and {short} short simple roots")
 
 
 @dataclass(frozen=True)
@@ -599,7 +588,8 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
     """
     if n < 1:
         raise ValueError("the order must be a positive integer")
-    target_abelian = int(target_abelian)
+    if type(target_abelian) is not int:
+        raise ValueError(f"the abelian rank {target_abelian!r} is not an integer")
     if target_abelian < 0:
         raise ValueError("the abelian rank must be non-negative")
     groups = sorted(Counter(validate_kind(tuple(k)) for k in kinds).items())

@@ -117,19 +117,9 @@ def _sym(n: int, e: int) -> dict[int, int]:
     return {1: e, n: -e}
 
 
-# Hauptmoduln t_n; for n in {2,3,5,7,13} this is (eta(tau)/eta(n tau))^(24/(n-1))
-_HAUPTMODUL: dict[int, dict[int, int]] = {
-    2: _sym(2, 24),
-    3: _sym(3, 12),
-    4: {1: 8, 4: -8},
-    5: _sym(5, 6),
-    6: {1: 5, 2: -1, 3: 1, 6: -5},
-    7: _sym(7, 4),
-    8: {1: 4, 2: -2, 4: 2, 8: -4},
-    13: _sym(13, 2),
-}
-
-# cusp functions f_s keyed by (n, c); the cusp 1/n is infinity, 1/1 is zero
+# cusp functions f_s keyed by (n, c); the cusp 1/n is infinity, 1/1 is zero.
+# f at infinity is the Hauptmodul t_n; for n in {2,3,5,7,13} it is
+# (eta(tau)/eta(n tau))^(24/(n-1))
 _CUSP_FUNCTIONS: dict[int, dict[int, dict[int, int]]] = {
     2: {2: _sym(2, 24), 1: _sym(2, -24)},
     3: {3: _sym(3, 12), 1: _sym(3, -12)},
@@ -153,13 +143,14 @@ _CUSP_FUNCTIONS: dict[int, dict[int, dict[int, int]]] = {
 
 
 def hauptmodul(n: int) -> EtaQuotient:
-    """The eta-quotient Hauptmodul t_n for the eight explicitly known levels."""
-    if n not in _HAUPTMODUL:
+    """The eta-quotient Hauptmodul t_n for the eight explicitly known levels:
+    the cusp function at infinity."""
+    if n not in _CUSP_FUNCTIONS:
         raise NotImplementedError(
             f"no eta-quotient Hauptmodul shipped for level {n}; the remaining "
             "genus-zero levels need the Conway-Norton eta-product table"
         )
-    return EtaQuotient(n, dict(_HAUPTMODUL[n]))
+    return EtaQuotient(n, dict(_CUSP_FUNCTIONS[n][n]))
 
 
 @dataclass(frozen=True)

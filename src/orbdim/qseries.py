@@ -115,8 +115,8 @@ def etaq_expand(f: EtaQuotient, prec) -> FracPowerSeries:
     return FracPowerSeries(24, {24 * n + shift: x for n, x in enumerate(g) if x}, prec)
 
 
-def parse_eta_quotient(text: str, level: int | None = None) -> EtaQuotient:
-    """Parse 'd:r,d:r,...' into an EtaQuotient; level defaults to lcm of the d."""
+def parse_eta_quotient(text: str) -> EtaQuotient:
+    """Parse 'd:r,d:r,...' into an EtaQuotient of level the lcm of the d."""
     exps: dict[int, int] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -128,8 +128,4 @@ def parse_eta_quotient(text: str, level: int | None = None) -> EtaQuotient:
         except ValueError:
             raise ValueError(f"eta factor {chunk!r} is not d:r with integers d and r") from None
         exps[d] = exps.get(d, 0) + r
-    if level is None:
-        level = 1
-        for d in exps:
-            level = lcm(level, d)
-    return EtaQuotient(level, exps)
+    return EtaQuotient(lcm(*exps), exps)

@@ -189,6 +189,8 @@ def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     (62, _set("factors", 0, 0, "Q"), "factors: Q8 is not a simple Lie algebra kind in range"),
     (62, _set("factors", 0, 2, 1.5), "factors: levels must be positive integers"),
     (62, _set("factors", 0, ["B", 8]), "factors: not enough values to unpack (expected 3, got 2)"),
+    (62, _set("factors", 0, 1, "8"), "factors: the rank '8' of B is not an integer"),
+    (62, _set("factors", 0, 1, 8.0), "factors: the rank 8.0 of B is not an integer"),
     (7, _set("factors", 0, 1, True), "factors: ATrue is not a simple Lie algebra kind in range"),
     (1, _set("abelianRank", -1), "abelianRank: -1 is not an integer >= 0"),
 ])

@@ -303,6 +303,7 @@ def test_admits_fixed_subalgebra_key_cases():
     (0, 0, "the order must be a positive integer"),
     (-3, 0, "the order must be a positive integer"),
     (2, -1, "the abelian rank must be non-negative"),
+    (2, 1.9, "the abelian rank 1.9 is not an integer"),
 ])
 def test_admits_fixed_subalgebra_rejects_what_it_cannot_mean(n, abelian, message):
     with pytest.raises(ValueError, match=message):

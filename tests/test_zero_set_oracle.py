@@ -16,8 +16,11 @@ compared with the oracle's; each must be a class of order dividing n/p that
 fixes its option's algebra and is the least member of its orbit.  The 0/1
 walk bounded by a size window must emit the unbounded walk's vectors inside
 the window, in order.  Classification must agree on every proper zero set
-of every affine diagram of rank <= 8, and the automorphism groups on every
-diagram there is.
+of every affine diagram of rank <= 8 and on seeded zero sets of every
+diagram of rank 9 to 24, and the automorphism groups on every diagram
+there is.  Rank, det C and the number of short simple roots, which the
+classifier reads a kind from, must tell the kinds apart, and every whole
+affine diagram must be rejected for the reason that applies to it.
 """
 
 import random
@@ -34,7 +37,9 @@ from orbdim.cartan import (
     AffineDiagram,
     Kind,
     admissible_twists,
+    cartan_determinant,
     diagram_automorphisms,
+    root_norms,
     twisted_diagram,
     untwisted_diagram,
     validate_kind,
@@ -52,6 +57,7 @@ from orbdim.modcurve import divisors
 
 SEED = 20261018
 SEEDED_PAIRS = 24
+SEEDED_ZERO_SETS = 20           # per diagram of rank 9..24, beside the n - 1 node ones
 FULL = float("inf")             # bounds that drop no option
 
 
@@ -361,11 +367,56 @@ def test_sparse_classification_matches_dense_on_every_zero_set(diagram):
                 _classify_components(diagram.gcm, zero), zero
 
 
+def _large_zero_sets(diagram):
+    """Every zero set that leaves out one node, whose one or two components
+    are the largest there are, and seeded zero sets of every size."""
+    rng = random.Random(f"{SEED}-{diagram.base}-{diagram.twist}")
+    nodes = range(diagram.num_nodes)
+    out = [tuple(j for j in nodes if j != i) for i in nodes]
+    for _ in range(SEEDED_ZERO_SETS):
+        out.append(tuple(sorted(rng.sample(nodes, rng.randrange(diagram.num_nodes)))))
+    return out
+
+
+@pytest.mark.parametrize("diagram", [d for d in _diagrams() if d.base[1] > 8],
+                         ids=lambda d: f"{d.base[0]}{d.base[1]}^{d.twist}")
+def test_sparse_classification_matches_dense_on_large_diagrams(diagram):
+    """Seeded zero sets on every diagram of rank 9..24, whose components
+    reach rank 24; a fresh copy of the diagram keeps no kinds from other
+    tests."""
+    fresh = AffineDiagram(diagram.base, diagram.twist, diagram.gcm, diagram.labels)
+    for zero in _large_zero_sets(diagram):
+        assert classify_components(fresh, zero) == _classify_components(diagram.gcm, zero), zero
+
+
+def test_rank_det_and_short_roots_tell_the_kinds_apart():
+    """(rank, det C, number of short simple roots) is injective on the
+    kinds up to B2 = C2 and A3 = D3, and names each kind."""
+    kinds_of = {}
+    for letter, ranks in _VALID_RANKS.items():
+        for rank in ranks:
+            norms = root_norms((letter, rank))
+            key = (rank, cartan_determinant((letter, rank)), sum(x < max(norms) for x in norms))
+            kinds_of.setdefault(key, []).append((letter, rank))
+    assert len(kinds_of) == 95
+    assert sorted(k for k in kinds_of.values() if len(k) > 1) == [[("A", 3), ("D", 3)],
+                                                                  [("B", 2), ("C", 2)]]
+    for key, kinds in kinds_of.items():
+        assert kacaut._kind_of(*key) == kinds[0], key
+
+
 def test_sparse_classification_rejects_what_is_not_finite():
-    """The whole affine diagram is no finite kind: a cycle for A_l^(1)."""
-    for kind in (("A", 4), ("D", 5), ("E", 6), ("B", 3), ("G", 2)):
-        d = untwisted_diagram(kind)
-        with pytest.raises(UnknownDiagramShape):
+    """A whole affine diagram is no finite kind.  A_l^(1), l >= 2, is a
+    cycle; A_2l^(2) has two roots whose squared lengths are in ratio 4; every
+    other one is a tree whose Cartan matrix has corank 1, so determinant 0."""
+    for d in _diagrams():
+        if sum(map(len, d.neighbours)) // 2 == d.num_nodes:
+            reason = "it has a cycle"
+        elif d.twist == 2 and d.base[0] == "A" and d.base[1] % 2 == 0:
+            reason = "its root lengths are not in ratio 2 or 3"
+        else:
+            reason = "a subtree has determinant 0$"
+        with pytest.raises(UnknownDiagramShape, match=reason):
             classify_components(d, range(d.num_nodes))
 
 
