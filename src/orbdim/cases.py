@@ -72,6 +72,13 @@ def _typed(where, name, value, cls=int, least=None):
     return value
 
 
+def _cycle_length(key: str) -> int:
+    """A cycle-shape key: decimal digits with no sign, space or leading zero."""
+    if not (key.isdecimal() and str(int(key)) == key):
+        raise ValueError(f"cycle length {key!r} is not a decimal integer")
+    return int(key)
+
+
 def _structure(node) -> AffineStructure:
     return AffineStructure(
         tuple(((letter, rank), level) for letter, rank, level in node["factors"]),
@@ -219,7 +226,7 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                 need(key, snode, "shapes[].") for key in ("factors", "classLength",
                 "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
             shape = built("shapes[].factors", lambda f: CycleShape(
-                {int(t): int(b) for t, b in f.items()}), factors)
+                {_cycle_length(t): b for t, b in f.items()}), factors)
             if shape.degree() != 24:
                 raise DataLoadError(f"{where}: shapes.factors has degree {shape.degree()}")
             shapes.append(ShapeRecord(shape, _typed(where, "shapes[].classLength", length),

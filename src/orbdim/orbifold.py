@@ -202,8 +202,10 @@ class CycleShape:
     factors: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors",
-                           {int(t): int(b) for t, b in self.factors.items() if b})
+        for t, b in self.factors.items():
+            if type(t) is not int or type(b) is not int:
+                raise ValueError(f"cycle length {t!r} and exponent {b!r} must be integers")
+        object.__setattr__(self, "factors", {t: b for t, b in self.factors.items() if b})
         if any(t <= 0 for t in self.factors):
             raise ValueError("cycle lengths must be positive")
 
@@ -361,9 +363,14 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     branch is cut by two suffix lower bounds: rho, once the partial sum is
     above cap D (the factors still to come can add 0, the rho of the zero
     weight), and rho + min, once the partial sum plus the least keys of the
-    factors still to come reaches (floor - <h,h>/2) D.  Only the buckets of
-    leaves with rho integral and >= 2 are expanded back into weight tuples,
-    all of which share the leaf's rho(M) and rho(M^{(h)}).
+    factors still to come reaches (floor - <h,h>/2) D.  A leaf passes if its
+    rho is integral and >= 2; its buckets are expanded back into weight
+    tuples, all of which share the leaf's rho(M) and rho(M^{(h)}).  The last
+    factor's keys are grouped by r mod D and only the group of -r_acc mod D
+    is walked, so the index drops exactly the leaves the integrality test
+    rejected.  The factors are walked by ascending bucket count, the largest
+    last; every test is on order-free sums, so the order changes only which
+    branches are cut, never which leaves pass.
     """
     floor = Fraction(floor)
     comps = structure.components
@@ -381,22 +388,34 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
             r *= scale
             keyed.setdefault((r, r + dot(lam, u)), []).append(lam)
         buckets.append(sorted(keyed.items()))
-    # least_after[i]: the least scaled rho + min that factors i, i+1, ... add
-    least_after = [0] * (len(buckets) + 1)
-    for i in range(len(buckets) - 1, -1, -1):
-        least_after[i] = least_after[i + 1] + min(t for (_, t), _ in buckets[i])
+    if not buckets:
+        return []
+    order = sorted(range(len(buckets)), key=lambda i: len(buckets[i]))
+    walk = [buckets[i] for i in order]
+    back = sorted(range(len(order)), key=order.__getitem__)
+    by_residue: dict[int, list] = {}
+    for item in walk[-1]:
+        by_residue.setdefault(item[0][0] % D, []).append(item)
+    # least_after[i]: the least scaled rho + min that walked factors i, i+1, ... add
+    least_after = [0] * (len(walk) + 1)
+    for i in range(len(walk) - 1, -1, -1):
+        least_after[i] = least_after[i + 1] + min(t for (_, t), _ in walk[i])
     half = sum(hh for _, _, hh, _ in setups) / 2
     top = cap * D
     limit = ceil((floor - half) * D)        # a leaf's scaled rho + min stays below
+    last = len(walk) - 1
     hits = []
 
     def rec(idx, r_acc, t_acc, chosen):
-        if idx == len(buckets):
-            if r_acc % D == 0 and r_acc >= 2 * D:
-                hits.append((r_acc, t_acc, chosen))
-            return
         room = limit - least_after[idx + 1] - t_acc
-        for (r, t), lams in buckets[idx]:
+        if idx == last:
+            for (r, t), lams in by_residue.get(-r_acc % D, ()):
+                if r_acc + r > top:
+                    break
+                if t < room and r_acc + r >= 2 * D:
+                    hits.append((r_acc + r, t_acc + t, chosen + (lams,)))
+            return
+        for (r, t), lams in walk[idx]:
             if r_acc + r > top:
                 break
             if t < room:
@@ -404,7 +423,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
 
     rec(0, 0, 0, ())
     out = [(lams, Fraction(r, D), Fraction(t, D) + half)
-           for r, t, chosen in hits for lams in product(*chosen)]
+           for r, t, chosen in hits for lams in product(*(chosen[k] for k in back))]
     out.sort(key=lambda rec: (rec[2], rec[0]))
     return out
 

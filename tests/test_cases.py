@@ -169,6 +169,20 @@ def _set(*path_and_value):
     (_set("ihReps", 5), "ihReps: 5 is not an object"),
     (_set("source", "abelianRank", -1), "source: abelian rank must be a non-negative integer"),
     (_set("target", "factors", 0, 2, 1.5), "target: levels must be positive integers"),
+    (_set("shapes", 0, "factors", {"1": -8.7, "2": 16.2}),      # degree 24 once truncated
+     "shapes[].factors: cycle length 1 and exponent -8.7 must be integers"),
+    (_set("shapes", 0, "factors", "5", "5"),
+     "shapes[].factors: cycle length 5 and exponent '5' must be integers"),
+    (_set("shapes", 0, "factors", "5", True),
+     "shapes[].factors: cycle length 5 and exponent True must be integers"),
+    (_set("shapes", 0, "factors", "5", 5.0),
+     "shapes[].factors: cycle length 5 and exponent 5.0 must be integers"),
+    (_set("shapes", 0, "factors", "-1", 1), "shapes[].factors: cycle length '-1' is not a decimal integer"),
+    (_set("shapes", 0, "factors", "05", 1), "shapes[].factors: cycle length '05' is not a decimal integer"),
+    (_set("shapes", 0, "factors", " 5", 1), "shapes[].factors: cycle length ' 5' is not a decimal integer"),
+    (_set("shapes", 0, "factors", "2.0", 1), "shapes[].factors: cycle length '2.0' is not a decimal integer"),
+    (_set("shapes", 0, "factors", "\u0665", 1),
+     "shapes[].factors: cycle length '\u0665' is not a decimal integer"),
 ])
 def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     """Case 11 (n = 5) with one corrupted field fails to load, naming it."""

@@ -142,6 +142,13 @@ def test_cycle_shapes_and_vacuum_anomaly():
         vacuum_anomaly(CycleShape({1: 23}))
 
 
+@pytest.mark.parametrize("factors", [{1: -8.7, 2: 16.2}, {2: "12"}, {"2": 12}, {2: True, 1: 22},
+                                     {2.0: 12}, {2: 0.0}])
+def test_cycle_shapes_take_integers_only(factors):
+    with pytest.raises(ValueError, match="must be integers"):
+        CycleShape(factors)
+
+
 def test_general_dimension_relation_r_zero_reduction():
     rng = random.Random(2718)
     for n in sorted(GENUS_ZERO_LEVELS):

@@ -9,6 +9,7 @@ import pytest
 
 from orbdim.cases import load_cases, representative_for_power
 from orbdim.liealg import (
+    AffineStructure,
     affine_conformal_weight,
     build_root_system,
     dominant_weights_of_level,
@@ -164,3 +165,53 @@ def test_factor_setups_match_the_fraction_formulas():
             assert bound == _pairing_norm_bound(rs, level, h)
             checked += 1
     assert checked == sum((c.n - 1) * len(c.source.components) for c in load_cases())
+
+
+def _permuted(structure, hs, perm):
+    comps = structure.components
+    return (AffineStructure(tuple(comps[p] for p in perm), structure.abelian_rank),
+            tuple(hs[p] for p in perm))
+
+
+def test_permuting_the_factors_permutes_every_tuple():
+    """The walk order is chosen from bucket counts, so reversing the factors or
+    shuffling them changes which factor is walked last; each output tuple must
+    follow the new factor order and the set of records must stay the same."""
+    rng = random.Random(20170419)
+    for floor in (Fraction(1), Fraction(2)):
+        for case, i in SCREENS:
+            reps = representative_for_power(case, i)
+            base = screen_problematic_modules(case.source, reps, floor=floor)
+            n = len(reps)
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for perm in (list(range(n - 1, -1, -1)), shuffled):
+                got = screen_problematic_modules(*_permuted(case.source, reps, perm), floor=floor)
+                assert len(got) == len(base)
+                assert set(got) == {(tuple(lams[p] for p in perm), rho, tw)
+                                    for lams, rho, tw in base}
+
+
+def test_no_factors_screens_nothing():
+    empty = AffineStructure(())
+    assert safe_rho_cap(empty, ()) == 3
+    for floor in (1, 6):
+        assert screen_problematic_modules(empty, (), floor=floor) == []
+
+
+@pytest.mark.parametrize("factor, h, found_at_1", [
+    ((("A", 4), 5), (Fraction(1, 5),) * 4, 3),
+    ((("A", 2), 3), (Fraction(1, 3),) * 2, 0),
+    ((("A", 2), 6), (Fraction(1, 3),) * 2, 2),
+    ((("A", 1), 16), (Fraction(1, 2),), 0),
+])
+def test_one_factor_matches_the_oracle(factor, h, found_at_1):
+    """With one factor only the residue-indexed last-factor walk runs."""
+    structure = AffineStructure((factor,))
+    for floor in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
+        want = _screen_oracle(structure, (h,), floor=floor,
+                              rho_cap=safe_rho_cap(structure, (h,), floor=floor))
+        got = screen_problematic_modules(structure, (h,), floor=floor)
+        _assert_same(got, want)
+        if floor == 1:
+            assert len(got) == found_at_1
