@@ -35,6 +35,7 @@ from .modcurve import GENUS_ZERO_LEVELS, divisors
 from .orbifold import (
     CycleShape,
     DimProfile,
+    _is_prime,
     alcove_representative,
     cycle_shape_stats,
     dim_orbifold,
@@ -53,6 +54,16 @@ class DataLoadError(ValueError):
 
 def _data_text(name: str) -> str:
     return resources.files("orbdim.data").joinpath(name).read_text()
+
+
+def _load_json(path, name):
+    """The JSON of the file at path, or of the shipped data file name when
+    path is None; text that is not JSON is a DataLoadError."""
+    text = open(path).read() if path else _data_text(name)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DataLoadError(f"{name}: {err}") from None
 
 
 def _rational(where, name, value) -> Fraction:
@@ -99,8 +110,7 @@ class SchellekensEntry:
 
 def load_schellekens(path=None) -> list[SchellekensEntry]:
     """The 71 possible weight-one structures, invariants checked on load."""
-    text = open(path).read() if path else _data_text("schellekens.json")
-    raw = json.loads(text)
+    raw = _load_json(path, "schellekens.json")
     entries = []
     for node in raw["entries"]:
         where = f"entry {node.get('no', '?')}"
@@ -199,8 +209,7 @@ def _check_representative(where, name, rep, source, i=1, h=None):
 
 def load_cases(path=None) -> list[OrbifoldCase]:
     """The fifteen case records, schema-validated; errors name the field."""
-    text = open(path).read() if path else _data_text("cases.json")
-    raw = json.loads(text)
+    raw = _load_json(path, "cases.json")
     if "cases" not in raw or not raw["cases"]:
         raise DataLoadError("cases: missing or empty")
     out = []
@@ -226,7 +235,8 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                 need(key, snode, "shapes[].") for key in ("factors", "classLength",
                 "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
             shape = built("shapes[].factors", lambda f: CycleShape(
-                {_cycle_length(t): b for t, b in f.items()}), factors)
+                {_cycle_length(t): b for t, b in f.items()}),
+                _typed(where, "shapes[].factors", factors, dict))
             if shape.degree() != 24:
                 raise DataLoadError(f"{where}: shapes.factors has degree {shape.degree()}")
             shapes.append(ShapeRecord(shape, _typed(where, "shapes[].classLength", length),
@@ -458,7 +468,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     # (e) the dimension formula
     d_value = dim_orbifold(profile)
     report.add("(e) orbifold dimension", d_value == case.expected_d, case.expected_d, d_value)
-    if case.n in (2, 5):
+    if _is_prime(case.n):               # c_1 = n + 1 and c_n = -1 at prime n
         lhs = case.source.dimension() + case.expected_d
         rhs = 24 + (case.n + 1) * profile.dims[1]
         report.add("(e) prime-order symmetry identity", lhs == rhs, rhs, lhs)

@@ -1,8 +1,10 @@
 """Command-line front end: every module surface as a subcommand.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  Rational numbers serialise as
-"p/q" strings; identical invocations produce byte-identical output.
+1 verification failure or a shipped data file that fails its checks,
+2 usage error; main alone maps exceptions to them.  Rational numbers
+serialise as "p/q" strings; identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 from . import cases as cases_mod
@@ -36,6 +39,14 @@ def _rational(flag: str, text: str) -> Fraction:
         raise ValueError(f"{flag} must be a rational number, got {text!r}") from None
 
 
+def _case(case_id: str):
+    """The case with this id; a usage error when there is none."""
+    for case in cases_mod.load_cases():
+        if case.id == case_id:
+            return case
+    raise ValueError(f"no case with id {case_id}")
+
+
 def _screening_rows(found):
     """Screening hits as JSON rows; integers stay numbers, see _frac_str."""
     return [{"weights": orbifold.render_weight_tuple(lams),
@@ -43,85 +54,59 @@ def _screening_rows(found):
             for lams, rho, tw in found]
 
 
-def _emit(payload, fmt: str, table_rows=None, headers=None):
+def _emit(rows, fmt: str, keys, headers=None, payload=None):
+    """Print rows, dicts with the given keys, as JSON (payload instead, when
+    given), as CSV or as a table with aligned columns; headers default to
+    the keys."""
     if fmt == "json":
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(headers or [])
-        writer.writerows(table_rows or [])
-    else:
-        if table_rows is None:
-            print(json.dumps(payload, indent=1, sort_keys=True))
-            return
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in table_rows)) if table_rows else len(str(h))
-                  for i, h in enumerate(headers)]
-        print("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-        for row in table_rows:
-            print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
+        print(json.dumps(rows if payload is None else payload, indent=1, sort_keys=True))
+        return
+    lines = [headers or keys] + [[row[k] for k in keys] for row in rows]
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
+        return
+    widths = [max(len(str(x)) for x in column) for column in zip(*lines)]
+    for line in lines:
+        print("  ".join(str(x).ljust(w) for x, w in zip(line, widths)))
 
 
 def cmd_coeffs(args) -> int:
-    try:
-        coeffs = orbifold.c_coefficients(args.n)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    payload = {str(d): _frac_str(c) for d, c in sorted(coeffs.items())}
-    _emit(payload, args.format, [(d, _frac_str(c)) for d, c in sorted(coeffs.items())],
-          ["d", "c_d"])
+    rows = [{"d": d, "c_d": _frac_str(c)}
+            for d, c in sorted(orbifold.c_coefficients(args.n).items())]
+    _emit(rows, args.format, ("d", "c_d"), payload={str(r["d"]): r["c_d"] for r in rows})
     return 0
 
 
 def cmd_dcoeff(args) -> int:
-    try:
-        value = orbifold.d_coefficient(args.n, args.i, args.j, args.k)
-    except (ValueError, KeyError) as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    print(value)
+    print(orbifold.d_coefficient(args.n, args.i, args.j, args.k))
     return 0
 
 
 def cmd_cusps(args) -> int:
-    if args.n < 1:
-        print("n must be positive", file=sys.stderr)
-        return 2
-    reps = modcurve.cusp_classes(args.n)
-    rows = [(c.label(), c.width) for c in reps]
-    payload = [{"cusp": c.label(), "width": c.width} for c in reps]
-    _emit(payload, args.format, rows, ["cusp", "width"])
+    _emit([{"cusp": c.label(), "width": c.width} for c in modcurve.cusp_classes(args.n)],
+          args.format, ("cusp", "width"))
     return 0
 
 
 def cmd_hauptmodul(args) -> int:
-    try:
-        t = modcurve.hauptmodul(args.n)
-        series = qseries.etaq_expand(t, _rational("--prec", args.prec))
-    except (NotImplementedError, ValueError) as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    t = modcurve.hauptmodul(args.n)
+    series = qseries.etaq_expand(t, _rational("--prec", args.prec))
     print(f"t_{args.n} = eta quotient {t.label()}")
     print(series.to_text())
     return 0
 
 
 def cmd_fs(args) -> int:
-    try:
-        point = _rational("--cusp", args.cusp)
-        prec = _rational("--prec", args.prec)
-        cusp = modcurve.find_cusp(args.n, point.numerator, point.denominator)
-        f = modcurve.cusp_function(args.n, cusp)
-        series = None if args.divisor else qseries.etaq_expand(f.quotient, prec)
-    except (NotImplementedError, ValueError) as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    point = _rational("--cusp", args.cusp)
+    prec = _rational("--prec", args.prec)
+    cusp = modcurve.find_cusp(args.n, point.numerator, point.denominator)
+    f = modcurve.cusp_function(args.n, cusp)
+    series = None if args.divisor else qseries.etaq_expand(f.quotient, prec)
     print(f"f_{cusp.label()} = eta quotient {f.quotient.label()}")
     if args.divisor:
-        rows = [(s.label(), s.width, _frac_str(modcurve.divisor_order(f.quotient, s)))
-                for s in modcurve.cusp_classes(args.n)]
-        _emit([{"cusp": a, "width": b, "order": c} for a, b, c in rows],
-              args.format, rows, ["cusp", "width", "order"])
+        _emit([{"cusp": s.label(), "width": s.width,
+                "order": _frac_str(modcurve.divisor_order(f.quotient, s))}
+               for s in modcurve.cusp_classes(args.n)], args.format, ("cusp", "width", "order"))
     else:
         print(series.to_text())
     return 0
@@ -131,39 +116,22 @@ def cmd_eta(args) -> int:
     try:
         f = qseries.parse_eta_quotient(args.quotient)
     except ValueError as err:
-        print(f"--quotient: {err}", file=sys.stderr)
-        return 2
-    try:
-        series = qseries.etaq_expand(f, _rational("--prec", args.prec))
-    except (ValueError, ZeroDivisionError) as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    print(series.to_text())
+        raise ValueError(f"--quotient: {err}") from None
+    print(qseries.etaq_expand(f, _rational("--prec", args.prec)).to_text())
     return 0
 
 
 def cmd_kac(args) -> int:
-    try:
-        kind = parse_kind(args.algebra)
-        classes = enumerate_classes(kind, args.order)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    for cls in classes:
+    for cls in enumerate_classes(parse_kind(args.algebra), args.order):
         print(cls.label())
     return 0
 
 
 def cmd_inner(args) -> int:
-    try:
-        kind = parse_kind(args.algebra)
-        rs = build_root_system(kind)
-        h = tuple(_rational("--h coordinate", x) for x in args.h.split(","))
-        if len(h) != rs.rank:
-            raise ValueError(f"need {rs.rank} coordinates for {args.algebra}")
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    rs = build_root_system(parse_kind(args.algebra))
+    h = tuple(_rational("--h coordinate", x) for x in args.h.split(","))
+    if len(h) != rs.rank:
+        raise ValueError(f"need {rs.rank} coordinates for {args.algebra}")
     order, (comps, ab), dim = inner_from_coweight(rs, h)
     fixed = " ".join(f"{k[0]}{k[1]}" for k in comps) or "-"
     if ab:
@@ -173,44 +141,24 @@ def cmd_inner(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    try:
-        case = next(c for c in cases_mod.load_cases() if c.id == args.case)
-    except StopIteration:
-        print(f"no case with id {args.case}", file=sys.stderr)
-        return 2
+    case = _case(args.case)
     if not 1 <= args.i <= case.n - 1:
-        print(f"--i must lie in 1..{case.n - 1} for case {case.id}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--i must lie in 1..{case.n - 1} for case {case.id}")
     reps = cases_mod.representative_for_power(case, args.i)
-    try:
-        floor = _rational("--floor", args.floor)
-        found = orbifold.screen_problematic_modules(case.source, reps, floor=floor)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    payload = _screening_rows(found)
-    _emit(payload, args.format,
-          [(p["weights"], p["rho"], p["twisted"]) for p in payload],
-          ["weights", "rho(M)", "rho(M^h)"])
+    found = orbifold.screen_problematic_modules(case.source, reps,
+                                                floor=_rational("--floor", args.floor))
+    _emit(_screening_rows(found), args.format, ("weights", "rho", "twisted"),
+          headers=("weights", "rho(M)", "rho(M^h)"))
     return 0
 
 
 def cmd_case_run(args) -> int:
     if args.format == "csv":
-        print("case run has no csv format; use --format table or json", file=sys.stderr)
-        return 2
+        raise ValueError("case run has no csv format; use --format table or json")
     if args.id is not None and args.all:
-        print(f"give a case id or --all, not both (got {args.id} and --all)", file=sys.stderr)
-        return 2
-    all_cases = cases_mod.load_cases()
+        raise ValueError(f"give a case id or --all, not both (got {args.id} and --all)")
+    selected = cases_mod.load_cases() if args.id is None else [_case(args.id)]
     table = cases_mod.load_schellekens()
-    if args.id is None:
-        selected = all_cases
-    else:
-        selected = [c for c in all_cases if c.id == args.id]
-        if not selected:
-            print(f"no case with id {args.id}", file=sys.stderr)
-            return 2
     reports = [cases_mod.verify_case(c, table) for c in selected]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=1, sort_keys=True))
@@ -253,19 +201,13 @@ def _parse_fixed_spec(spec: str):
 
 def cmd_schellekens_scan(args) -> int:
     if args.order < 1:
-        print(f"--order must be a positive integer, got {args.order}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--order must be a positive integer, got {args.order}")
     table = cases_mod.load_schellekens()
-    try:
-        comps, abelian = _parse_fixed_spec(args.fixed)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    comps, abelian = _parse_fixed_spec(args.fixed)
     survivors, faults = cases_mod.schellekens_survivors(table, args.dim, comps, abelian,
                                                         args.order)
-    payload = [{"no": e.no, "structure": e.label(), "dim": e.dim} for e in survivors]
-    _emit(payload, args.format, [(e.no, e.label(), e.dim) for e in survivors],
-          ["no", "structure", "dim"])
+    _emit([{"no": e.no, "structure": e.label(), "dim": e.dim} for e in survivors],
+          args.format, ("no", "structure", "dim"))
     for fault in faults:
         print(f"witness check failed: {fault}", file=sys.stderr)
     return 1 if faults else 0
@@ -324,7 +266,6 @@ def cmd_tables_regen(args) -> int:
     tables = regenerate_tables()
     manifest = {}
     diffs = []
-    from importlib import resources
     for name in GOLDEN_FILES:
         text = json.dumps(tables[name], indent=1, sort_keys=True) + "\n"
         try:
@@ -436,13 +377,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A data file failing its checks exits 1 and a bad
+    value exits 2, each with one stderr line; any other exception, such as
+    an ArithmeticError for a broken invariant, propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
     func = getattr(args, "func", None)
     if func is None:
         parser.print_usage(sys.stderr)
         return 2
-    return func(args)
+    try:
+        return func(args)
+    except cases_mod.DataLoadError as err:
+        print(str(err), file=sys.stderr)
+        return 1
+    except (ValueError, NotImplementedError, orbifold.NotTabulatedError) as err:
+        print(str(err), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

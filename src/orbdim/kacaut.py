@@ -133,7 +133,8 @@ def _kind_of(rank: int, det: int, short: int) -> Kind:
         if rank in ranks:
             kind = validate_kind((letter, rank))
             norms = root_norms(kind)
-            if cartan_determinant(kind) == det and sum(x < max(norms) for x in norms) == short:
+            top = max(norms)
+            if cartan_determinant(kind) == det and sum(x < top for x in norms) == short:
                 return kind
     raise UnknownDiagramShape(f"no finite kind has rank {rank}, det C = {det} "
                               f"and {short} short simple roots")
@@ -438,7 +439,9 @@ def witness_fault(kinds, witness, target_components, target_abelian: int, n: int
     class cls, of the next p factors of that kind in kinds, so the indices
     of one kind are used consecutively.  The SemisimpleAut so built must
     have order dividing n, and fixed_subalgebra_semisimple must give back
-    the target."""
+    the target.  Both read the order and fixed algebra stored in each
+    class, so each class must then be what its labels s give: gcd(s) = 1,
+    order twist * sum_i a_i s_i and the fixed algebra of fixed_from_s."""
     free: dict[Kind, list[int]] = {}
     for index, kind in enumerate(kinds):
         free.setdefault(validate_kind(tuple(kind)), []).append(index)
@@ -460,6 +463,14 @@ def witness_fault(kinds, witness, target_components, target_abelian: int, n: int
     target = tuple(sorted(validate_kind(tuple(k)) for k in target_components))
     if (comps, abelian) != (target, target_abelian):
         return f"the witness fixes {comps} + C^{abelian}, not {target} + C^{target_abelian}"
+    for _, _, cls in witness:
+        diagram, s = cls.diagram, cls.s
+        if len(s) != diagram.num_nodes or min(s) < 0 or gcd(*s) != 1:
+            return f"the labels of {cls.label()} are not coprime Kac coordinates"
+        rebuilt = KacClass(diagram, s, cls.twist * dot(diagram.labels, s),
+                           *fixed_from_s(diagram, s))
+        if rebuilt != cls:
+            return f"the class {cls.label()} is not what its labels give, {rebuilt.label()}"
     return None
 
 

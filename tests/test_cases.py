@@ -71,6 +71,16 @@ def test_schellekens_load_rejects_corruption(tmp_path):
     assert "62" in str(err.value)
 
 
+@pytest.mark.parametrize("load, name", [(load_cases, "cases.json"),
+                                        (load_schellekens, "schellekens.json")])
+def test_loaders_reject_text_that_is_not_json(tmp_path, load, name):
+    bad = tmp_path / name
+    bad.write_text((DATA / name).read_text()[:-10])
+    with pytest.raises(DataLoadError) as err:
+        load(bad)
+    assert str(err.value).startswith(f"{name}: ")
+
+
 def test_cases_load_and_schema():
     cases = load_cases()
     assert [c.id for c in cases] == [str(i) for i in range(1, 16)]
@@ -164,7 +174,7 @@ def _set(*path_and_value):
     (_set("shiftedRho", 5), "shiftedRho: 5 is not a list"),
     (_set("factorOrders", 5), "factorOrders: 5 is not a list"),
     (_set("shapes", 5), "shapes: 5 is not a list"),
-    (_set("shapes", 0, "factors", 5), "shapes[].factors: 'int' object has no attribute 'items'"),
+    (_set("shapes", 0, "factors", 5), "shapes[].factors: 5 is not an object"),
     (_set("fixed", 5), "missing field fixed.components"),
     (_set("ihReps", 5), "ihReps: 5 is not an object"),
     (_set("source", "abelianRank", -1), "source: abelian rank must be a non-negative integer"),
@@ -302,12 +312,19 @@ def test_fault_injection_corrupted_d():
     ("fixed algebra", "not ("),
     ("order", "does not divide 2"),
     ("cycle length", "more A9 factors than there are"),
+    ("labels", "is not what its labels give, A_9^(2); s=[1, 0, 0, 0, 0, 0]; order=2; fixed=C5"),
+    ("labels gcd", "are not coprime Kac coordinates"),
+    ("labels sign", "are not coprime Kac coordinates"),
 ])
 def test_fault_injection_corrupted_witness(monkeypatch, corruption, message):
     """Step (f) rebuilds every admissibility witness as an automorphism; a
     witness class that fixes something else or whose order does not divide
-    n, or a cycle over more factors than the algebra has, fails the (f) row
-    although the survivor list is unchanged."""
+    n, a cycle over more factors than the algebra has, or a class whose
+    stored order and fixed algebra are not those of its labels, fails the
+    (f) row although the survivor list is unchanged.  Case 1's first class
+    is A_9^(2) with s = [0, 0, 0, 0, 0, 1], order 2 and fixed D5; its labels
+    replaced by (1, 0, ..., 0) fix C5, and (0, ..., 0, 2) and (0, ..., 2, -1)
+    are no coprime Kac coordinates."""
     import orbdim.cases as cases_mod
     from orbdim.kacaut import enumerate_classes
 
@@ -318,6 +335,10 @@ def test_fault_injection_corrupted_witness(monkeypatch, corruption, message):
             return kind, p, dataclasses.replace(cls, order=3 * cls.order)
         if corruption == "cycle length":
             return kind, p + 2, cls
+        if corruption.startswith("labels"):
+            s = {"labels": (1, 0, 0, 0, 0, 0), "labels gcd": (0, 0, 0, 0, 0, 2),
+                 "labels sign": (0, 0, 0, 0, 2, -1)}[corruption]
+            return kind, p, dataclasses.replace(cls, s=s)
         return kind, p, next(c for c in enumerate_classes(kind, cls.order)
                              if c.fixed_components != cls.fixed_components)
 

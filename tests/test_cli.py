@@ -289,6 +289,13 @@ def test_screen_case_15(capsys):
      "--fixed abelian rank must be non-negative, got 'ab:-2'"),
     (["case", "run", "99", "--all"], "give a case id or --all, not both"),
     (["case", "run", "--all", "4"], "give a case id or --all, not both"),
+    (["inner", "--algebra", "A2", "--h", "1,2,3"], "need 2 coordinates for A2"),
+    (["inner", "--algebra", "Q1", "--h", "1"], "cannot parse algebra kind 'Q1'"),
+    (["fs", "--n", "9", "--cusp", "1/3"], "no cusp functions shipped for level 9"),
+    (["dcoeff", "--n", "9", "--i", "3", "--j", "3", "--k", "9"], "i, j, k must lie in 1..n-1"),
+    (["eta", "--quotient", "0:1"], "--quotient: level must be positive"),
+    (["cusps", "--n", "-3"], "n must be positive"),
+    (["case", "run", "99"], "no case with id 99"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""
@@ -301,6 +308,24 @@ def test_screen_usage_errors_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_corrupted_shipped_data_exits_1(capsys, monkeypatch):
+    """A shipped data file that fails its checks is a verification failure:
+    exit 1, nothing on stdout, one stderr line naming the case and field."""
+    import orbdim.cases as cases_mod
+
+    real = cases_mod._data_text
+
+    def corrupted(name):
+        raw = json.loads(real(name))
+        if name == "cases.json":
+            raw["cases"][10]["n"] = "x"
+        return json.dumps(raw)
+
+    monkeypatch.setattr(cases_mod, "_data_text", corrupted)
+    code, out, err = run_cli(capsys, "case", "run", "11")
+    assert (code, out, err) == (1, "", "case 11: n: 'x' is not an integer\n")
 
 
 def test_case_run_survives_python_O():
