@@ -3,10 +3,12 @@
 Each case record carries the lattice, cycle shape(s), inner-automorphism
 data and expected invariants; verify_case replays every computable step of
 the construction/inner-automorphism/unique-class argument and records
-pass/fail per step.  Facts imported from lattice computer-algebra computations the
-toolkit cannot reproduce (conjugacy class lengths, fixed-lattice genera,
-coset groups, shifted twisted weights) are carried with provenance
-"paper-asserted" and are surfaced in reports but never recomputed.
+pass/fail per step.  Facts imported from lattice computer-algebra computations
+the toolkit cannot reproduce are carried with provenance "paper-asserted" and
+never recomputed.  Step (a) reports the conjugacy class lengths, the coset
+groups and the shifted twisted weights.  The fixed- and orbit-lattice genera
+(fixedLatticeGenus, orbitLatticeGenus) are loaded with each cycle shape but
+shown in no report.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from math import lcm
+from pathlib import Path
 
 from .cartan import kind_name, validate_kind
 from .kacaut import (
     admits_fixed_subalgebra,
+    fixed_label,
     inner_from_coweight,
     module_order_bound,
     witness_fault,
@@ -56,14 +60,39 @@ def _data_text(name: str) -> str:
     return resources.files("orbdim.data").joinpath(name).read_text()
 
 
-def _load_json(path, name):
-    """The JSON of the file at path, or of the shipped data file name when
-    path is None; text that is not JSON is a DataLoadError."""
-    text = open(path).read() if path else _data_text(name)
+def _need(where, parent, name):
+    """The field of parent whose key is the last dotted part of name; a
+    missing field, or a parent that is not an object, is a DataLoadError
+    naming the record (where) and field."""
+    key = name.rpartition(".")[2]
+    if type(parent) is not dict or key not in parent:
+        raise DataLoadError(f"{where}: missing field {name}")
+    return parent[key]
+
+
+def _built(where, name, build, value):
+    """build(value), with an error in it naming the record and field."""
     try:
-        return json.loads(text)
+        return build(value)
+    except (ValueError, TypeError, AttributeError) as err:
+        raise DataLoadError(f"{where}: {name}: {err}") from None
+
+
+def _load_records(path, name, key):
+    """The records under key in the JSON of the file at path, or of the
+    shipped data file name when path is None.  Text that is not JSON, a top
+    level or record that is not an object and a key that is missing or not a
+    list are each a DataLoadError, found before any field of a record is read."""
+    text = Path(path).read_text() if path else _data_text(name)
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise DataLoadError(f"{name}: {err}") from None
+    _typed(name, "top level", raw, dict)
+    records = _typed(name, key, _need(name, raw, key), list)
+    for index, record in enumerate(records):
+        _typed(name, f"{key}[{index}]", record, dict)
+    return records
 
 
 def _rational(where, name, value) -> Fraction:
@@ -110,19 +139,13 @@ class SchellekensEntry:
 
 def load_schellekens(path=None) -> list[SchellekensEntry]:
     """The 71 possible weight-one structures, invariants checked on load."""
-    raw = _load_json(path, "schellekens.json")
     entries = []
-    for node in raw["entries"]:
+    for node in _load_records(path, "schellekens.json", "entries"):
         where = f"entry {node.get('no', '?')}"
-        for key in ("no", "dim", "factors"):
-            if key not in node:
-                raise DataLoadError(f"{where}: missing field {key}")
-        no, dim = (_typed(where, key, node[key]) for key in ("no", "dim"))
+        no, dim = (_typed(where, key, _need(where, node, key)) for key in ("no", "dim"))
         _typed(where, "abelianRank", node.get("abelianRank", 0), least=0)
-        try:
-            structure = _structure(node)
-        except (ValueError, TypeError) as err:
-            raise DataLoadError(f"{where}: factors: {err}") from None
+        _need(where, node, "factors")
+        structure = _built(where, "factors", _structure, node)
         entry = SchellekensEntry(no, structure, dim, node.get("transcription", "checked"))
         if structure.dimension() != entry.dim:
             raise DataLoadError(
@@ -174,12 +197,6 @@ class OrbifoldCase:
     ih_reps: dict
     problematic_modules: int
 
-    def fixed_label(self) -> str:
-        parts = [f"{k[0]}{k[1]}" for k in self.fixed_components]
-        if self.fixed_abelian:
-            parts.append(f"C^{self.fixed_abelian}")
-        return " ".join(parts)
-
 
 def _coweights(where, name, value, source):
     """Per-factor coweight coordinates: one list per source factor, of its rank."""
@@ -193,48 +210,32 @@ def _coweights(where, name, value, source):
     return out
 
 
-def _check_representative(where, name, rep, source, i=1, h=None):
-    """rep - i*h in the coroot lattice (when h is given) and alpha(rep) >= -1,
-    the representative contract of step (g), checked with its functions.  They
-    read Cartan data alone, so loading builds no root system."""
-    for f, (kind, _) in enumerate(source.components):
-        if h is not None and not in_coroot_lattice(
-                kind, [r - i * x for r, x in zip(rep[f], h[f])]):
-            raise DataLoadError(f"{where}: {name}: factor {f} ({kind_name(kind)}) "
-                                f"differs from {i}*h by a coweight outside the coroot lattice")
-        if not in_alcove_range(kind, rep[f]):
-            raise DataLoadError(f"{where}: {name}: factor {f} ({kind_name(kind)}) "
-                                "has alpha < -1 for some root")
+def representative_fault(source, rep, i, h):
+    """Why rep breaks the representative contract of step (g) for i*h, or
+    None: rep - i*h must lie in the coroot lattice and alpha(rep) >= -1 for
+    every root.  Both checks read Cartan data alone, so the loader, which
+    checks the recorded representatives with this, builds no root system."""
+    for f, ((kind, _), coords, x) in enumerate(zip(source.components, rep, h)):
+        if not in_coroot_lattice(kind, [r - i * y for r, y in zip(coords, x)]):
+            return (f"factor {f} ({kind_name(kind)}) differs from {i}*h "
+                    "by a coweight outside the coroot lattice")
+        if not in_alcove_range(kind, coords):
+            return f"factor {f} ({kind_name(kind)}) has alpha < -1 for some root"
+    return None
 
 
 def load_cases(path=None) -> list[OrbifoldCase]:
     """The fifteen case records, schema-validated; errors name the field."""
-    raw = _load_json(path, "cases.json")
-    if "cases" not in raw or not raw["cases"]:
-        raise DataLoadError("cases: missing or empty")
     out = []
-    for node in raw["cases"]:
+    for node in _load_records(path, "cases.json", "cases"):
         cid = node.get("id", "?")
         where = f"case {cid}"
-
-        def need(key, parent=node, path=""):
-            if type(parent) is not dict or key not in parent:
-                raise DataLoadError(f"{where}: missing field {path}{key}")
-            return parent[key]
-
-        def built(key, build, value):
-            """build(value), with an error in it naming the case and field."""
-            try:
-                return build(value)
-            except (ValueError, TypeError, AttributeError) as err:
-                raise DataLoadError(f"{where}: {key}: {err}") from None
-
         shapes = []
-        for snode in _typed(where, "shapes", need("shapes"), list):
+        for snode in _typed(where, "shapes", _need(where, node, "shapes"), list):
             factors, length, fixed_genus, orbit_genus, coset, provenance = (
-                need(key, snode, "shapes[].") for key in ("factors", "classLength",
+                _need(where, snode, f"shapes[].{key}") for key in ("factors", "classLength",
                 "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
-            shape = built("shapes[].factors", lambda f: CycleShape(
+            shape = _built(where, "shapes[].factors", lambda f: CycleShape(
                 {_cycle_length(t): b for t, b in f.items()}),
                 _typed(where, "shapes[].factors", factors, dict))
             if shape.degree() != 24:
@@ -243,14 +244,16 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                                       fixed_genus, orbit_genus, coset,
                                       provenance, snode.get("variant", "")))
         for key in ("source", "target"):
-            need("factors", need(key), f"{key}.")
-        source = built("source", _structure, need("source"))
-        target = built("target", _structure, need("target"))
-        n = _typed(where, "n", need("n"))
+            _need(where, _need(where, node, key), f"{key}.factors")
+        source = _built(where, "source", _structure, node["source"])
+        target = _built(where, "target", _structure, node["target"])
+        n = _typed(where, "n", _need(where, node, "n"))
         if n not in GENUS_ZERO_LEVELS - {1}:
             raise DataLoadError(f"{where}: n: {n} is not a genus-zero level >= 2")
-        h = _coweights(where, "h", need("h"), source)
-        _check_representative(where, "h", h, source)
+        h = _coweights(where, "h", _need(where, node, "h"), source)
+        fault = representative_fault(source, h, 1, h)
+        if fault:
+            raise DataLoadError(f"{where}: h: {fault}")
         ih_reps = {}
         for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
             i = int(key) if key.isdecimal() else 0
@@ -258,26 +261,28 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                 raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
             name = f"ihReps[{key!r}]"
             ih_reps[i] = _coweights(where, name, coords, source)
-            _check_representative(where, name, ih_reps[i], source, i, h)
-        fixed = need("fixed")
+            fault = representative_fault(source, ih_reps[i], i, h)
+            if fault:
+                raise DataLoadError(f"{where}: {name}: {fault}")
+        fixed = _need(where, node, "fixed")
         case = OrbifoldCase(
             id=str(cid),
-            niemeier=need("niemeier"),
+            niemeier=_need(where, node, "niemeier"),
             n=n,
             shapes=tuple(shapes),
             source=source,
             h=h,
-            factor_orders=tuple(_typed(where, "factorOrders", x) for x in
-                                _typed(where, "factorOrders", need("factorOrders"), list)),
-            h_norm_sq=_rational(where, "hNormSq", need("hNormSq")),
-            fixed_components=built("fixed.components", lambda comps: tuple(sorted(
-                validate_kind(tuple(k)) for k in comps)), need("components", fixed, "fixed.")),
+            factor_orders=tuple(_typed(where, "factorOrders", x) for x in _typed(
+                where, "factorOrders", _need(where, node, "factorOrders"), list)),
+            h_norm_sq=_rational(where, "hNormSq", _need(where, node, "hNormSq")),
+            fixed_components=_built(where, "fixed.components", lambda comps: tuple(sorted(
+                validate_kind(tuple(k)) for k in comps)), _need(where, fixed, "fixed.components")),
             fixed_abelian=_typed(where, "fixed.abelianRank",
-                                 need("abelianRank", fixed, "fixed."), least=0),
-            expected_d=_typed(where, "expectedD", need("expectedD")),
+                                 _need(where, fixed, "fixed.abelianRank"), least=0),
+            expected_d=_typed(where, "expectedD", _need(where, node, "expectedD")),
             target=target,
-            schellekens_no=_typed(where, "schellekensNo", need("schellekensNo")),
-            rho_required=_typed(where, "rhoRequired", need("rhoRequired"), bool),
+            schellekens_no=_typed(where, "schellekensNo", _need(where, node, "schellekensNo")),
+            rho_required=_typed(where, "rhoRequired", _need(where, node, "rhoRequired"), bool),
             shifted_rho=tuple(_rational(where, "shiftedRho", v) for v in
                               _typed(where, "shiftedRho", node.get("shiftedRho", []), list)),
             ih_reps=ih_reps,
@@ -313,9 +318,17 @@ class StepResult:
         }
 
 
+def json_number(value):
+    """The one JSON spelling of a rational: a Fraction that is an integer
+    becomes an int, any other a 'p/q' string; other values pass unchanged."""
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value) if value.denominator > 1 else str(int(value))
+        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -485,18 +498,11 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     # (g) conformal-weight screening for every power of sigma
     for i in range(1, case.n):
         reps = representative_for_power(case, i)
-        ok_rep = True
-        for rs, rep, h in zip(systems, reps, case.h):
-            diff = tuple(r - i * x for r, x in zip(rep, h))
-            if not in_coroot_lattice(rs.kind, diff) or not in_alcove_range(rs.kind, rep):
-                ok_rep = False
-        report.add(f"(g) i={i} representative contract", ok_rep, True, ok_rep)
+        fault = representative_fault(case.source, reps, i, case.h)
+        report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
+                   details=fault or "")
         found = screen_problematic_modules(case.source, reps, floor=1)
-        rendered = [
-            {"weights": render_weight_tuple(lams), "rho": _jsonable(rho), "twisted": _jsonable(tw)}
-            for lams, rho, tw in found
-        ]
-        report.screening[i] = rendered
+        report.screening[i] = screening_rows(found)
         expected = case.problematic_modules
         if not expected:
             report.add(f"(g) i={i} problematic modules empty", not found, 0, len(found))
@@ -509,22 +515,26 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     return report
 
 
+def screening_rows(found):
+    """Screening hits as rows: the rendered weights, then rho(M) and the
+    twisted weight rho(M^h), both Fractions."""
+    return [{"weights": render_weight_tuple(lams), "rho": rho, "twisted": tw}
+            for lams, rho, tw in found]
+
+
+def summary_row(case, d):
+    """The case_summary.json row of a case whose orbifold dimension is d."""
+    return {"case": case.id, "V1": case.source.label(), "n": case.n,
+            "fixed": fixed_label(case.fixed_components, case.fixed_abelian),
+            "hNormSq": json_number(case.h_norm_sq), "d": d, "orbifold": case.target.label()}
+
+
 def verify_all(cases=None, schellekens=None):
-    """Run the full pipeline; returns (reports, summary rows)."""
+    """Run the full pipeline; returns (reports, summary rows with "passed")."""
     cases = load_cases() if cases is None else cases
     schellekens = load_schellekens() if schellekens is None else schellekens
     reports = [verify_case(case, schellekens) for case in cases]
-    rows = []
-    for case, report in zip(cases, reports):
-        rows.append({
-            "case": case.id,
-            "V1": case.source.label(),
-            "n": case.n,
-            "fixed": case.fixed_label(),
-            "hNormSq": _jsonable(case.h_norm_sq),
-            "d": case.expected_d,
-            "orbifold": case.target.label(),
-            "passed": report.passed,
-        })
+    rows = [{**summary_row(case, case.expected_d), "passed": report.passed}
+            for case, report in zip(cases, reports)]
     return reports, rows
 

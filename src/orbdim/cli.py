@@ -21,14 +21,9 @@ from pathlib import Path
 from . import cases as cases_mod
 from . import modcurve, orbifold, qseries
 from .cartan import parse_kind
-from .kacaut import enumerate_classes, inner_from_coweight
+from .cases import json_number
+from .kacaut import enumerate_classes, fixed_label, inner_from_coweight
 from .liealg import build_root_system
-
-
-def _frac_str(x):
-    """Integers stay JSON numbers; proper fractions become 'p/q' strings."""
-    x = Fraction(x)
-    return str(x) if x.denominator > 1 else int(x)
 
 
 def _rational(flag: str, text: str) -> Fraction:
@@ -47,19 +42,13 @@ def _case(case_id: str):
     raise ValueError(f"no case with id {case_id}")
 
 
-def _screening_rows(found):
-    """Screening hits as JSON rows; integers stay numbers, see _frac_str."""
-    return [{"weights": orbifold.render_weight_tuple(lams),
-             "rho": _frac_str(rho), "twisted": _frac_str(tw)}
-            for lams, rho, tw in found]
-
-
 def _emit(rows, fmt: str, keys, headers=None, payload=None):
     """Print rows, dicts with the given keys, as JSON (payload instead, when
     given), as CSV or as a table with aligned columns; headers default to
-    the keys."""
+    the keys.  A Fraction prints by json_number in JSON and by str otherwise."""
     if fmt == "json":
-        print(json.dumps(rows if payload is None else payload, indent=1, sort_keys=True))
+        print(json.dumps(rows if payload is None else payload, indent=1, sort_keys=True,
+                         default=json_number))
         return
     lines = [headers or keys] + [[row[k] for k in keys] for row in rows]
     if fmt == "csv":
@@ -71,8 +60,7 @@ def _emit(rows, fmt: str, keys, headers=None, payload=None):
 
 
 def cmd_coeffs(args) -> int:
-    rows = [{"d": d, "c_d": _frac_str(c)}
-            for d, c in sorted(orbifold.c_coefficients(args.n).items())]
+    rows = [{"d": d, "c_d": c} for d, c in sorted(orbifold.c_coefficients(args.n).items())]
     _emit(rows, args.format, ("d", "c_d"), payload={str(r["d"]): r["c_d"] for r in rows})
     return 0
 
@@ -105,7 +93,7 @@ def cmd_fs(args) -> int:
     print(f"f_{cusp.label()} = eta quotient {f.quotient.label()}")
     if args.divisor:
         _emit([{"cusp": s.label(), "width": s.width,
-                "order": _frac_str(modcurve.divisor_order(f.quotient, s))}
+                "order": modcurve.divisor_order(f.quotient, s)}
                for s in modcurve.cusp_classes(args.n)], args.format, ("cusp", "width", "order"))
     else:
         print(series.to_text())
@@ -133,10 +121,7 @@ def cmd_inner(args) -> int:
     if len(h) != rs.rank:
         raise ValueError(f"need {rs.rank} coordinates for {args.algebra}")
     order, (comps, ab), dim = inner_from_coweight(rs, h)
-    fixed = " ".join(f"{k[0]}{k[1]}" for k in comps) or "-"
-    if ab:
-        fixed += f" C^{ab}"
-    print(f"order={order}; fixed={fixed}; dim={dim}")
+    print(f"order={order}; fixed={fixed_label(comps, ab)}; dim={dim}")
     return 0
 
 
@@ -147,7 +132,7 @@ def cmd_screen(args) -> int:
     reps = cases_mod.representative_for_power(case, args.i)
     found = orbifold.screen_problematic_modules(case.source, reps,
                                                 floor=_rational("--floor", args.floor))
-    _emit(_screening_rows(found), args.format, ("weights", "rho", "twisted"),
+    _emit(cases_mod.screening_rows(found), args.format, ("weights", "rho", "twisted"),
           headers=("weights", "rho(M)", "rho(M^h)"))
     return 0
 
@@ -158,8 +143,7 @@ def cmd_case_run(args) -> int:
     if args.id is not None and args.all:
         raise ValueError(f"give a case id or --all, not both (got {args.id} and --all)")
     selected = cases_mod.load_cases() if args.id is None else [_case(args.id)]
-    table = cases_mod.load_schellekens()
-    reports = [cases_mod.verify_case(c, table) for c in selected]
+    reports, _ = cases_mod.verify_all(selected)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=1, sort_keys=True))
     else:
@@ -221,7 +205,7 @@ def regenerate_tables():
     """Recompute the five machine-readable reference tables."""
     out = {}
     out["coefficient_table.json"] = {
-        str(n): {str(d): _frac_str(c) for d, c in sorted(orbifold.c_coefficients(n).items())}
+        str(n): {str(d): json_number(c) for d, c in sorted(orbifold.c_coefficients(n).items())}
         for n in sorted(modcurve.GENUS_ZERO_LEVELS)
     }
     dtables = {}
@@ -229,30 +213,22 @@ def regenerate_tables():
         dtables[str(n)] = {f"{i},{j},{k}": v
                            for (i, j, k), v in sorted(orbifold.all_tabulated_triples(n).items())}
     out["d_tables.json"] = dtables
-    all_cases = cases_mod.load_cases()
-    rows = []
-    ranks = []
-    screening = {}
-    for case in all_cases:
-        profile = cases_mod.fixed_dims_profile(case)
-        d_val = orbifold.dim_orbifold(profile)
-        rows.append({
-            "case": case.id, "V1": case.source.label(), "n": case.n,
-            "fixed": case.fixed_label(), "hNormSq": _frac_str(case.h_norm_sq),
-            "d": int(d_val), "orbifold": case.target.label(),
-        })
+    rows = out["case_summary.json"] = []
+    ranks = out["fixed_ranks.json"] = []
+    screening = out["screening_lists.json"] = {}
+    for case in cases_mod.load_cases():
+        d = orbifold.dim_orbifold(cases_mod.fixed_dims_profile(case))
+        rows.append(cases_mod.summary_row(case, int(d)))
         for record in case.shapes:
             ranks.append({
                 "case": case.id, "variant": record.variant or case.id,
                 "shape": record.shape.label(), "fixedRank": record.shape.fixed_rank(),
-                "vacuumWeight": _frac_str(orbifold.vacuum_anomaly(record.shape)),
+                "vacuumWeight": json_number(orbifold.vacuum_anomaly(record.shape)),
             })
         if case.problematic_modules:
             found = orbifold.screen_problematic_modules(case.source, case.h, floor=1)
-            screening[case.id] = _screening_rows(found)
-    out["case_summary.json"] = rows
-    out["fixed_ranks.json"] = ranks
-    out["screening_lists.json"] = screening
+            screening[case.id] = [{k: json_number(v) for k, v in row.items()}
+                                  for row in cases_mod.screening_rows(found)]
     return out
 
 

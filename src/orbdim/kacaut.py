@@ -165,12 +165,16 @@ class KacClass:
         return sum(k[1] for k in self.fixed_components) + self.fixed_abelian
 
     def label(self) -> str:
-        base = kind_name(self.base)
-        fixed = " ".join(kind_name(k) for k in self.fixed_components) or "-"
-        if self.fixed_abelian:
-            fixed += f" C^{self.fixed_abelian}"
+        fixed = fixed_label(self.fixed_components, self.fixed_abelian)
         return (f"{self.base[0]}_{self.base[1]}^({self.twist}); "
                 f"s={list(self.s)}; order={self.order}; fixed={fixed}")
+
+
+def fixed_label(components, abelian: int) -> str:
+    """A fixed algebra as text: its simple components, "-" when there is
+    none, then C^abelian when the abelian part is not zero."""
+    label = " ".join(kind_name(k) for k in components) or "-"
+    return f"{label} C^{abelian}" if abelian else label
 
 
 def _diagram(kind: Kind, k: int) -> AffineDiagram:

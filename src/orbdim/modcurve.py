@@ -19,9 +19,6 @@ from .qseries import EtaQuotient
 
 GENUS_ZERO_LEVELS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25})
 
-#: levels whose Hauptmodul (and cusp functions) ship as explicit eta quotients
-ETA_HAUPTMODUL_LEVELS = (2, 3, 4, 5, 6, 7, 8, 13)
-
 
 def genus_zero_levels() -> frozenset:
     """The fifteen n for which Gamma0(n) has genus zero."""
@@ -140,6 +137,9 @@ _CUSP_FUNCTIONS: dict[int, dict[int, dict[int, int]]] = {
     },
     13: {13: _sym(13, 2), 1: _sym(13, -2)},
 }
+
+#: levels whose Hauptmodul (and cusp functions) ship as explicit eta quotients
+ETA_HAUPTMODUL_LEVELS = tuple(sorted(_CUSP_FUNCTIONS))
 
 
 def hauptmodul(n: int) -> EtaQuotient:

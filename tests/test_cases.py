@@ -11,6 +11,7 @@ from orbdim.cases import (
     fixed_dims_profile,
     load_cases,
     load_schellekens,
+    representative_fault,
     representative_for_power,
     verify_all,
     verify_case,
@@ -229,6 +230,40 @@ def test_schellekens_load_rejects_malformed_fields(tmp_path, no, edit, message):
     assert str(err.value) == f"entry {no}: {message}"
 
 
+def _records(key, value):
+    return lambda raw: {**raw, key: value}
+
+
+def _record(key, index, value):
+    return lambda raw: {**raw, key: raw[key][:index] + [value] + raw[key][index + 1:]}
+
+
+@pytest.mark.parametrize("load, name, edit, message", [
+    (load_cases, "cases.json", lambda raw: [], "top level: [] is not an object"),
+    (load_cases, "cases.json", lambda raw: 5, "top level: 5 is not an object"),
+    (load_cases, "cases.json", lambda raw: {}, "missing field cases"),
+    (load_cases, "cases.json", _records("cases", 5), "cases: 5 is not a list"),
+    (load_cases, "cases.json", _records("cases", [5]), "cases[0]: 5 is not an object"),
+    (load_cases, "cases.json", _record("cases", 14, None), "cases[14]: None is not an object"),
+    (load_schellekens, "schellekens.json", lambda raw: [], "top level: [] is not an object"),
+    (load_schellekens, "schellekens.json", lambda raw: {}, "missing field entries"),
+    (load_schellekens, "schellekens.json", _records("entries", 5), "entries: 5 is not a list"),
+    (load_schellekens, "schellekens.json", _records("entries", [5]),
+     "entries[0]: 5 is not an object"),
+    (load_schellekens, "schellekens.json", _record("entries", 70, "D24"),
+     "entries[70]: 'D24' is not an object"),
+])
+def test_loaders_reject_malformed_records(tmp_path, load, name, edit, message):
+    """The top level must be an object and its record list a list of
+    objects; each is checked before any field of a record is read, so a
+    bad last record fails on its index, not on a field."""
+    bad = tmp_path / name
+    bad.write_text(json.dumps(edit(json.loads((DATA / name).read_text()))))
+    with pytest.raises(DataLoadError) as err:
+        load(bad)
+    assert str(err.value) == f"{name}: {message}"
+
+
 @pytest.mark.parametrize("value", [1.5, "11", True, -1])
 def test_cases_load_rejects_bad_problematic_modules(tmp_path, value):
     raw = json.loads((DATA / "cases.json").read_text())
@@ -271,6 +306,36 @@ def test_screening_lists_and_step_g_share_their_cases():
             report = verify_case(case, table)
             assert as_fractions(lists[case.id]) == as_fractions(report.screening[1])
             assert len(lists[case.id]) == case.problematic_modules
+
+
+def test_verify_all_rows_are_the_case_summary_golden():
+    """verify_all and tables regen build their summary rows with one
+    function: without "passed" the rows are the golden, JSON types included."""
+    _, rows = verify_all()
+    stripped = [{k: v for k, v in row.items() if k != "passed"} for row in rows]
+    golden = (DATA / "goldens" / "case_summary.json").read_text()
+    assert json.dumps(stripped, indent=1, sort_keys=True) + "\n" == golden
+    assert all(row["passed"] is True for row in rows)
+
+
+def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):
+    """A recorded representative of 2*h in the wrong coroot coset fails the
+    loader and the (g) rows of i = 2 and of its negation i = 3 with one text."""
+    case = load_cases()[10]
+    bad = (case.ih_reps[2][0], (F(0),) * 4)
+    fault = representative_fault(case.source, bad, 2, case.h)
+    assert fault == "factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"
+    report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
+    failed = {s.name: s.details for s in report.steps if not s.passed}
+    assert failed == {"(g) i=2 representative contract": fault,
+                      "(g) i=3 representative contract": fault.replace("2*h", "3*h")}
+    raw = json.loads((DATA / "cases.json").read_text())
+    raw["cases"][10]["ihReps"]["2"][1] = ["0", "0", "0", "0"]
+    edited = tmp_path / "cases.json"
+    edited.write_text(json.dumps(raw))
+    with pytest.raises(DataLoadError) as err:
+        load_cases(edited)
+    assert str(err.value) == f"case 11: ihReps['2']: {fault}"
 
 
 def test_data_checksums_recorded():

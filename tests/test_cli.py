@@ -109,6 +109,14 @@ def test_kac_and_inner(capsys):
     assert code == 2
 
 
+def test_a_fixed_algebra_without_a_simple_component_prints_a_dash(capsys):
+    code, out, _ = run_cli(capsys, "inner", "--algebra", "A2", "--h", "1/3,1/3")
+    assert (code, out) == (0, "order=3; fixed=- C^2; dim=2\n")
+    code, out, _ = run_cli(capsys, "kac", "--algebra", "A2", "--order", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "A_2^(1); s=[1, 1, 1]; order=3; fixed=- C^2"
+
+
 def test_inner_reduces_h_modulo_the_coweight_lattice(capsys):
     # exp(-2 pi i h_0) depends on h only modulo the coweight lattice; an
     # unreduced alcove walk would take ~5e8 steps here
