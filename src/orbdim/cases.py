@@ -6,9 +6,9 @@ the construction/inner-automorphism/unique-class argument and records
 pass/fail per step.  Facts imported from lattice computer-algebra computations
 the toolkit cannot reproduce are carried with provenance "paper-asserted" and
 never recomputed.  Step (a) reports the conjugacy class lengths, the coset
-groups and the shifted twisted weights.  The fixed- and orbit-lattice genera
-(fixedLatticeGenus, orbitLatticeGenus) are loaded with each cycle shape but
-shown in no report.
+groups and the shifted twisted weights.  The Niemeier label and the fixed-
+and orbit-lattice genera of each cycle shape are present in cases.json but
+not read.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .kacaut import (
     admits_fixed_subalgebra,
     fixed_label,
     inner_from_coweight,
-    module_order_bound,
     witness_fault,
 )
 from .liealg import (
     AffineStructure,
     build_root_system,
+    coroot_order,
     in_alcove_range,
     in_coroot_lattice,
     schellekens_constraint,
@@ -170,8 +170,6 @@ def load_schellekens(path=None) -> list[SchellekensEntry]:
 class ShapeRecord:
     shape: CycleShape
     class_length: int
-    fixed_lattice_genus: str
-    orbit_lattice_genus: str
     coset_group: str
     provenance: str
     variant: str = ""
@@ -180,7 +178,6 @@ class ShapeRecord:
 @dataclass(frozen=True)
 class OrbifoldCase:
     id: str
-    niemeier: str
     n: int
     shapes: tuple[ShapeRecord, ...]
     source: AffineStructure
@@ -232,17 +229,15 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         where = f"case {cid}"
         shapes = []
         for snode in _typed(where, "shapes", _need(where, node, "shapes"), list):
-            factors, length, fixed_genus, orbit_genus, coset, provenance = (
-                _need(where, snode, f"shapes[].{key}") for key in ("factors", "classLength",
-                "fixedLatticeGenus", "orbitLatticeGenus", "cosetGroup", "provenance"))
+            factors, length, coset, provenance = (_need(where, snode, f"shapes[].{key}")
+                for key in ("factors", "classLength", "cosetGroup", "provenance"))
             shape = _built(where, "shapes[].factors", lambda f: CycleShape(
                 {_cycle_length(t): b for t, b in f.items()}),
                 _typed(where, "shapes[].factors", factors, dict))
             if shape.degree() != 24:
                 raise DataLoadError(f"{where}: shapes.factors has degree {shape.degree()}")
             shapes.append(ShapeRecord(shape, _typed(where, "shapes[].classLength", length),
-                                      fixed_genus, orbit_genus, coset,
-                                      provenance, snode.get("variant", "")))
+                                      coset, provenance, snode.get("variant", "")))
         for key in ("source", "target"):
             _need(where, _need(where, node, key), f"{key}.factors")
         source = _built(where, "source", _structure, node["source"])
@@ -267,7 +262,6 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         fixed = _need(where, node, "fixed")
         case = OrbifoldCase(
             id=str(cid),
-            niemeier=_need(where, node, "niemeier"),
             n=n,
             shapes=tuple(shapes),
             source=source,
@@ -453,9 +447,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                and abelian == case.fixed_abelian,
                {"components": list(case.fixed_components), "abelian": case.fixed_abelian},
                {"components": list(got_fixed), "abelian": abelian})
-    bound = 1
-    for rs, h in zip(systems, case.h):
-        bound = lcm(bound, module_order_bound(rs, h))
+    bound = lcm(*(coroot_order(kind, h) for (kind, _), h in zip(case.source.components, case.h)))
     algebra_order = lcm(*orders)
     report.add("(b) order bounds coincide", bound == case.n and algebra_order == case.n,
                {"algebra": case.n, "module": case.n},
@@ -486,9 +478,13 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
         rhs = 24 + (case.n + 1) * profile.dims[1]
         report.add("(e) prime-order symmetry identity", lhs == rhs, rhs, lhs)
 
-    # (f) Schellekens scan: unique survivor in dimension d
+    # (f) Schellekens scan: unique survivor in dimension d; the entry
+    # numbered schellekensNo must be the source
     survivors, faults = schellekens_survivors(schellekens, case.expected_d,
                                               case.fixed_components, case.fixed_abelian, case.n)
+    if [e.structure for e in schellekens if e.no == case.schellekens_no] != [case.source]:
+        faults.append(f"schellekensNo {case.schellekens_no} does not name the source "
+                      f"{case.source.label()}")
     expected_label = case.target.label()
     got_labels = [e.label() for e in survivors]
     report.add("(f) unique Schellekens survivor",

@@ -356,12 +356,6 @@ def inner_from_coweight(rs: RootSystem, h):
     return d, (comps, abelian), dim
 
 
-def module_order_bound(rs: RootSystem, h) -> int:
-    """Smallest k with k*h in the coroot lattice; bounds the order on modules."""
-    u, d = rs._coroot_scaled(h)
-    return d // gcd(d, *u)
-
-
 def coweight_to_kac_labels(rs: RootSystem, h):
     """Kac coordinates of the inner automorphism exp(-2 pi i h_0).
 

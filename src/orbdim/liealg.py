@@ -9,14 +9,15 @@ simple roots (see RootSystem._positive_roots).  The pairing of a weight
 against a coweight goes through the inverse Cartan matrix:
 lambda(h) = m^T C^{-1} c.
 
-Arithmetic runs on scaled integers.  A root system stores three integer
-matrices, C^{-1} and the Gram matrices of the fundamental weights and of
-the fundamental coweights, each over one common denominator, built from C
-by fraction-free elimination without a Fraction matrix, and a rational
-vector enters as (integer vector, one denominator), see scale_vector.
-Pairings, forms, reflections, Weyl dimensions and Freudenthal's recursion
-then add and multiply ints; a Fraction is built only for a returned value.
-Integral weights come back as ints, coweights as Fractions.
+Arithmetic runs on scaled integers.  C^{-1}, over one common denominator,
+is built once per kind from C by fraction-free elimination and kept in
+weyl_tables(kind), which the loader's lattice tests and every root system
+share; a root system adds the Gram matrices of the fundamental weights and
+coweights in the same form.  A rational vector enters as (integer vector,
+one denominator), see scale_vector.  Pairings, forms, reflections, Weyl
+dimensions and Freudenthal's recursion then add and multiply ints; a
+Fraction is built only for a returned value.  Integral weights come back
+as ints, coweights as Fractions.
 
 Two kernels serve weight systems.  Pairing a whole weight system against one
 coweight h pays for h once: each root system keeps (h, C^{-1} h scaled) for
@@ -42,7 +43,6 @@ from typing import NamedTuple
 
 from .cartan import (
     Kind,
-    cartan_determinant,
     cartan_matrix,
     classical_dimension,
     comarks,
@@ -112,17 +112,20 @@ def _adjugate(M) -> tuple[list[list[int]], int]:
     return [row[n:] for row in A], prev
 
 
-# -- Weyl-chamber and alcove walks, from Cartan data alone ------------------
+# -- Weyl-chamber and alcove walks and coroot coordinates, from Cartan data --
 
 class WeylTables(NamedTuple):
-    """What the walks of one kind read.  rows[i] and cols[i] list the
-    non-zero (j, C[i][j]) and (j, C[j][i]): s_i sends a weight m to
-    m - m_i C[i][.] and a coweight c to c - c_i C[.][i]."""
+    """What the walks and lattice tests of one kind read.  rows[i] and
+    cols[i] list the non-zero (j, C[i][j]) and (j, C[j][i]): s_i sends a
+    weight m to m - m_i C[i][.] and a coweight c to c - c_i C[.][i].
+    C^{-1} = inv / den, den the least common denominator."""
 
     rows: tuple[tuple[tuple[int, int], ...], ...]
     cols: tuple[tuple[tuple[int, int], ...], ...]
     marks: tuple[int, ...]
     theta: tuple[int, ...]          # theta^vee: <alpha_j, theta^vee> = sum_i a_i^vee C[j][i]
+    inv: tuple[tuple[int, ...], ...]
+    den: int
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +136,8 @@ def weyl_tables(kind: Kind) -> WeylTables:
         tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C),
         tuple(tuple((j, C[j][i]) for j in range(l) if C[j][i]) for i in range(l)),
         tuple(marks(kind)),
-        tuple(dot(comarks(kind), row) for row in C))
+        tuple(dot(comarks(kind), row) for row in C),
+        *_reduced(*_adjugate(C)))
 
 
 def dominant_walk(sparse, v) -> tuple[list[int], list[int]]:
@@ -196,18 +200,18 @@ def in_alcove_range(kind: Kind, h) -> bool:
     return dot(table.marks, dominant_walk(table.cols, c)[0]) <= d
 
 
+def coroot_order(kind: Kind, h) -> int:
+    """The least k >= 1 with k h in Q^vee, the order of sigma_h on modules:
+    e / gcd(e, u) for C^{-1} h = u / e, h on the simple coroots."""
+    table = weyl_tables(kind)
+    c, d = scale_vector(h)
+    e = d * table.den
+    return e // gcd(e, *[dot(row, c) for row in table.inv])
+
+
 def in_coroot_lattice(kind: Kind, v) -> bool:
-    """v in Q^vee.  det C * P^vee lies in Q^vee, as det C is the order of
-    P^vee/Q^vee, so an integral v is first reduced entrywise mod det C,
-    towards 0: an entry keeps its sign and entries below det C in absolute
-    value stay, so small vectors walk as before.  The alcove walk keeps v
-    mod Q^vee and takes an integral v to an integral point of the alcove:
-    0, or one minuscule coweight per non-zero class of P^vee/Q^vee."""
-    c, d = scale_vector(v)
-    if d != 1:
-        return False
-    m = cartan_determinant(kind)
-    return not any(alcove_walk(kind, [x % m if x >= 0 else -(-x % m) for x in c], 1)[0])
+    """v in Q^vee: C^{-1} v is integral."""
+    return coroot_order(kind, v) == 1
 
 
 class RootSystem:
@@ -228,8 +232,8 @@ class RootSystem:
         self.dual_coxeter = dual_coxeter(kind)
         self.dim = classical_dimension(kind)
         l = self.rank
-        adj, det = _adjugate(self.cartan)
-        self.inv_scaled, self.inv_den = _reduced(adj, det)
+        tables = weyl_tables(kind)
+        self.inv_scaled, self.inv_den = tables.inv, tables.den
         # d_i = (alpha_i, alpha_i) = norm[i] / nd, and 2/d_i = co[i] is an integer
         norm, nd = scale_vector(self.norms)
         co = []
@@ -244,7 +248,6 @@ class RootSystem:
             [[norm[i] * inv[j][i] for j in range(l)] for i in range(l)], 2 * nd * self.inv_den)
         self.gram_coweights_scaled, self.gram_coweights_den = _reduced(
             [[co[i] * inv[i][j] for j in range(l)] for i in range(l)], self.inv_den)
-        tables = weyl_tables(kind)
         self._rows, self._cols = tables.rows, tables.cols
         # (c, _coroot_scaled(c)) for the last tuple c, replaced in one assignment
         self._last_coweight = (None, None)

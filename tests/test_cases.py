@@ -291,6 +291,33 @@ def test_fault_injection_problematic_modules(tmp_path):
         load_cases(edited)
 
 
+
+@pytest.mark.parametrize("number", [37, 71])
+def test_fault_injection_schellekens_number(capsys, monkeypatch, number):
+    """Case 11's schellekensNo is 9, its source A4,5 A4,5.  Entry 37 is its
+    target A4^6 and no entry is numbered 71: either way the (f) row fails
+    with the fault in its details, the survivor list unchanged, and case
+    run exits 1."""
+    import orbdim.cases as cases_mod
+    from orbdim.cli import main
+
+    real = cases_mod._data_text
+
+    def corrupted(name):
+        raw = json.loads(real(name))
+        if name == "cases.json":
+            raw["cases"][10]["schellekensNo"] = number
+        return json.dumps(raw)
+
+    monkeypatch.setattr(cases_mod, "_data_text", corrupted)
+    report = verify_case(load_cases()[10], load_schellekens())
+    step = next(s for s in report.steps if s.name == "(f) unique Schellekens survivor")
+    assert not step.passed and step.actual == step.expected == ["A4 A4 A4 A4 A4 A4"]
+    assert step.details == f"schellekensNo {number} does not name the source A4,5 A4,5"
+    assert [s.name for s in report.steps if not s.passed] == [step.name]
+    assert main(["case", "run", "11"]) == 1
+    assert f"schellekensNo {number} does not name" in capsys.readouterr().out
+
 def test_screening_lists_and_step_g_share_their_cases():
     from orbdim.cli import regenerate_tables
 
@@ -371,6 +398,20 @@ def test_fault_injection_corrupted_d():
     assert "(e) orbifold dimension" in failing
     # the pipeline keeps going and still gathers later steps
     assert any(s.name.startswith("(g)") for s in report.steps)
+
+
+def test_fault_injection_module_order():
+    """Adding Lambda_1^vee to case 1's h on A5 (h = 0 there) leaves the
+    automorphism of V1 as it was, but Lambda_1^vee has order 6 in
+    P^vee/Q^vee = Z/6, so the least k with k*h in the coroot lattice, the
+    order on modules that step (b) compares with n = 2, becomes 6."""
+    case = load_cases()[0]
+    a5 = case.h[0]
+    shifted = dataclasses.replace(case, h=((a5[0] + 1,) + a5[1:],) + case.h[1:])
+    steps = {s.name: s for s in verify_case(shifted, load_schellekens()).steps}
+    assert steps["(b) per-factor orders on V1"].passed and steps["(b) fixed subalgebra"].passed
+    step = steps["(b) order bounds coincide"]
+    assert not step.passed and step.actual == {"algebra": 2, "module": 6}
 
 
 @pytest.mark.parametrize("corruption, message", [

@@ -15,9 +15,8 @@ from orbdim.kacaut import (
     fixed_from_s,
     fixed_subalgebra_semisimple,
     inner_from_coweight,
-    module_order_bound,
 )
-from orbdim.liealg import build_root_system
+from orbdim.liealg import build_root_system, coroot_order
 
 from test_inner_oracle import _inner_oracle
 from test_lie_oracle import _reflect_coweight
@@ -45,7 +44,7 @@ def test_case_order_bounds_coincide():
         for (kind, _), h in zip(case.source.components, case.h):
             rs = build_root_system(kind)
             algebra = lcm(algebra, inner_from_coweight(rs, h)[0])
-            module = lcm(module, module_order_bound(rs, h))
+            module = lcm(module, coroot_order(kind, h))
         assert algebra == case.n and module == case.n, case.id
 
 

@@ -18,9 +18,8 @@ from orbdim.kacaut import (
     fixed_from_s,
     fixed_subalgebra_semisimple,
     inner_from_coweight,
-    module_order_bound,
 )
-from orbdim.liealg import alcove_walk, dot, root_system, scale_vector, unwalk
+from orbdim.liealg import alcove_walk, coroot_order, dot, root_system, scale_vector, unwalk
 
 from test_inner_oracle import _inner_oracle
 from test_kac_enum_oracle import KINDS, ORDERS
@@ -209,16 +208,16 @@ def test_a9_case12_fixed_subalgebra():
 
 def test_module_order_bound():
     a4 = root_system("A4")
-    assert module_order_bound(a4, (F(1, 5),) * 4) == 5
+    assert coroot_order(a4.kind, (F(1, 5),) * 4) == 5
     c10 = root_system("C10")
     h = [0] * 10
     h[1] = F(1, 4)
     h[9] = F(1, 2)
-    assert module_order_bound(c10, h) == 4
+    assert coroot_order(c10.kind, h) == 4
     # any coroot lattice element gives 1: alpha_1^vee has coweight coords (2, -1)
     a2 = root_system("A2")
-    assert module_order_bound(a2, (2, -1)) == 1
-    assert module_order_bound(a2, (1, 1)) == 1  # delta^vee = a1^vee + a2^vee
+    assert coroot_order(a2.kind, (2, -1)) == 1
+    assert coroot_order(a2.kind, (1, 1)) == 1  # delta^vee = a1^vee + a2^vee
 
 
 def test_kac_label_route_matches_subdiagram_route():

@@ -15,11 +15,11 @@ from types import SimpleNamespace
 import pytest
 
 from orbdim.cartan import _VALID_RANKS, cartan_determinant
-from orbdim.kacaut import module_order_bound
 from orbdim.liealg import (
     _adjugate,
     alcove_walk,
     build_root_system,
+    coroot_order,
     dominant_walk,
     dominant_weights_of_level,
     dot,
@@ -170,6 +170,20 @@ def _coweight_to_coroot_coords(rs, c):
 
 def _in_coroot_lattice(rs, c):
     return all(x.denominator == 1 for x in _coweight_to_coroot_coords(rs, c))
+
+
+def _walk_in_coroot_lattice(kind, v):
+    """v in Q^vee.  det C * P^vee lies in Q^vee, as det C is the order of
+    P^vee/Q^vee, so an integral v is first reduced entrywise mod det C,
+    towards 0: an entry keeps its sign and entries below det C in absolute
+    value stay, so small vectors walk as before.  The alcove walk keeps v
+    mod Q^vee and takes an integral v to an integral point of the alcove:
+    0, or one minuscule coweight per non-zero class of P^vee/Q^vee."""
+    c, d = scale_vector(v)
+    if d != 1:
+        return False
+    m = cartan_determinant(kind)
+    return not any(alcove_walk(kind, [x % m if x >= 0 else -(-x % m) for x in c], 1)[0])
 
 
 def _reflect_weight(rs, m, i):
@@ -402,8 +416,8 @@ def _module_order_bound(rs, h):
 def test_pairing_memo_matches_oracle(kind):
     """The root system keeps the last tuple coweight and C^{-1} of it, found
     by identity; every way of handing a coweight in again gives the oracle's
-    pairing, and module_order_bound, the memo's other reader, the oracle's
-    order."""
+    pairing, and coroot_order, which reads C^{-1} from weyl_tables and not
+    the memo, the oracle's order."""
     rs = build_root_system(kind)
     rng = random.Random(f"memo-{kind}")
     wts = [_weight(rng, rs.rank) for _ in range(3)] + [_weight(rng, rs.rank, True)]
@@ -411,7 +425,7 @@ def test_pairing_memo_matches_oracle(kind):
     def check(c):
         for m in wts:
             assert rs.pair_weight_coweight(m, c) == _pair_weight_coweight(rs, m, c)
-        assert module_order_bound(rs, c) == _module_order_bound(rs, c)
+        assert coroot_order(kind, c) == _module_order_bound(rs, c)
 
     h1, h2 = _coweight(rng, rs.rank), _coweight(rng, rs.rank)
     check(h1)                                   # the same tuple twice
@@ -585,16 +599,12 @@ def _check_alcove_condition(rs, h):
     return all(dot(r, scaled) >= -den for r in rs.roots)
 
 
-LARGE_ENTRIES = {("E", 8): 10**3, ("A", 24): 10**6}
-
-
 @pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_walk_lattice_tests_match_oracles(kind):
     """in_alcove_range against the loop over all roots, in_coroot_lattice
     against the Fraction C^{-1}, on random points and their alcove
     representatives.  h = -Lambda_i^vee / a_i has min alpha(h) = -theta_i / a_i
-    = -1 exactly; 1 + 1/a_i times it goes below -1.  E8 and A24 also get
-    integer vectors with entries up to LARGE_ENTRIES."""
+    = -1 exactly; 1 + 1/a_i times it goes below -1."""
     rs = build_root_system(kind)
     rng = random.Random(f"lattice-{kind}")
     l = rs.rank
@@ -604,14 +614,6 @@ def test_walk_lattice_tests_match_oracles(kind):
         assert in_alcove_range(kind, edge) and _check_alcove_condition(rs, edge)
         assert not in_alcove_range(kind, beyond) and not _check_alcove_condition(rs, beyond)
     seen = set()
-    big = LARGE_ENTRIES.get(kind)
-    for _ in range(12 if big else 0):
-        # reduced mod det C before the walk, so as cheap as small entries
-        ks = [rng.randint(-big, big) for _ in range(l)]
-        coroot = tuple(dot(row, ks) for row in rs.cartan)
-        v = tuple(rng.randint(-big, big) for _ in range(l))
-        for w in (v, coroot, tuple(x + y for x, y in zip(v, coroot))):
-            assert in_coroot_lattice(kind, w) == _in_coroot_lattice(rs, w), w
     for _ in range(12):
         den = rng.choice([1, 2, 3, 4, 6])
         h = tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(l))
@@ -627,3 +629,36 @@ def test_walk_lattice_tests_match_oracles(kind):
             assert ok == _in_coroot_lattice(rs, w), w
             seen.add(("coroot", ok))
     assert seen == {("alcove", True), ("alcove", False), ("coroot", True), ("coroot", False)}
+
+
+BIG = 10**12
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_coroot_coordinates_match_walk_and_fraction_oracles(kind):
+    """in_coroot_lattice, read off C^{-1} v from weyl_tables, against the
+    alcove walk after reduction mod det C and against the Fraction C^{-1},
+    on integer vectors with entries up to 10^12, coroot points and their
+    sums; coroot_order against the lcm of the Fraction coordinates'
+    denominators on coweights with denominators 1..12.  The root system
+    holds the same C^{-1} object as weyl_tables."""
+    rs = build_root_system(kind)
+    assert weyl_tables(kind).inv is rs.inv_scaled and weyl_tables(kind).den == rs.inv_den
+    rng = random.Random(f"coroot-{kind}")
+    l = rs.rank
+    seen = set()
+    for _ in range(8):
+        ks = [rng.randint(-BIG, BIG) for _ in range(l)]
+        coroot = tuple(dot(row, ks) for row in rs.cartan)      # sum_j k_j alpha_j^vee
+        v = tuple(rng.randint(-BIG, BIG) for _ in range(l))
+        assert in_coroot_lattice(kind, coroot)
+        for w in (v, coroot, tuple(x + y for x, y in zip(v, coroot))):
+            ok = in_coroot_lattice(kind, w)
+            assert ok == _walk_in_coroot_lattice(kind, w) == _in_coroot_lattice(rs, w), w
+            seen.add(ok)
+    assert seen == ({True} if cartan_determinant(kind) == 1 else {True, False})
+    for den in range(1, 13):
+        h = tuple(Fraction(rng.randint(-BIG, BIG), den) for _ in range(l))
+        k = coroot_order(kind, h)
+        assert k == _module_order_bound(rs, h), h
+        assert in_coroot_lattice(kind, [k * x for x in h])
