@@ -25,9 +25,13 @@ the last tuple h it was given, found again by identity, and an integer
 weight is then paired by one dot product, with no rescaling.  Freudenthal's
 recursion fills the weight dict orbit by orbit as each dominant
 multiplicity is found and reads every weight of a root string from that
-dict.  An orbit is expanded as a tree rooted at its dominant member, in
-which every other member has one parent, so each member is made once and
-no seen set is kept (see orbit_tree).
+dict.  The dominant weights below the highest weight lam are found by a
+walk over mu_0, mu_1, ... that carries C^{-1}(lam - mu) and cuts a branch
+as soon as an entry turns negative, which is sound because every entry of
+C^{-1} is positive (Lusztig and Tits, 1992; see dominant_below).  An orbit
+is expanded as a tree rooted at its dominant member, in which every other
+member has one parent, so each member is made once and no seen set is kept
+(see orbit_tree).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, floordiv, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -257,9 +261,13 @@ class RootSystem:
     @cached_property
     def _positive_pairings(self):
         """(alpha in weight coordinates, g) per positive root alpha, where
-        g_a = (Lambda_a, alpha) * gram_weights_den."""
-        return [(w, tuple(dot(row, w) for row in self.gram_weights_scaled))
-                for w in map(self.root_to_weight_coords, self.positive_roots)]
+        g_a = (Lambda_a, alpha) * gram_weights_den.  As (Lambda_a, alpha_b) =
+        delta_ab (alpha_a, alpha_a)/2, g is alpha's simple-root coordinates
+        times half_a = (Lambda_a, alpha_a) scaled, the Gram row of Lambda_a
+        against alpha_a = C[a] in weight coordinates."""
+        half = [dot(row, a) for row, a in zip(self.gram_weights_scaled, self.cartan)]
+        return [(self.root_to_weight_coords(root), tuple(map(mul, root, half)))
+                for root in self.positive_roots]
 
     # -- construction ------------------------------------------------------
 
@@ -418,8 +426,47 @@ def dominant_weights_of_level(rs: RootSystem, k: int) -> list[tuple]:
     return sorted(out)
 
 
+def dominant_below(table: WeylTables, lam: tuple) -> list[tuple[int, tuple[int, ...]]]:
+    """(depth, mu) for every dominant integral mu <= lam, sorted, the depth
+    being the height of lam - mu.
+
+    mu <= lam means k = C^{-1}(lam - mu), the simple-root coordinates of
+    lam - mu, is a non-negative integer vector.  Every entry of C^{-1} is
+    positive (G. Lusztig and J. Tits, "The inverse of a Cartan matrix",
+    An. Univ. Timisoara 30 (1992) 17-23), so raising mu_j lowers every k_i.
+    The walk sets mu_0, mu_1, ... in turn on den * k, which mu_j = v lowers
+    by v * inv[j], and stops v where an entry would turn negative; a leaf
+    is kept when den divides all of den * k.  The cut is only sound for a
+    positive C^{-1}, so any other table raises ArithmeticError."""
+    inv, den = table.inv, table.den
+    if min(map(min, inv)) <= 0:
+        raise ArithmeticError("the walk below lam needs every entry of C^{-1} positive")
+    l = len(lam)
+    mu = [0] * l
+    out = []
+
+    def walk(j, k):
+        if j == l:
+            if not any(x % den for x in k):
+                out.append((sum(k) // den, tuple(mu)))
+            return
+        row = inv[j]
+        for v in range(min(map(floordiv, k, row)) + 1):
+            mu[j] = v
+            walk(j + 1, k)
+            k = list(map(sub, k, row))
+
+    walk(0, [dot(col, lam) for col in zip(*inv)])
+    out.sort()
+    return out
+
+
 def _dominant_integral(m) -> tuple[int, ...]:
-    """m as a tuple of ints; ValueError unless it is dominant integral."""
+    """m as a tuple of ints; ValueError unless it is dominant integral.
+    Non-negative ints (not bools) pass as they are; every other entry is
+    read as a Fraction."""
+    if all(type(x) is int and x >= 0 for x in m):
+        return tuple(m)
     out = [Fraction(x) for x in m]
     if any(x.denominator != 1 for x in out):
         raise ValueError(f"weight {tuple(m)} is not integral")
@@ -457,21 +504,12 @@ def weight_system(rs: RootSystem, m) -> Mapping[tuple, int]:
 
 def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
     """Freudenthal's recursion on integers: every inner product is scaled by
-    the Gram denominator, which cancels in the quotient.  The dict lists the
-    orbits of the dominant weights in order of depth below lam, each orbit
-    in the order of orbit_tree."""
+    the Gram denominator, which cancels in the quotient.  The dominant
+    weights below lam come from the walk of dominant_below, cut wherever
+    C^{-1}(lam - mu) turns negative.  The dict lists their orbits in order
+    of depth below lam, ties by mu, each orbit in the order of orbit_tree."""
     G = rs.gram_weights_scaled
-    den = rs.inv_den
-    cols = list(zip(*rs.inv_scaled))
-    # dominant weights mu <= lam: level is bounded by lam's, difference in Q+;
-    # its simple-root coordinates are k_i = sum_j (C^{-1})_{ji} diff_j
-    dominant = []
-    for cand in dominant_weights_of_level(rs, dot(lam, rs.comarks)):
-        diff = [a - b for a, b in zip(lam, cand)]
-        k = [dot(col, diff) for col in cols]
-        if all(x >= 0 and x % den == 0 for x in k):
-            dominant.append((sum(k) // den, cand))
-    dominant.sort()
+    dominant = dominant_below(weyl_tables(rs.kind), lam)
 
     def norm(mu):                       # (mu + delta, mu + delta), scaled
         v = [x + 1 for x in mu]

@@ -17,9 +17,11 @@ import pytest
 from orbdim.cartan import _VALID_RANKS, cartan_determinant
 from orbdim.liealg import (
     _adjugate,
+    _dominant_integral,
     alcove_walk,
     build_root_system,
     coroot_order,
+    dominant_below,
     dominant_walk,
     dominant_weights_of_level,
     dot,
@@ -662,3 +664,113 @@ def test_coroot_coordinates_match_walk_and_fraction_oracles(kind):
         k = coroot_order(kind, h)
         assert k == _module_order_bound(rs, h), h
         assert in_coroot_lattice(kind, [k * x for x in h])
+
+
+def _dominant_by_level_filter(rs, lam):
+    """The search dominant_below replaced, kept as its oracle: every dominant
+    weight of level at most lam's, kept when lam - mu lies in Q+."""
+    den = rs.inv_den
+    cols = list(zip(*rs.inv_scaled))
+    # dominant weights mu <= lam: level is bounded by lam's, difference in Q+;
+    # its simple-root coordinates are k_i = sum_j (C^{-1})_{ji} diff_j
+    dominant = []
+    for cand in dominant_weights_of_level(rs, dot(lam, rs.comarks)):
+        diff = [a - b for a, b in zip(lam, cand)]
+        k = [dot(col, diff) for col in cols]
+        if all(x >= 0 and x % den == 0 for x in k):
+            dominant.append((sum(k) // den, cand))
+    dominant.sort()
+    return dominant
+
+
+# the most dominant weights of level <= level(lam) that the oracle may list
+FILTER_BUDGET = 20000
+
+
+def _count_to_level(comarks, k):
+    """The number of dominant weights of level at most k: the solutions of
+    sum a_i m_i <= k in non-negative integers, counted by a coin table."""
+    ways = [1] + [0] * k
+    for a in comarks:
+        for t in range(a, k + 1):
+            ways[t] += ways[t - a]
+    return sum(ways)
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_dominant_walk_matches_level_filter(kind):
+    """Every entry of C^{-1} is positive, the premise of the walk's cut, and
+    the walk gives the level filter's (depth, mu) list, order included, on
+    one seeded highest weight of each level up to 6, or up to the level
+    where the filter would list more than FILTER_BUDGET weights."""
+    table = weyl_tables(kind)
+    assert min(map(min, table.inv)) > 0
+    rs = build_root_system(kind)
+    rng = random.Random(f"below-{kind}")
+    top = max(k for k in range(7) if _count_to_level(rs.comarks, k) <= FILTER_BUDGET)
+    by_level = {}
+    for lam in dominant_weights_of_level(rs, top):
+        by_level.setdefault(dot(lam, rs.comarks), []).append(lam)
+    assert len(by_level) > 1
+    assert sum(map(len, by_level.values())) == _count_to_level(rs.comarks, top)
+    for level in sorted(by_level):
+        lam = rng.choice(by_level[level])
+        assert dominant_below(table, lam) == _dominant_by_level_filter(rs, lam), lam
+
+
+@pytest.mark.parametrize("entry", [0, -1], ids=["zero", "negative"])
+def test_dominant_walk_refuses_a_table_without_positive_inverse(entry):
+    """A table whose C^{-1} has an entry that is not positive would make the
+    walk's cut unsound; the walk raises instead of answering."""
+    table = weyl_tables(("A", 3))
+    inv = [list(row) for row in table.inv]
+    inv[2][0] = entry
+    with pytest.raises(ArithmeticError, match="positive"):
+        dominant_below(table._replace(inv=tuple(map(tuple, inv))), (1, 0, 1))
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_positive_pairings_match_gram_product(kind):
+    """g_a = k_a (Lambda_a, alpha_a) per positive root with simple-root
+    coordinates k equals the product of the weight Gram matrix with alpha
+    in weight coordinates that it replaced."""
+    rs = build_root_system(kind)
+    assert rs._positive_pairings == [
+        (w, tuple(dot(row, w) for row in rs.gram_weights_scaled))
+        for w in map(rs.root_to_weight_coords, rs.positive_roots)]
+
+
+def _old_dominant_integral(m):
+    """_dominant_integral before its int fast path, kept as its oracle."""
+    out = [Fraction(x) for x in m]
+    if any(x.denominator != 1 for x in out):
+        raise ValueError(f"weight {tuple(m)} is not integral")
+    if any(x < 0 for x in out):
+        raise ValueError(f"weight {tuple(m)} is not dominant integral")
+    return tuple([x.numerator for x in out])
+
+
+def _outcome(fn, m):
+    try:
+        got = fn(m)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    return got, [type(x) for x in got]
+
+
+@pytest.mark.parametrize("m", [
+    (2, 0, 1), [2, 0, 1], (), (0, 0, 0), (-1, 0, 2),
+    (True, False, True), (True, 0, 2), (2, -1, False),
+    (Fraction(2), 0, 1), (Fraction(1, 2), 0, 1), (Fraction(-2), 0, 1),
+    (2.0, 0, 1), (0.5, 0, 1), (-1.0, 0, 1), (float("nan"), 0, 1), (float("inf"), 0, 1),
+    ("2", "0", "1"), ("1/2", 0, 1), ("-1", 0, 1), ("x", 0, 1),
+], ids=repr)
+def test_dominant_integral_input_types_match_oracle(m):
+    """Non-negative ints take the fast path; bools, Fractions, floats and
+    strings take the Fraction path; each returns the oracle's ints or raises
+    its exception with the same text."""
+    assert _outcome(_dominant_integral, m) == _outcome(_old_dominant_integral, m)
+    if len(m) == 3 and type(got := _outcome(_old_dominant_integral, m)[0]) is tuple:
+        rs = build_root_system(("A", 3))
+        assert weight_system(rs, m) == weight_system(rs, got)
+        assert weyl_dimension(rs, m) == weyl_dimension(rs, got)
