@@ -461,17 +461,20 @@ def dominant_below(table: WeylTables, lam: tuple) -> list[tuple[int, tuple[int, 
     return out
 
 
-def _dominant_integral(m) -> tuple[int, ...]:
-    """m as a tuple of ints; ValueError unless it is dominant integral.
-    Non-negative ints (not bools) pass as they are; every other entry is
-    read as a Fraction."""
+def _dominant_integral(m, rank: int) -> tuple[int, ...]:
+    """m as a tuple of ints; ValueError unless it is a dominant integral
+    weight with rank entries.  Non-negative ints (not bools) pass as they
+    are; every other entry is read as a Fraction."""
+    m = tuple(m)
+    if len(m) != rank:
+        raise ValueError(f"weight {m} has {len(m)} entries, not {rank}")
     if all(type(x) is int and x >= 0 for x in m):
-        return tuple(m)
+        return m
     out = [Fraction(x) for x in m]
     if any(x.denominator != 1 for x in out):
-        raise ValueError(f"weight {tuple(m)} is not integral")
+        raise ValueError(f"weight {m} is not integral")
     if any(x < 0 for x in out):
-        raise ValueError(f"weight {tuple(m)} is not dominant integral")
+        raise ValueError(f"weight {m} is not dominant integral")
     return tuple([x.numerator for x in out])
 
 
@@ -479,7 +482,7 @@ def weyl_dimension(rs: RootSystem, m) -> int:
     """Weyl dimension formula, exact."""
     # (lambda + delta, alpha) / (delta, alpha); the common scale of the Gram
     # matrix cancels between numerator and denominator
-    lam_delta = [x + 1 for x in _dominant_integral(m)]
+    lam_delta = [x + 1 for x in _dominant_integral(m, rs.rank)]
     num = den = 1
     for _, g in rs._positive_pairings:
         num *= dot(lam_delta, g)
@@ -499,7 +502,7 @@ def weight_system(rs: RootSystem, m) -> Mapping[tuple, int]:
     """Weights of the irreducible module of highest weight m, with
     multiplicities, as a read-only view: the cache hands the same mapping
     to every caller."""
-    return _weight_system_cached(rs.kind, _dominant_integral(m))
+    return _weight_system_cached(rs.kind, _dominant_integral(m, rs.rank))
 
 
 def _weight_system(rs: RootSystem, lam: tuple) -> dict[tuple, int]:
@@ -590,7 +593,7 @@ def orbit_tree(rows, lam) -> list[tuple[int, ...]]:
 
 def affine_conformal_weight(rs: RootSystem, k: int, m) -> Fraction:
     """(lambda + 2 delta, lambda) / (2(k + h_vee)) for a level <= k weight."""
-    _dominant_integral(m)
+    _dominant_integral(m, rs.rank)
     if rs.level(m) > k:
         raise ValueError(f"weight {tuple(m)} has level above {k}")
     shifted = tuple(x + 2 for x in m)

@@ -122,6 +122,16 @@ def test_non_integral_weights_raise(call, weight):
         call(root_system("A2"), weight)
 
 
+@pytest.mark.parametrize("weight", [(), (1,), (1, 0), [0, 0, 0, 2]], ids=repr)
+@pytest.mark.parametrize("call", [weight_system, weyl_dimension,
+                                  lambda rs, m: affine_conformal_weight(rs, 1, m)],
+                         ids=["weight_system", "weyl_dimension", "affine_conformal_weight"])
+def test_weights_of_the_wrong_length_raise(call, weight):
+    # these used to give a weight system or dimension of some other weight
+    with pytest.raises(ValueError, match=f"has {len(weight)} entries, not 3"):
+        call(root_system("A3"), weight)
+
+
 def test_weyl_orbit_accepts_integral_non_dominant_weights():
     # the orbit of an integral weight is the orbit tree of its dominant conjugate
     a2 = root_system("A2")
