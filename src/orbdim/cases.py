@@ -29,10 +29,11 @@ from .kacaut import (
 )
 from .liealg import (
     AffineStructure,
+    _coroot_order,
     build_root_system,
     coroot_order,
     in_alcove_range,
-    in_coroot_lattice,
+    scale_vector,
     schellekens_constraint,
 )
 from .modcurve import GENUS_ZERO_LEVELS, divisors
@@ -211,9 +212,12 @@ def representative_fault(source, rep, i, h):
     """Why rep breaks the representative contract of step (g) for i*h, or
     None: rep - i*h must lie in the coroot lattice and alpha(rep) >= -1 for
     every root.  Both checks read Cartan data alone, so the loader, which
-    checks the recorded representatives with this, builds no root system."""
+    checks the recorded representatives with this, builds no root system.
+    rep - i*h is taken on integers over the lcm of the two denominators."""
     for f, ((kind, _), coords, x) in enumerate(zip(source.components, rep, h)):
-        if not in_coroot_lattice(kind, [r - i * y for r, y in zip(coords, x)]):
+        (a, p), (b, q) = scale_vector(coords), scale_vector(x)
+        m = lcm(p, q)
+        if _coroot_order(kind, [u * (m // p) - i * v * (m // q) for u, v in zip(a, b)], m) != 1:
             return (f"factor {f} ({kind_name(kind)}) differs from {i}*h "
                     "by a coweight outside the coroot lattice")
         if not in_alcove_range(kind, coords):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -233,6 +232,8 @@ def regenerate_tables():
 
 
 def cmd_tables_regen(args) -> int:
+    import hashlib                      # the manifest alone needs it
+
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

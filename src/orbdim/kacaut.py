@@ -55,7 +55,7 @@ from .cartan import (
     untwisted_diagram,
     validate_kind,
 )
-from .liealg import RootSystem, alcove_walk, dot, scale_vector
+from .liealg import RootSystem, alcove_walk, build_root_system, dot, scale_vector, weyl_tables
 from .modcurve import divisors
 
 
@@ -346,13 +346,41 @@ def inner_from_coweight(rs: RootSystem, h):
     off the Kac coordinates by fixed_from_s on the untwisted affine diagram;
     its dimension is checked against rank + 2 #{alpha > 0 : (alpha, c) = 0
     mod d}.
+
+    The answer depends on the kind and on (c, d) alone, so h is scaled once
+    and the answer read from the memo _inner, an lru_cache on the int key
+    (kind, c, d).  scale_vector reduces, so equal coweights spelled as ints,
+    Fractions or strings share one entry; the value is a tuple of tuples, so
+    no caller can change it.  A failed check raises afresh on every call, as
+    lru_cache keeps no exception, and its text names h as the caller spelled it.
     """
     c, d = scale_vector(h)
-    comps, abelian = fixed_from_s(untwisted_diagram(rs.kind), coweight_to_kac_labels(rs, h))
-    dim = rs.rank + 2 * sum(1 for root in rs.positive_roots if dot(root, c) % d == 0)
+    return _naming(h, _inner, rs.kind, c, d)
+
+
+class _CoweightFault(ArithmeticError):
+    """A check on c/d that failed: (text before the coweight, text after it)."""
+
+
+def _naming(h, call, *args):
+    """call(*args), with a _CoweightFault it raises turned into an
+    ArithmeticError that names the coweight h as the caller spelled it."""
+    try:
+        return call(*args)
+    except _CoweightFault as err:
+        before, after = err.args
+        raise ArithmeticError(f"{before} {tuple(h)} {after}") from None
+
+
+@lru_cache(maxsize=1024)
+def _inner(kind: Kind, c: tuple[int, ...], d: int):
+    """inner_from_coweight at h = c/d, gcd(c, d) = 1."""
+    comps, abelian = fixed_from_s(untwisted_diagram(kind), _kac_labels(kind, c, d))
+    dim = kind[1] + 2 * sum(1 for root in build_root_system(kind).positive_roots
+                            if dot(root, c) % d == 0)
     if dim != sum(classical_dimension(k) for k in comps) + abelian:
-        raise ArithmeticError(f"fixed subalgebra of {tuple(h)} on {kind_name(rs.kind)} "
-                              f"has dimension {dim}, not that of {comps} + C^{abelian}")
+        raise _CoweightFault("fixed subalgebra of", f"on {kind_name(kind)} has dimension "
+                             f"{dim}, not that of {comps} + C^{abelian}")
     return d, (comps, abelian), dim
 
 
@@ -368,11 +396,14 @@ def coweight_to_kac_labels(rs: RootSystem, h):
     automorphism but may reach alcove points that differ by a diagram
     automorphism induced by P^vee/Q^vee, so s is fixed only up to those.
     """
-    c, d = scale_vector(h)
-    tilde, _ = alcove_walk(rs.kind, [x % d for x in c], d)
-    s = (d - dot(rs.marks, tilde), *tilde)
+    return _naming(h, _kac_labels, rs.kind, *scale_vector(h))
+
+
+def _kac_labels(kind: Kind, c, d: int) -> tuple[int, ...]:
+    tilde, _ = alcove_walk(kind, [x % d for x in c], d)
+    s = (d - dot(weyl_tables(kind).marks, tilde), *tilde)
     if any(x < 0 for x in s):
-        raise ArithmeticError(f"Kac coordinates {s} of {tuple(h)} are not non-negative")
+        raise _CoweightFault(f"Kac coordinates {s} of", "are not non-negative")
     return s
 
 

@@ -207,8 +207,12 @@ def in_alcove_range(kind: Kind, h) -> bool:
 def coroot_order(kind: Kind, h) -> int:
     """The least k >= 1 with k h in Q^vee, the order of sigma_h on modules:
     e / gcd(e, u) for C^{-1} h = u / e, h on the simple coroots."""
+    return _coroot_order(kind, *scale_vector(h))
+
+
+def _coroot_order(kind: Kind, c, d: int) -> int:
+    """coroot_order at h = c/d, integers c and d > 0 with any common factor."""
     table = weyl_tables(kind)
-    c, d = scale_vector(h)
     e = d * table.den
     return e // gcd(e, *[dot(row, c) for row in table.inv])
 

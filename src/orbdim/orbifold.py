@@ -306,13 +306,20 @@ def _level_table(kind, level: int):
 
 @lru_cache(maxsize=1024)
 def _factor_setup(kind, level: int, c, d: int):
-    """(U, E, k <h,h>, min-term bound) for one factor at h = c / d.
+    """(U, E, k <h,h>, min-term bound, R, buckets) for one factor at h = c / d.
 
     u = U / E = C^{-1} h^- with h^- the antidominant conjugate of h, so the
     min term of lambda = sum m_j Lambda_j is sum m_j u_j.  On the simplex of
     level <= k dominant weights that linear form is least at a vertex 0 or
     (k/a_j^vee) Lambda_j, so -min <= k max(0, -u_j/a_j^vee), the bound.
     k <h,h> and the bound are its only Fractions.
+
+    buckets holds the factor's dominant weights of level <= k, each with
+    rho = r / R from _level_table, grouped by the unscaled key (r, m), m =
+    sum_j m_j U_j, as ((r, m), weights) in ascending key order.  The screens
+    of every power of sigma meet the same (kind, level, c, d) again, so the
+    lru_cache on that int key keeps the bucketing as well as U and E; the
+    value is a tuple of tuples, so no screen can change it.
     """
     rs = build_root_system(kind)
     minus = dominant_walk(weyl_tables(kind).cols, [-x for x in c])[0]    # -d h^-
@@ -322,7 +329,11 @@ def _factor_setup(kind, level: int, c, d: int):
                   rs.gram_coweights_den * d * d)
     L = lcm(*rs.comarks)
     bound = Fraction(level * max(0, *(-x * (L // a) for x, a in zip(U, rs.comarks))), E * L)
-    return U, E, hh, bound
+    R, table = _level_table(kind, level)
+    keyed: dict[tuple[int, int], list] = {}
+    for lam, r in table:
+        keyed.setdefault((r, dot(lam, U)), []).append(lam)
+    return U, E, hh, bound, R, tuple((key, tuple(lams)) for key, lams in sorted(keyed.items()))
 
 
 def _setups(structure: AffineStructure, hs):
@@ -337,8 +348,21 @@ def safe_rho_cap(structure: AffineStructure, hs, floor=1) -> int:
     """Smallest integer cap >= 3 such that modules with rho(M) > cap provably
     keep their twisted weight at or above the floor: cap + 1 - bound +
     <h,h>/2 >= floor, with bound the sum of the factors' min-term bounds."""
-    need = Fraction(floor) - 1 + sum(bound - hh / 2 for _, _, hh, bound in _setups(structure, hs))
+    need = Fraction(floor) - 1 + sum(bound - hh / 2
+                                     for _, _, hh, bound, _, _ in _setups(structure, hs))
     return max(3, ceil(need))
+
+
+def _scaled_buckets(setups):
+    """(D, buckets): D the lcm of the factors' R and E, and each factor's
+    buckets with the key (r, m) scaled to (a r, a r + b m), a = D // R,
+    b = D // E, that is to (rho D, (rho + min) D)."""
+    D = lcm(*(R for *_, R, _ in setups), *(E for _, E, *_ in setups))
+    buckets = []
+    for _, E, _, _, R, keyed in setups:
+        a, b = D // R, D // E
+        buckets.append([((a * r, a * r + b * m), lams) for (r, m), lams in keyed])
+    return D, buckets
 
 
 def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
@@ -359,7 +383,14 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     and E's, through the integer factors D // R and D // E, so the search
     only adds integers and builds no Fraction before its output.  Each
     factor's weights are bucketed by the key (rho D, (rho + min) D); the
-    search walks the keys, a few per factor, instead of the weights.  A
+    search walks the keys, a few per factor, instead of the weights.  The
+    buckets come from the memo _factor_setup, an lru_cache on the int key
+    (kind, level, c, d), under the unscaled key (r, m) = (rho R, min E); a
+    screen only maps each key to (a r, a r + b m), a = D // R, b = D // E.
+    With a, b > 0 that map is injective, so it merges no buckets, and it keeps
+    the lexicographic order: a r < a r' iff r < r', and for r = r' the second
+    entries compare as m and m'.  So the scaled buckets and their order are
+    those of bucketing the scaled keys afresh, and every hit is unchanged.  A
     branch is cut by two suffix lower bounds: rho, once the partial sum is
     above cap D (the factors still to come can add 0, the rho of the zero
     weight), and rho + min, once the partial sum plus the least keys of the
@@ -377,17 +408,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     cap = safe_rho_cap(structure, hs, floor)
     _require_alcove_range(comps, hs)
     setups = _setups(structure, hs)
-    tables = [_level_table(kind, level) for kind, level in comps]
-    D = lcm(*(R for R, _ in tables), *(E for _, E, _, _ in setups))
-    buckets = []
-    for (R, table), (U, E, _, _) in zip(tables, setups):
-        scale = D // R
-        u = [x * (D // E) for x in U]
-        keyed: dict[tuple[int, int], list] = {}
-        for lam, r in table:
-            r *= scale
-            keyed.setdefault((r, r + dot(lam, u)), []).append(lam)
-        buckets.append(sorted(keyed.items()))
+    D, buckets = _scaled_buckets(setups)
     if not buckets:
         return []
     order = sorted(range(len(buckets)), key=lambda i: len(buckets[i]))
@@ -400,7 +421,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     least_after = [0] * (len(walk) + 1)
     for i in range(len(walk) - 1, -1, -1):
         least_after[i] = least_after[i + 1] + min(t for (_, t), _ in walk[i])
-    half = sum(hh for _, _, hh, _ in setups) / 2
+    half = sum(hh for _, _, hh, *_ in setups) / 2
     top = cap * D
     limit = ceil((floor - half) * D)        # a leaf's scaled rho + min stays below
     last = len(walk) - 1

@@ -16,7 +16,9 @@ from orbdim.cases import (
     verify_all,
     verify_case,
 )
+from orbdim.kacaut import _inner
 from orbdim.liealg import schellekens_constraint
+from orbdim.orbifold import _factor_setup
 
 F = Fraction
 DATA = Path(__file__).resolve().parents[1] / "src/orbdim/data"
@@ -343,6 +345,18 @@ def test_verify_all_rows_are_the_case_summary_golden():
     golden = (DATA / "goldens" / "case_summary.json").read_text()
     assert json.dumps(stripped, indent=1, sort_keys=True) + "\n" == golden
     assert all(row["passed"] is True for row in rows)
+
+
+def test_a_warm_verify_all_reports_what_a_cold_one_did():
+    """The second call reads every inner automorphism and screening factor
+    from the memos the first one filled."""
+    _inner.cache_clear()
+    _factor_setup.cache_clear()
+    cold = verify_all()
+    warm = verify_all()
+    assert [r.to_dict() for r in warm[0]] == [r.to_dict() for r in cold[0]]
+    assert warm[1] == cold[1]
+    assert _inner.cache_info().hits and _factor_setup.cache_info().hits
 
 
 def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):

@@ -15,7 +15,8 @@ import pytest
 
 from orbdim.cartan import Kind, classical_dimension, kind_name, untwisted_diagram
 from orbdim.cases import fixed_dims_profile, load_cases
-from orbdim.kacaut import coweight_to_kac_labels, inner_from_coweight
+from orbdim import kacaut
+from orbdim.kacaut import _inner, coweight_to_kac_labels, inner_from_coweight
 from orbdim.liealg import RootSystem, build_root_system, dot, scale_vector
 from orbdim.modcurve import divisors
 from orbdim.orbifold import DimProfile
@@ -143,3 +144,95 @@ def test_case_coweights_and_their_multiples_match_oracle():
 def test_fixed_dims_profiles_match_oracle():
     for case in load_cases():
         assert fixed_dims_profile(case) == _fixed_dims_profile_oracle(case), case.id
+
+
+# -- the memo on (kind, c, d) ---------------------------------------------------
+
+def _memo_inputs():
+    """(rs, h) for every case's d*h, d | n, and for the seeded coweights."""
+    for case in load_cases():
+        systems = [build_root_system(kind) for kind, _ in case.source.components]
+        for d in divisors(case.n):
+            for rs, h in zip(systems, case.h):
+                yield rs, tuple(d * x for x in h)
+    for kind in KINDS:
+        rs = build_root_system(kind)
+        yield from ((rs, h) for h in _seeded_coweights(rs, random.Random(f"inner-{kind}")))
+
+
+def _assert_frozen(answer):
+    order, (comps, abelian), dim = answer
+    assert type(answer) is tuple and type(answer[1]) is tuple and type(comps) is tuple
+    assert all(type(k) is tuple for k in comps)
+    assert all(type(x) is int for x in (order, abelian, dim))
+
+
+def test_memoized_answers_equal_fresh_ones():
+    inputs = list(_memo_inputs())
+    memoized = [inner_from_coweight(rs, h) for rs, h in inputs]
+    hits = _inner.cache_info().hits
+    assert [inner_from_coweight(rs, h) for rs, h in inputs] == memoized
+    assert _inner.cache_info().hits - hits == len(inputs)
+    for (rs, h), want in zip(inputs, memoized):
+        _inner.cache_clear()
+        fresh = inner_from_coweight(rs, h)
+        assert fresh == want, (rs.kind, h)
+        _assert_frozen(fresh)
+    assert _inner.cache_parameters()["maxsize"] is not None     # bounded
+
+
+def _spellings(h):
+    """h as Fractions, as strings with non-reduced entries (2/4), and as
+    ints where it is integral."""
+    yield tuple(Fraction(x) for x in h)
+    yield tuple(f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in h)
+    yield [Fraction(2 * Fraction(x).numerator, 2 * Fraction(x).denominator) for x in h]
+    if all(Fraction(x).denominator == 1 for x in h):
+        yield tuple(int(x) for x in h)
+
+
+def test_equal_coweights_share_one_key():
+    for case in load_cases():
+        for d in divisors(case.n):
+            for (kind, _), h in zip(case.source.components, case.h):
+                rs = build_root_system(kind)
+                dh = tuple(d * x for x in h)
+                want = _inner_oracle(rs, dh)
+                for spelled in _spellings(dh):
+                    assert inner_from_coweight(rs, spelled) == want, (kind, spelled)
+                    assert coweight_to_kac_labels(rs, spelled) == coweight_to_kac_labels(rs, dh)
+                key = (kind, *scale_vector(dh))
+                assert all(type(x) is int for x in key[1]) and type(key[2]) is int
+    a2 = build_root_system(("A", 2))
+    _inner.cache_clear()
+    for spelled in ((1, 0), (Fraction(1), 0), ("2/2", "0"), (Fraction(3, 3), Fraction(0, 4))):
+        assert inner_from_coweight(a2, spelled) == (1, ((("A", 2),), 0), 8)
+    assert _inner.cache_info().currsize == 1
+
+
+def test_failed_checks_name_the_coweight_as_spelled_and_are_not_cached(monkeypatch):
+    """The texts are those the unmemoized function gave for the same faults,
+    and a raise leaves no entry behind: once the fault is gone the right
+    answer comes back."""
+    a2 = build_root_system(("A", 2))
+    h = ("1/2", Fraction(0, 3))
+    _inner.cache_clear()
+    monkeypatch.setattr(kacaut, "classical_dimension", lambda kind: 99)
+    with pytest.raises(ArithmeticError) as err:
+        inner_from_coweight(a2, h)
+    assert str(err.value) == ("fixed subalgebra of ('1/2', Fraction(0, 1)) on A2 has "
+                              "dimension 4, not that of (('A', 1),) + C^1")
+    assert _inner.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert inner_from_coweight(a2, h) == (2, ((("A", 1),), 1), 4)
+
+    _inner.cache_clear()
+    monkeypatch.setattr(kacaut, "alcove_walk", lambda kind, c, d: ([d, d], []))
+    for call in (inner_from_coweight, coweight_to_kac_labels):
+        with pytest.raises(ArithmeticError) as err:
+            call(a2, h)
+        assert str(err.value) == ("Kac coordinates (-2, 2, 2) of ('1/2', Fraction(0, 1)) "
+                                  "are not non-negative")
+    assert _inner.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert coweight_to_kac_labels(a2, h) == (1, 1, 0)

@@ -4,21 +4,26 @@ integer tables against the Fraction formulas they replaced."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from orbdim import orbifold
 from orbdim.cases import load_cases, representative_for_power
 from orbdim.liealg import (
     AffineStructure,
     affine_conformal_weight,
     build_root_system,
     dominant_weights_of_level,
+    dot,
     scale_vector,
 )
 from orbdim.orbifold import (
     _factor_setup,
     _level_table,
     _require_alcove_range,
+    _scaled_buckets,
+    _setups,
     safe_rho_cap,
     screen_problematic_modules,
 )
@@ -157,7 +162,7 @@ def test_factor_setups_match_the_fraction_formulas():
     for case, i in SCREENS:
         for (kind, level), h in zip(case.source.components, representative_for_power(case, i)):
             rs = build_root_system(kind)
-            U, E, hh, bound = _factor_setup(kind, level, *scale_vector(h))
+            U, E, hh, bound, _, _ = _factor_setup(kind, level, *scale_vector(h))
             assert all(type(x) is int for x in U) and type(E) is int
             h_minus, _ = _weyl_antidominant(rs, h)
             assert tuple(Fraction(x, E) for x in U) == _coweight_to_coroot_coords(rs, h_minus)
@@ -215,3 +220,75 @@ def test_one_factor_matches_the_oracle(factor, h, found_at_1):
         _assert_same(got, want)
         if floor == 1:
             assert len(got) == found_at_1
+
+
+# -- the bucket memo in _factor_setup --------------------------------------------
+
+def _buckets_oracle(structure, hs):
+    """(D, buckets) as screen_problematic_modules built them on every call
+    before _factor_setup kept them, verbatim but for the 4-field unpacking."""
+    comps = structure.components
+    setups = [_factor_setup(kind, level, *scale_vector(h))[:4]
+              for (kind, level), h in zip(comps, hs)]
+    tables = [_level_table(kind, level) for kind, level in comps]
+    D = lcm(*(R for R, _ in tables), *(E for _, E, _, _ in setups))
+    buckets = []
+    for (R, table), (U, E, _, _) in zip(tables, setups):
+        scale = D // R
+        u = [x * (D // E) for x in U]
+        keyed: dict[tuple[int, int], list] = {}
+        for lam, r in table:
+            r *= scale
+            keyed.setdefault((r, r + dot(lam, u)), []).append(lam)
+        buckets.append(sorted(keyed.items()))
+    return D, buckets
+
+
+def test_memoized_buckets_scale_to_the_per_screen_buckets():
+    """On all 32 screens: the same D, the same buckets in the same order, each
+    with the same weights in the same order.  The buckets do not depend on
+    the floor; test_floors_screen_the_same_on_memoized_buckets covers that."""
+    for case, i in SCREENS:
+        reps = representative_for_power(case, i)
+        D, buckets = _scaled_buckets(_setups(case.source, reps))
+        want_D, want = _buckets_oracle(case.source, reps)
+        assert D == want_D
+        assert [[(key, list(lams)) for key, lams in factor] for factor in buckets] == want
+
+
+@pytest.mark.parametrize("floor", [Fraction(3, 2), Fraction(2), Fraction(6)])
+def test_floors_screen_the_same_on_memoized_buckets(floor, monkeypatch):
+    """Every one of the 32 screens, once on the memoized buckets and once with
+    the buckets rebuilt by the oracle above, gives the same list."""
+    memoized = []
+    for case, i in SCREENS:
+        reps = representative_for_power(case, i)
+        memoized.append(screen_problematic_modules(case.source, reps, floor=floor))
+    current = []
+
+    def recording(structure, hs):
+        current[:] = [(structure, hs)]
+        return _setups(structure, hs)
+
+    monkeypatch.setattr(orbifold, "_setups", recording)
+    monkeypatch.setattr(orbifold, "_scaled_buckets", lambda setups: _buckets_oracle(*current[0]))
+    for (case, i), got in zip(SCREENS, memoized):
+        reps = representative_for_power(case, i)
+        _assert_same(got, screen_problematic_modules(case.source, reps, floor=floor))
+    assert sum(map(len, memoized)) > 0
+
+
+def test_factor_setups_are_frozen():
+    """Every cached value is a tuple of ints, Fractions and tuples, so no
+    caller can change an answer that a later screen reads."""
+    def frozen(value):
+        if isinstance(value, tuple):
+            return all(frozen(x) for x in value)
+        return type(value) in (int, str, Fraction)
+
+    for case, i in SCREENS:
+        for (kind, level), h in zip(case.source.components, representative_for_power(case, i)):
+            key = (kind, level, *scale_vector(h))
+            assert all(type(x) is int for x in key[2]) and type(key[3]) is int
+            assert frozen(_factor_setup(*key))
+    assert _factor_setup.cache_parameters()["maxsize"] is not None
