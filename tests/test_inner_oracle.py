@@ -13,9 +13,9 @@ from math import gcd, lcm
 
 import pytest
 
+from orbdim import kacaut
 from orbdim.cartan import Kind, classical_dimension, kind_name, untwisted_diagram
 from orbdim.cases import fixed_dims_profile, load_cases
-from orbdim import kacaut
 from orbdim.kacaut import _inner, coweight_to_kac_labels, inner_from_coweight
 from orbdim.liealg import RootSystem, build_root_system, dot, scale_vector
 from orbdim.modcurve import divisors
@@ -182,11 +182,12 @@ def test_memoized_answers_equal_fresh_ones():
 
 
 def _spellings(h):
-    """h as Fractions, as strings with non-reduced entries (2/4), and as
-    ints where it is integral."""
+    """h as Fractions, as strings with non-reduced entries (2/4) in a tuple
+    and in a list, and as ints where it is integral."""
     yield tuple(Fraction(x) for x in h)
-    yield tuple(f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in h)
-    yield [Fraction(2 * Fraction(x).numerator, 2 * Fraction(x).denominator) for x in h]
+    doubled = [f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in h]
+    yield tuple(doubled)
+    yield doubled
     if all(Fraction(x).denominator == 1 for x in h):
         yield tuple(int(x) for x in h)
 
@@ -218,10 +219,11 @@ def test_failed_checks_name_the_coweight_as_spelled_and_are_not_cached(monkeypat
     h = ("1/2", Fraction(0, 3))
     _inner.cache_clear()
     monkeypatch.setattr(kacaut, "classical_dimension", lambda kind: 99)
-    with pytest.raises(ArithmeticError) as err:
-        inner_from_coweight(a2, h)
-    assert str(err.value) == ("fixed subalgebra of ('1/2', Fraction(0, 1)) on A2 has "
-                              "dimension 4, not that of (('A', 1),) + C^1")
+    for spelled in (h, list(h)):
+        with pytest.raises(ArithmeticError) as err:
+            inner_from_coweight(a2, spelled)
+        assert str(err.value) == ("fixed subalgebra of ('1/2', Fraction(0, 1)) on A2 has "
+                                  "dimension 4, not that of (('A', 1),) + C^1")
     assert _inner.cache_info().currsize == 0
     monkeypatch.undo()
     assert inner_from_coweight(a2, h) == (2, ((("A", 1),), 1), 4)
@@ -230,7 +232,7 @@ def test_failed_checks_name_the_coweight_as_spelled_and_are_not_cached(monkeypat
     monkeypatch.setattr(kacaut, "alcove_walk", lambda kind, c, d: ([d, d], []))
     for call in (inner_from_coweight, coweight_to_kac_labels):
         with pytest.raises(ArithmeticError) as err:
-            call(a2, h)
+            call(a2, list(h))
         assert str(err.value) == ("Kac coordinates (-2, 2, 2) of ('1/2', Fraction(0, 1)) "
                                   "are not non-negative")
     assert _inner.cache_info().currsize == 0
