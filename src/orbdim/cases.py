@@ -17,11 +17,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from .cartan import kind_name, validate_kind
 from .kacaut import (
+    _inner,
+    _naming,
     admits_fixed_subalgebra,
     fixed_label,
     inner_from_coweight,
@@ -356,36 +358,31 @@ class CaseReport:
         }
 
 
-def _case_root_systems(case):
-    return [build_root_system(kind) for kind, _ in case.source.components]
-
-
 def fixed_dims_profile(case) -> DimProfile:
-    """dim V_1^{sigma^d} for all d | n: the fixed dimension of d*h per factor."""
-    systems = _case_root_systems(case)
-    dims = {d: sum(inner_from_coweight(rs, tuple(d * x for x in h))[2]
-                   for rs, h in zip(systems, case.h))
-            for d in divisors(case.n)}
+    """dim V_1^{sigma^d} for all d | n: the fixed dimension of d*h per factor,
+    read from the memo kacaut._inner on the reduced d*h = (d/g) c / (e/g), h =
+    c/e scaled once, g = gcd(d, e); d*h in Fractions only names a fault."""
+    scaled = [(k, h, *scale_vector(h)) for (k, _), h in zip(case.source.components, case.h)]
+    dims = dict.fromkeys(divisors(case.n), 0)
+    for d in dims:
+        for kind, h, c, e in scaled:
+            g = gcd(d, e)
+            dims[d] += _naming((d * x for x in h), _inner, kind,
+                               tuple(d // g * x for x in c), e // g)[2]
     return DimProfile(case.n, dims)
 
 
 def representative_for_power(case, i):
-    """A coset representative for i*h satisfying the alcove condition.
-
-    Uses the recorded representatives where the source prints them, the
-    negation symmetry i[h] = -((n-i)[h]) above n/2, and alcove reduction
-    otherwise.
-    """
-    if i == 1:
-        return case.h
-    if i in case.ih_reps:
-        return case.ih_reps[i]
-    if (case.n - i) == 1 or (case.n - i) in case.ih_reps:
-        other = case.h if case.n - i == 1 else case.ih_reps[case.n - i]
-        return tuple(tuple(-x for x in coords) for coords in other)
-    systems = _case_root_systems(case)
-    return tuple(alcove_representative(rs, tuple(i * x for x in h))
-                 for rs, h in zip(systems, case.h))
+    """A coset representative for i*h satisfying the alcove condition, read
+    from the printed ones {1: h, **ih_reps}: the one for i, else minus the one
+    for n - i (i[h] = -((n-i)[h])), else the alcove reduction of i*h."""
+    recorded = {1: case.h, **case.ih_reps}
+    if i in recorded:
+        return recorded[i]
+    if case.n - i in recorded:
+        return tuple(tuple(-x for x in coords) for coords in recorded[case.n - i])
+    return tuple(alcove_representative(build_root_system(kind), tuple(i * x for x in h))
+                 for (kind, _), h in zip(case.source.components, case.h))
 
 
 def schellekens_survivors(table, dim, comps, abelian, order):
@@ -411,9 +408,11 @@ def schellekens_survivors(table, dim, comps, abelian, order):
 
 def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     """Replay every computable step of the case's argument; never raises on
-    a failed assertion, all failures are gathered in the report."""
+    a failed assertion, all failures are gathered in the report.  A power of
+    sigma whose representative breaks the contract of step (g) fails its
+    contract row and is not screened."""
     report = CaseReport(case.id)
-    systems = _case_root_systems(case)
+    systems = [build_root_system(kind) for kind, _ in case.source.components]
 
     # (a) cycle shapes: degree, vacuum weight, type n{0}
     for record in case.shapes:
@@ -436,17 +435,12 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                    details="would need explicit lattice models to recompute")
 
     # (b) inner automorphism: per-factor orders and fixed subalgebra
-    orders = []
-    comps = []
-    abelian = 0
-    for rs, h in zip(systems, case.h):
-        order, (c, ab), _ = inner_from_coweight(rs, h)
-        orders.append(order)
-        comps.extend(c)
-        abelian += ab
+    inner = [inner_from_coweight(rs, h) for rs, h in zip(systems, case.h)]
+    orders = [order for order, _, _ in inner]
+    abelian = sum(ab for _, (_, ab), _ in inner)
     report.add("(b) per-factor orders on V1", tuple(orders) == case.factor_orders,
                list(case.factor_orders), orders)
-    got_fixed = tuple(sorted(comps))
+    got_fixed = tuple(sorted(k for _, (comps, _), _ in inner for k in comps))
     report.add("(b) fixed subalgebra", got_fixed == case.fixed_components
                and abelian == case.fixed_abelian,
                {"components": list(case.fixed_components), "abelian": case.fixed_abelian},
@@ -458,9 +452,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                {"algebra": algebra_order, "module": bound})
 
     # (c) norm of h against the level-weighted form
-    hh = Fraction(0)
-    for rs, h, (_, level) in zip(systems, case.h, case.source.components):
-        hh += level * rs.coweight_form(h, h)
+    hh = sum(level * rs.coweight_form(h, h)
+             for rs, h, (_, level) in zip(systems, case.h, case.source.components))
     report.add("(c) <h,h>", hh == case.h_norm_sq, case.h_norm_sq, hh)
 
     # (d) fixed-point dimensions for all powers
@@ -501,6 +494,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
         fault = representative_fault(case.source, reps, i, case.h)
         report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
                    details=fault or "")
+        if fault:
+            continue
         found = screen_problematic_modules(case.source, reps, floor=1)
         report.screening[i] = screening_rows(found)
         expected = case.problematic_modules

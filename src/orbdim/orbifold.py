@@ -348,8 +348,11 @@ def safe_rho_cap(structure: AffineStructure, hs, floor=1) -> int:
     """Smallest integer cap >= 3 such that modules with rho(M) > cap provably
     keep their twisted weight at or above the floor: cap + 1 - bound +
     <h,h>/2 >= floor, with bound the sum of the factors' min-term bounds."""
-    need = Fraction(floor) - 1 + sum(bound - hh / 2
-                                     for _, _, hh, bound, _, _ in _setups(structure, hs))
+    return _rho_cap(_setups(structure, hs), floor)
+
+
+def _rho_cap(setups, floor) -> int:
+    need = Fraction(floor) - 1 + sum(bound - hh / 2 for _, _, hh, bound, _, _ in setups)
     return max(3, ceil(need))
 
 
@@ -367,7 +370,9 @@ def _scaled_buckets(setups):
 
 def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     """Modules with integral conformal weight in [2, cap] whose twisted
-    weight drops below the floor, cap = safe_rho_cap(structure, hs, floor).
+    weight drops below the floor, cap = safe_rho_cap(structure, hs, floor) on
+    the setups the search reads.  Every h_i must keep alpha(h_i) >= -1, else a
+    ValueError; verify_case screens no power whose representative breaks it.
 
     Returns a sorted list of (lambda_tuple, rho(M), rho(M^{(h)})).  The cap
     loses nothing: any module with rho(M) > cap has integral
@@ -404,10 +409,9 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     branches are cut, never which leaves pass.
     """
     floor = Fraction(floor)
-    comps = structure.components
-    cap = safe_rho_cap(structure, hs, floor)
-    _require_alcove_range(comps, hs)
     setups = _setups(structure, hs)
+    _require_alcove_range(structure.components, hs)
+    cap = _rho_cap(setups, floor)
     D, buckets = _scaled_buckets(setups)
     if not buckets:
         return []

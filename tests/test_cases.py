@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from orbdim import cases as cases_mod
 from orbdim.cases import (
     DataLoadError,
     fixed_dims_profile,
@@ -377,6 +378,45 @@ def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):
     with pytest.raises(DataLoadError) as err:
         load_cases(edited)
     assert str(err.value) == f"case 11: ihReps['2']: {fault}"
+
+
+def test_step_g_fails_a_representative_below_the_alcove_range_without_screening_it():
+    """A recorded representative of 2*h in the right coroot coset but with
+    alpha < -1 fails the (g) contract rows of i = 2 and i = 3, and verify_case
+    returns its report: neither power is screened, so no ValueError escapes."""
+    case = load_cases()[10]
+    shifted = tuple(x + a for x, a in zip(case.ih_reps[2][1], (2, -1, 0, 0)))   # + alpha_1^vee
+    bad = (case.ih_reps[2][0], shifted)
+    fault = "factor 1 (A4) has alpha < -1 for some root"
+    assert representative_fault(case.source, bad, 2, case.h) == fault
+    report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
+    failed = {s.name: s.details for s in report.steps if not s.passed}
+    assert failed == {"(g) i=2 representative contract": fault,
+                      "(g) i=3 representative contract": fault}
+    assert sorted(report.screening) == [1, 4]
+    assert not any(s.name.startswith(("(g) i=2 ", "(g) i=3 ")) and "problematic" in s.name
+                   for s in report.steps)
+
+
+def test_representatives_are_the_recorded_ones_or_their_negations(monkeypatch):
+    """Every power of every case takes the recorded tuple itself, or the exact
+    negation of the one recorded for n - i; none reaches alcove reduction."""
+    def unused(rs, h):
+        raise AssertionError(f"alcove reduction reached for {rs.kind} {h}")
+
+    monkeypatch.setattr(cases_mod, "alcove_representative", unused)
+    powers = 0
+    for case in load_cases():
+        recorded = {1: case.h, **case.ih_reps}
+        for i in range(1, case.n):
+            reps = representative_for_power(case, i)
+            if i in recorded:
+                assert reps is recorded[i], (case.id, i)
+            else:
+                assert reps == tuple(tuple(-x for x in coords)
+                                     for coords in recorded[case.n - i]), (case.id, i)
+            powers += 1
+    assert powers == 32
 
 
 def test_data_checksums_recorded():

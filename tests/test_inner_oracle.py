@@ -238,3 +238,28 @@ def test_failed_checks_name_the_coweight_as_spelled_and_are_not_cached(monkeypat
     assert _inner.cache_info().currsize == 0
     monkeypatch.undo()
     assert coweight_to_kac_labels(a2, h) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("broken, named, algebra", [
+    (None, "(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))",
+     "A5 has dimension 35, not that of (('A', 5),) + C^0"),
+    (("E", 6), "(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+     "Fraction(0, 1), Fraction(1, 1))", "E6 has dimension 78, not that of (('E', 6),) + C^0"),
+])
+def test_fixed_dims_profile_names_the_multiple_of_h_that_failed(monkeypatch, broken, named,
+                                                                 algebra):
+    """Step (d) reads the memo on d*h without building it, yet a failed check
+    names d*h in Fractions, with the text inner_from_coweight gave for it: at
+    d = 1 on A5 when every dimension is wrong, at d = 2 on E6, 2*h = (1, 0, 0,
+    0, 0, 1), when only the dimension of E6 is."""
+    case1 = load_cases()[0]
+    _inner.cache_clear()
+    monkeypatch.setattr(kacaut, "classical_dimension",
+                        lambda kind: 99 if broken is None else classical_dimension(kind)
+                        + (kind == broken))
+    with pytest.raises(ArithmeticError) as err:
+        fixed_dims_profile(case1)
+    assert str(err.value) == f"fixed subalgebra of {named} on {algebra}"
+    monkeypatch.undo()
+    _inner.cache_clear()
+    assert fixed_dims_profile(case1).dims == {1: 136, 2: 168}

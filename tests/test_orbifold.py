@@ -224,9 +224,15 @@ def test_twisted_module_weight_known_values():
 
 
 def test_twisted_module_weight_alcove_precondition():
-    bad_h = ((F(0),) * 4, (F(2, 5),) * 4)  # 2h violates alpha(h) >= -1? theta(h)=8/5>1 ok but -theta gives -8/5
+    bad_h = ((F(0),) * 4, (F(2, 5),) * 4)  # theta(h) = 8/5 > 1, so the root -theta takes -8/5 < -1
     with pytest.raises(ValueError):
         twisted_module_weight(CASE11, ((0, 0, 0, 0), (0, 0, 0, 0)), bad_h)
+
+
+def test_screen_alcove_precondition():
+    bad_h = ((F(0),) * 4, (F(2, 5),) * 4)  # theta(h) = 8/5 > 1, so the root -theta takes -8/5 < -1
+    with pytest.raises(ValueError, match=r"violates alpha\(h\) >= -1"):
+        screen_problematic_modules(CASE11, bad_h, floor=1)
 
 
 def test_screen_case11_eleven_pairs():
