@@ -33,7 +33,6 @@ from .liealg import (
     AffineStructure,
     _coroot_order,
     build_root_system,
-    coroot_order,
     in_alcove_range,
     scale_vector,
     schellekens_constraint,
@@ -210,14 +209,16 @@ def _coweights(where, name, value, source):
     return out
 
 
-def representative_fault(source, rep, i, h):
+def representative_fault(source, rep, i, scaled_h):
     """Why rep breaks the representative contract of step (g) for i*h, or
     None: rep - i*h must lie in the coroot lattice and alpha(rep) >= -1 for
     every root.  Both checks read Cartan data alone, so the loader, which
     checks the recorded representatives with this, builds no root system.
-    rep - i*h is taken on integers over the lcm of the two denominators."""
-    for f, ((kind, _), coords, x) in enumerate(zip(source.components, rep, h)):
-        (a, p), (b, q) = scale_vector(coords), scale_vector(x)
+    scaled_h holds each factor of h as scale_vector gives it, (b, q) with
+    h = b / q, so a case scales h once for every i; rep - i*h is taken on
+    integers over the lcm of the two denominators."""
+    for f, ((kind, _), coords, (b, q)) in enumerate(zip(source.components, rep, scaled_h)):
+        a, p = scale_vector(coords)
         m = lcm(p, q)
         if _coroot_order(kind, [u * (m // p) - i * v * (m // q) for u, v in zip(a, b)], m) != 1:
             return (f"factor {f} ({kind_name(kind)}) differs from {i}*h "
@@ -252,7 +253,8 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         if n not in GENUS_ZERO_LEVELS - {1}:
             raise DataLoadError(f"{where}: n: {n} is not a genus-zero level >= 2")
         h = _coweights(where, "h", _need(where, node, "h"), source)
-        fault = representative_fault(source, h, 1, h)
+        scaled_h = tuple(map(scale_vector, h))
+        fault = representative_fault(source, h, 1, scaled_h)
         if fault:
             raise DataLoadError(f"{where}: h: {fault}")
         ih_reps = {}
@@ -262,7 +264,7 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                 raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
             name = f"ihReps[{key!r}]"
             ih_reps[i] = _coweights(where, name, coords, source)
-            fault = representative_fault(source, ih_reps[i], i, h)
+            fault = representative_fault(source, ih_reps[i], i, scaled_h)
             if fault:
                 raise DataLoadError(f"{where}: {name}: {fault}")
         fixed = _need(where, node, "fixed")
@@ -413,6 +415,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     contract row and is not screened."""
     report = CaseReport(case.id)
     systems = [build_root_system(kind) for kind, _ in case.source.components]
+    scaled_h = tuple(map(scale_vector, case.h))
 
     # (a) cycle shapes: degree, vacuum weight, type n{0}
     for record in case.shapes:
@@ -445,7 +448,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                and abelian == case.fixed_abelian,
                {"components": list(case.fixed_components), "abelian": case.fixed_abelian},
                {"components": list(got_fixed), "abelian": abelian})
-    bound = lcm(*(coroot_order(kind, h) for (kind, _), h in zip(case.source.components, case.h)))
+    bound = lcm(*(_coroot_order(kind, c, e)
+                  for (kind, _), (c, e) in zip(case.source.components, scaled_h)))
     algebra_order = lcm(*orders)
     report.add("(b) order bounds coincide", bound == case.n and algebra_order == case.n,
                {"algebra": case.n, "module": case.n},
@@ -491,7 +495,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     # (g) conformal-weight screening for every power of sigma
     for i in range(1, case.n):
         reps = representative_for_power(case, i)
-        fault = representative_fault(case.source, reps, i, case.h)
+        fault = representative_fault(case.source, reps, i, scaled_h)
         report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
                    details=fault or "")
         if fault:

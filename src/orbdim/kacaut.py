@@ -625,6 +625,15 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
     lists (kind, cycle_length, KacClass) choices.  The search fills the
     groups of equal kinds in turn with cycles from _cycle_options, so it
     branches on distinct fixed algebras, never on two classes fixing the same.
+
+    The answer depends on the multisets of kinds and target components, the
+    abelian rank and n alone; the witness too, as the search reads the kinds
+    only through their sorted groups.  So the search runs in _admits, an
+    lru_cache on the sorted validated kinds and target, and permuted inputs
+    share one entry.  The checks of n, the abelian rank and every kind run
+    on every call, before the memo is read; lru_cache keeps no exception,
+    so a bad call raises afresh every time.  The memo holds the witness as
+    a tuple, and every call returns a fresh list of it.
     """
     if n < 1:
         raise ValueError("the order must be a positive integer")
@@ -632,8 +641,18 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
         raise ValueError(f"the abelian rank {target_abelian!r} is not an integer")
     if target_abelian < 0:
         raise ValueError("the abelian rank must be non-negative")
-    groups = sorted(Counter(validate_kind(tuple(k)) for k in kinds).items())
-    left = Counter(validate_kind(tuple(k)) for k in target_components)
+    found, witness = _admits(tuple(sorted(validate_kind(tuple(k)) for k in kinds)),
+                             tuple(sorted(validate_kind(tuple(k)) for k in target_components)),
+                             target_abelian, n)
+    return (True, list(witness)) if found else (False, None)
+
+
+@lru_cache(maxsize=1024)
+def _admits(kinds, target, target_abelian: int, n: int):
+    """admits_fixed_subalgebra on sorted validated kinds and target
+    components, the witness as a tuple."""
+    groups = sorted(Counter(kinds).items())
+    left = Counter(target)
     comp_rank = sum(k[1] * m for k, m in left.items())
     witness = []
 
@@ -667,4 +686,4 @@ def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: in
         return False
 
     found = enter(0, target_abelian)
-    return (True, witness) if found else (False, None)
+    return (True, tuple(witness)) if found else (False, None)

@@ -336,19 +336,23 @@ def _factor_setup(kind, level: int, c, d: int):
     return U, E, hh, bound, R, tuple((key, tuple(lams)) for key, lams in sorted(keyed.items()))
 
 
-def _setups(structure: AffineStructure, hs):
-    """_factor_setup of every factor, each h_i as integers over one denominator."""
+def _scaled(structure: AffineStructure, hs):
+    """Each h_i as integers over one denominator, (c_i, d_i) with h_i = c_i / d_i."""
     if len(hs) != len(structure.components):
         raise ValueError("one Cartan element per simple factor")
-    return [_factor_setup(kind, level, *scale_vector(h))
-            for (kind, level), h in zip(structure.components, hs)]
+    return tuple(map(scale_vector, hs))
+
+
+def _setups(components, scaled):
+    """_factor_setup of every factor at h_i = c_i / d_i."""
+    return [_factor_setup(kind, level, c, d) for (kind, level), (c, d) in zip(components, scaled)]
 
 
 def safe_rho_cap(structure: AffineStructure, hs, floor=1) -> int:
     """Smallest integer cap >= 3 such that modules with rho(M) > cap provably
     keep their twisted weight at or above the floor: cap + 1 - bound +
     <h,h>/2 >= floor, with bound the sum of the factors' min-term bounds."""
-    return _rho_cap(_setups(structure, hs), floor)
+    return _rho_cap(_setups(structure.components, _scaled(structure, hs)), floor)
 
 
 def _rho_cap(setups, floor) -> int:
@@ -407,14 +411,31 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     rejected.  The factors are walked by ascending bucket count, the largest
     last; every test is on order-free sums, so the order changes only which
     branches are cut, never which leaves pass.
+
+    The rows depend on the factors, each h_i = c_i / d_i and the floor
+    alone, so the search runs in _screen, an lru_cache on that key.
+    scale_vector and Fraction reduce, so equal coweights and floors spelled
+    as ints, Fractions or strings share one entry.  The length check and
+    the alcove precondition run on every call, before the memo is read;
+    lru_cache keeps no exception, so a bad call raises afresh every time.
+    The memo holds the rows as a tuple of tuples, and every call returns a
+    fresh list of them.
     """
     floor = Fraction(floor)
-    setups = _setups(structure, hs)
+    scaled = _scaled(structure, hs)
     _require_alcove_range(structure.components, hs)
+    return list(_screen(structure.components, scaled, floor))
+
+
+@lru_cache(maxsize=256)
+def _screen(components, scaled, floor: Fraction):
+    """screen_problematic_modules on the factors at h_i = c_i / d_i, the rows
+    as a tuple."""
+    setups = _setups(components, scaled)
     cap = _rho_cap(setups, floor)
     D, buckets = _scaled_buckets(setups)
     if not buckets:
-        return []
+        return ()
     order = sorted(range(len(buckets)), key=lambda i: len(buckets[i]))
     walk = [buckets[i] for i in order]
     back = sorted(range(len(order)), key=order.__getitem__)
@@ -450,7 +471,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     out = [(lams, Fraction(r, D), Fraction(t, D) + half)
            for r, t, chosen in hits for lams in product(*(chosen[k] for k in back))]
     out.sort(key=lambda rec: (rec[2], rec[0]))
-    return out
+    return tuple(out)
 
 
 def render_weight_tuple(lams) -> str:

@@ -13,6 +13,7 @@ unbounded.
 
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -154,12 +155,15 @@ def _check_witness(kinds, comps, abelian, n, witness):
 
 
 def _unbounded(monkeypatch, kinds, comps, abelian, n):
-    """admits_fixed_subalgebra searching every option table unbounded."""
+    """admits_fixed_subalgebra searching every option table unbounded, with
+    a memo of searches of its own, dropped afterwards, so it neither reads
+    the bounded search's answer nor leaves its own behind."""
     bounded = kacaut._cycle_options
     full = float("inf")
     with monkeypatch.context() as patch:
         patch.setattr(kacaut, "_cycle_options",
                       lambda kind, order, comp_rank, ab: bounded(kind, order, full, full))
+        patch.setattr(kacaut, "_admits", lru_cache(maxsize=None)(kacaut._admits.__wrapped__))
         return admits_fixed_subalgebra(kinds, comps, abelian, n)
 
 

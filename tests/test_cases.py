@@ -17,9 +17,9 @@ from orbdim.cases import (
     verify_all,
     verify_case,
 )
-from orbdim.kacaut import _inner
-from orbdim.liealg import schellekens_constraint
-from orbdim.orbifold import _factor_setup
+from orbdim.kacaut import _admits, _inner
+from orbdim.liealg import scale_vector, schellekens_constraint
+from orbdim.orbifold import _factor_setup, _screen
 
 F = Fraction
 DATA = Path(__file__).resolve().parents[1] / "src/orbdim/data"
@@ -349,15 +349,16 @@ def test_verify_all_rows_are_the_case_summary_golden():
 
 
 def test_a_warm_verify_all_reports_what_a_cold_one_did():
-    """The second call reads every inner automorphism and screening factor
-    from the memos the first one filled."""
-    _inner.cache_clear()
-    _factor_setup.cache_clear()
+    """The second call reads every inner automorphism, screening factor,
+    screen and admissibility search from the memos the first one filled."""
+    for memo in (_inner, _factor_setup, _screen, _admits):
+        memo.cache_clear()
     cold = verify_all()
     warm = verify_all()
     assert [r.to_dict() for r in warm[0]] == [r.to_dict() for r in cold[0]]
     assert warm[1] == cold[1]
     assert _inner.cache_info().hits and _factor_setup.cache_info().hits
+    assert _screen.cache_info().hits == 32 and _admits.cache_info().hits == 43
 
 
 def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):
@@ -365,7 +366,7 @@ def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):
     loader and the (g) rows of i = 2 and of its negation i = 3 with one text."""
     case = load_cases()[10]
     bad = (case.ih_reps[2][0], (F(0),) * 4)
-    fault = representative_fault(case.source, bad, 2, case.h)
+    fault = representative_fault(case.source, bad, 2, tuple(map(scale_vector, case.h)))
     assert fault == "factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"
     report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
     failed = {s.name: s.details for s in report.steps if not s.passed}
@@ -388,7 +389,7 @@ def test_step_g_fails_a_representative_below_the_alcove_range_without_screening_
     shifted = tuple(x + a for x, a in zip(case.ih_reps[2][1], (2, -1, 0, 0)))   # + alpha_1^vee
     bad = (case.ih_reps[2][0], shifted)
     fault = "factor 1 (A4) has alpha < -1 for some root"
-    assert representative_fault(case.source, bad, 2, case.h) == fault
+    assert representative_fault(case.source, bad, 2, tuple(map(scale_vector, case.h))) == fault
     report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
     failed = {s.name: s.details for s in report.steps if not s.passed}
     assert failed == {"(g) i=2 representative contract": fault,

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from orbdim.cli import main
-from orbdim.kacaut import _inner
-from orbdim.orbifold import _factor_setup
+from orbdim.kacaut import _admits, _inner
+from orbdim.orbifold import _factor_setup, _screen
 
 
 def run_cli(capsys, *argv):
@@ -246,15 +246,17 @@ CASE_RUN_ALL_JSON_SHA256 = "f6c6bed8ca7bdba1d3a05acc4715d13fb8f2744831c36cbfc8cd
 
 
 def test_case_run_all_json_is_pinned(capsys):
-    """Twice in one process, from empty memos of inner automorphisms and
-    screening factors and then from full ones, so a stale entry would show."""
-    _inner.cache_clear()
-    _factor_setup.cache_clear()
+    """Twice in one process, from empty memos of inner automorphisms,
+    screening factors, screens and admissibility searches and then from full
+    ones, so a stale entry would show."""
+    for memo in (_inner, _factor_setup, _screen, _admits):
+        memo.cache_clear()
     for _ in range(2):
         code, out, _ = run_cli(capsys, "case", "run", "--all", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == CASE_RUN_ALL_JSON_SHA256
     assert _inner.cache_info().hits and _factor_setup.cache_info().hits
+    assert _screen.cache_info().hits == 32 and _admits.cache_info().hits == 43
 
 
 def test_screen_case_15(capsys):

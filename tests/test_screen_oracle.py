@@ -4,6 +4,7 @@ integer tables against the Fraction formulas they replaced."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -22,6 +23,7 @@ from orbdim.orbifold import (
     _factor_setup,
     _level_table,
     _require_alcove_range,
+    _scaled,
     _scaled_buckets,
     _setups,
     safe_rho_cap,
@@ -250,7 +252,7 @@ def test_memoized_buckets_scale_to_the_per_screen_buckets():
     the floor; test_floors_screen_the_same_on_memoized_buckets covers that."""
     for case, i in SCREENS:
         reps = representative_for_power(case, i)
-        D, buckets = _scaled_buckets(_setups(case.source, reps))
+        D, buckets = _scaled_buckets(_setups(case.source.components, _scaled(case.source, reps)))
         want_D, want = _buckets_oracle(case.source, reps)
         assert D == want_D
         assert [[(key, list(lams)) for key, lams in factor] for factor in buckets] == want
@@ -259,22 +261,20 @@ def test_memoized_buckets_scale_to_the_per_screen_buckets():
 @pytest.mark.parametrize("floor", [Fraction(3, 2), Fraction(2), Fraction(6)])
 def test_floors_screen_the_same_on_memoized_buckets(floor, monkeypatch):
     """Every one of the 32 screens, once on the memoized buckets and once with
-    the buckets rebuilt by the oracle above, gives the same list."""
+    the buckets rebuilt by the oracle above, gives the same list.  The second
+    pass searches with a memo of screens of its own, dropped afterwards, so it
+    neither reads the first pass's rows nor leaves its own behind."""
     memoized = []
     for case, i in SCREENS:
         reps = representative_for_power(case, i)
         memoized.append(screen_problematic_modules(case.source, reps, floor=floor))
     current = []
-
-    def recording(structure, hs):
-        current[:] = [(structure, hs)]
-        return _setups(structure, hs)
-
-    monkeypatch.setattr(orbifold, "_setups", recording)
-    monkeypatch.setattr(orbifold, "_scaled_buckets", lambda setups: _buckets_oracle(*current[0]))
+    monkeypatch.setattr(orbifold, "_scaled_buckets", lambda setups: _buckets_oracle(*current))
+    monkeypatch.setattr(orbifold, "_screen", lru_cache(maxsize=256)(orbifold._screen.__wrapped__))
     for (case, i), got in zip(SCREENS, memoized):
-        reps = representative_for_power(case, i)
-        _assert_same(got, screen_problematic_modules(case.source, reps, floor=floor))
+        current[:] = [case.source, representative_for_power(case, i)]
+        _assert_same(got, screen_problematic_modules(*current, floor=floor))
+    assert orbifold._screen.cache_info().misses == len(SCREENS)
     assert sum(map(len, memoized)) > 0
 
 

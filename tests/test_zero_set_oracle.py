@@ -31,7 +31,7 @@ from math import gcd
 
 import pytest
 
-from orbdim import cases, cli, kacaut
+from orbdim import cases, cli, kacaut, orbifold
 from orbdim.cartan import (
     _VALID_RANKS,
     AffineDiagram,
@@ -220,7 +220,10 @@ def _diagrams(max_rank=24):
 def _pipeline_pairs(monkeypatch):
     """The (kind, n, component rank, abelian rank) whose option tables one
     verify_all and one regenerate_tables read, in the order they are first
-    asked for."""
+    asked for.  The admissibility and screen memos are emptied first, so
+    every search runs and reads its tables."""
+    kacaut._admits.cache_clear()
+    orbifold._screen.cache_clear()
     pairs = []
     inner = kacaut._cycle_options
 
@@ -234,6 +237,8 @@ def _pipeline_pairs(monkeypatch):
     cli.regenerate_tables()
     monkeypatch.undo()
     assert all(r.passed for r in reports)
+    assert kacaut._admits.cache_info().misses == 43
+    assert orbifold._screen.cache_info().hits == 2        # regen's two floor-1 screens
     return pairs
 
 
