@@ -21,19 +21,12 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .cartan import kind_name, validate_kind
-from .kacaut import (
-    _inner,
-    _naming,
-    admits_fixed_subalgebra,
-    fixed_label,
-    inner_from_coweight,
-    witness_fault,
-)
+from .kacaut import _inner, _naming, admits_fixed_subalgebra, fixed_label, witness_fault
 from .liealg import (
     AffineStructure,
     _coroot_order,
+    _in_alcove_range,
     build_root_system,
-    in_alcove_range,
     scale_vector,
     schellekens_constraint,
 )
@@ -42,16 +35,17 @@ from .orbifold import (
     CycleShape,
     DimProfile,
     _is_prime,
+    _screen,
     alcove_representative,
     cycle_shape_stats,
     dim_orbifold,
     render_weight_tuple,
-    screen_problematic_modules,
     twist_type,
     vacuum_anomaly,
 )
 
 PAPER_ASSERTED = "paper-asserted"
+_FLOOR = Fraction(1)              # step (g) screens at floor 1
 
 
 class DataLoadError(ValueError):
@@ -179,6 +173,13 @@ class ShapeRecord:
 
 @dataclass(frozen=True)
 class OrbifoldCase:
+    """One case record.  h and each ihReps entry are kept as the loader read
+    them, per-factor Fraction tuples, for the report and the JSON.  The steps
+    read their integer form, derived from those fields when the record is
+    built, so dataclasses.replace builds it afresh: scaled_h holds (c, d)
+    per factor with h = c/d as scale_vector gives it, and scaled_reps[i] the
+    same for the recorded representative of i*h, {1: h, **ih_reps}."""
+
     id: str
     n: int
     shapes: tuple[ShapeRecord, ...]
@@ -195,6 +196,14 @@ class OrbifoldCase:
     shifted_rho: tuple
     ih_reps: dict
     problematic_modules: int
+    scaled_h: tuple = field(init=False, repr=False, compare=False)
+    scaled_reps: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scaled_h = tuple(map(scale_vector, self.h))
+        object.__setattr__(self, "scaled_h", scaled_h)
+        object.__setattr__(self, "scaled_reps", {1: scaled_h, **{
+            i: tuple(map(scale_vector, rep)) for i, rep in self.ih_reps.items()}})
 
 
 def _coweights(where, name, value, source):
@@ -214,16 +223,16 @@ def representative_fault(source, rep, i, scaled_h):
     None: rep - i*h must lie in the coroot lattice and alpha(rep) >= -1 for
     every root.  Both checks read Cartan data alone, so the loader, which
     checks the recorded representatives with this, builds no root system.
-    scaled_h holds each factor of h as scale_vector gives it, (b, q) with
-    h = b / q, so a case scales h once for every i; rep - i*h is taken on
-    integers over the lcm of the two denominators."""
-    for f, ((kind, _), coords, (b, q)) in enumerate(zip(source.components, rep, scaled_h)):
-        a, p = scale_vector(coords)
+    rep and h come in the integer form of an OrbifoldCase, (a, p) and
+    (b, q) per factor with rep = a / p and h = b / q; rep - i*h is taken on
+    integers over the lcm of the two denominators, and alpha(rep) >= -1 is
+    walked once, on (a, p)."""
+    for f, ((kind, _), (a, p), (b, q)) in enumerate(zip(source.components, rep, scaled_h)):
         m = lcm(p, q)
         if _coroot_order(kind, [u * (m // p) - i * v * (m // q) for u, v in zip(a, b)], m) != 1:
             return (f"factor {f} ({kind_name(kind)}) differs from {i}*h "
                     "by a coweight outside the coroot lattice")
-        if not in_alcove_range(kind, coords):
+        if not _in_alcove_range(kind, a, p):
             return f"factor {f} ({kind_name(kind)}) has alpha < -1 for some root"
     return None
 
@@ -253,20 +262,13 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         if n not in GENUS_ZERO_LEVELS - {1}:
             raise DataLoadError(f"{where}: n: {n} is not a genus-zero level >= 2")
         h = _coweights(where, "h", _need(where, node, "h"), source)
-        scaled_h = tuple(map(scale_vector, h))
-        fault = representative_fault(source, h, 1, scaled_h)
-        if fault:
-            raise DataLoadError(f"{where}: h: {fault}")
-        ih_reps = {}
+        ih_reps, names = {}, {}
         for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
             i = int(key) if key.isdecimal() else 0
             if not 1 <= i < n:
                 raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
-            name = f"ihReps[{key!r}]"
-            ih_reps[i] = _coweights(where, name, coords, source)
-            fault = representative_fault(source, ih_reps[i], i, scaled_h)
-            if fault:
-                raise DataLoadError(f"{where}: {name}: {fault}")
+            names[i] = f"ihReps[{key!r}]"
+            ih_reps[i] = _coweights(where, names[i], coords, source)
         fixed = _need(where, node, "fixed")
         case = OrbifoldCase(
             id=str(cid),
@@ -291,6 +293,11 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             problematic_modules=_typed(where, "problematicModules",
                                        node.get("problematicModules", 0), least=0),
         )
+        for name, i, rep in [("h", 1, case.scaled_h),
+                             *((names[i], i, case.scaled_reps[i]) for i in ih_reps)]:
+            fault = representative_fault(source, rep, i, case.scaled_h)
+            if fault:
+                raise DataLoadError(f"{where}: {name}: {fault}")
         if case.expected_d != target.dimension():
             raise DataLoadError(
                 f"{where}: expectedD {case.expected_d} != dim of target {target.dimension()}")
@@ -363,28 +370,38 @@ class CaseReport:
 def fixed_dims_profile(case) -> DimProfile:
     """dim V_1^{sigma^d} for all d | n: the fixed dimension of d*h per factor,
     read from the memo kacaut._inner on the reduced d*h = (d/g) c / (e/g), h =
-    c/e scaled once, g = gcd(d, e); d*h in Fractions only names a fault."""
-    scaled = [(k, h, *scale_vector(h)) for (k, _), h in zip(case.source.components, case.h)]
+    c/e from case.scaled_h, g = gcd(d, e); d*h in Fractions only names a fault."""
     dims = dict.fromkeys(divisors(case.n), 0)
     for d in dims:
-        for kind, h, c, e in scaled:
+        for (kind, _), h, (c, e) in zip(case.source.components, case.h, case.scaled_h):
             g = gcd(d, e)
             dims[d] += _naming((d * x for x in h), _inner, kind,
                                tuple(d // g * x for x in c), e // g)[2]
     return DimProfile(case.n, dims)
 
 
-def representative_for_power(case, i):
-    """A coset representative for i*h satisfying the alcove condition, read
-    from the printed ones {1: h, **ih_reps}: the one for i, else minus the one
-    for n - i (i[h] = -((n-i)[h])), else the alcove reduction of i*h."""
-    recorded = {1: case.h, **case.ih_reps}
+def _scaled_representative(case, i):
+    """The coset representative for i*h that satisfies the alcove condition,
+    as (c, d) per factor: the one recorded for i, else minus the one for
+    n - i (i[h] = -((n-i)[h])), negated on the integers c, else the alcove
+    reduction of i*h."""
+    recorded = case.scaled_reps
     if i in recorded:
         return recorded[i]
     if case.n - i in recorded:
-        return tuple(tuple(-x for x in coords) for coords in recorded[case.n - i])
-    return tuple(alcove_representative(build_root_system(kind), tuple(i * x for x in h))
+        return tuple((tuple(-x for x in c), d) for c, d in recorded[case.n - i])
+    return tuple(scale_vector(alcove_representative(build_root_system(kind),
+                                                    tuple(i * x for x in h)))
                  for (kind, _), h in zip(case.source.components, case.h))
+
+
+def representative_for_power(case, i):
+    """The representative of _scaled_representative in Fractions: the printed
+    tuple itself when i has one ({1: h, **ih_reps}), else c/d per factor."""
+    recorded = {1: case.h, **case.ih_reps}
+    if i in recorded:
+        return recorded[i]
+    return tuple(tuple(Fraction(x, d) for x in c) for c, d in _scaled_representative(case, i))
 
 
 def schellekens_survivors(table, dim, comps, abelian, order):
@@ -414,8 +431,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     sigma whose representative breaks the contract of step (g) fails its
     contract row and is not screened."""
     report = CaseReport(case.id)
-    systems = [build_root_system(kind) for kind, _ in case.source.components]
-    scaled_h = tuple(map(scale_vector, case.h))
+    scaled_h = case.scaled_h
 
     # (a) cycle shapes: degree, vacuum weight, type n{0}
     for record in case.shapes:
@@ -438,7 +454,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                    details="would need explicit lattice models to recompute")
 
     # (b) inner automorphism: per-factor orders and fixed subalgebra
-    inner = [inner_from_coweight(rs, h) for rs, h in zip(systems, case.h)]
+    inner = [_naming(h, _inner, kind, c, d)
+             for (kind, _), h, (c, d) in zip(case.source.components, case.h, scaled_h)]
     orders = [order for order, _, _ in inner]
     abelian = sum(ab for _, (_, ab), _ in inner)
     report.add("(b) per-factor orders on V1", tuple(orders) == case.factor_orders,
@@ -456,8 +473,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                {"algebra": algebra_order, "module": bound})
 
     # (c) norm of h against the level-weighted form
-    hh = sum(level * rs.coweight_form(h, h)
-             for rs, h, (_, level) in zip(systems, case.h, case.source.components))
+    hh = sum(level * build_root_system(kind).coweight_norm(c, d)
+             for (kind, level), (c, d) in zip(case.source.components, scaled_h))
     report.add("(c) <h,h>", hh == case.h_norm_sq, case.h_norm_sq, hh)
 
     # (d) fixed-point dimensions for all powers
@@ -494,13 +511,13 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
 
     # (g) conformal-weight screening for every power of sigma
     for i in range(1, case.n):
-        reps = representative_for_power(case, i)
-        fault = representative_fault(case.source, reps, i, scaled_h)
+        rep = _scaled_representative(case, i)
+        fault = representative_fault(case.source, rep, i, scaled_h)
         report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
                    details=fault or "")
         if fault:
             continue
-        found = screen_problematic_modules(case.source, reps, floor=1)
+        found = _screen(case.source.components, rep, _FLOOR)
         report.screening[i] = screening_rows(found)
         expected = case.problematic_modules
         if not expected:

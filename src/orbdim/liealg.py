@@ -197,9 +197,14 @@ def unwalk(kind: Kind, word, c) -> list[int]:
 
 
 def in_alcove_range(kind: Kind, h) -> bool:
-    """alpha(h) >= -1 for every root alpha.  Roots come in pairs +-alpha and
-    the largest alpha(h) is theta(h+) for the dominant conjugate h+."""
-    c, d = scale_vector(h)
+    """alpha(h) >= -1 for every root alpha."""
+    return _in_alcove_range(kind, *scale_vector(h))
+
+
+def _in_alcove_range(kind: Kind, c, d: int) -> bool:
+    """in_alcove_range at h = c/d, integers c and d > 0 with any common
+    factor.  Roots come in pairs +-alpha and the largest alpha(h) is
+    theta(h+) for the dominant conjugate h+."""
     table = weyl_tables(kind)
     return dot(table.marks, dominant_walk(table.cols, c)[0]) <= d
 
@@ -374,6 +379,12 @@ class RootSystem:
     def coweight_form(self, c1, c2) -> Fraction:
         """(h, h') on the coweight side."""
         return self._form(self.gram_coweights_scaled, self.gram_coweights_den, c1, c2)
+
+    def coweight_norm(self, c, d: int) -> Fraction:
+        """(h, h) at h = c/d, integers c and d > 0, on the integer Gram matrix."""
+        G = self.gram_coweights_scaled
+        return Fraction(sum(x * dot(row, c) for x, row in zip(c, G) if x),
+                        self.gram_coweights_den * d * d)
 
     def in_coroot_lattice(self, c) -> bool:
         return in_coroot_lattice(self.kind, c)

@@ -17,16 +17,17 @@ from functools import lru_cache
 from itertools import product
 from math import ceil, gcd, lcm, prod
 
+from .cartan import kind_name
 from .liealg import (
     AffineStructure,
     RootSystem,
+    _in_alcove_range,
     affine_conformal_weight,
     alcove_walk,
     build_root_system,
     dominant_walk,
     dominant_weights_of_level,
     dot,
-    in_alcove_range,
     min_weight_pairing,
     scale_vector,
     unwalk,
@@ -49,8 +50,15 @@ def c_coefficients(n: int) -> dict[int, Fraction]:
     """The closed-form coefficients of the genus-zero orbifold dimension formula.
 
     c_d = (lambda(d)/d) (phi((d,n/d))/(d,n/d)) psi(n/d); c_1 = psi(n) and the
-    coefficients sum to n.
+    coefficients sum to n.  A fresh dict of the memo _c_table.
     """
+    return dict(_c_table(n))
+
+
+@lru_cache(maxsize=None)
+def _c_table(n: int) -> tuple[tuple[int, Fraction], ...]:
+    """((d, c_d), ...) over the divisors d of n, checked; a level that is not
+    genus zero raises on every call and leaves no entry."""
     if n not in GENUS_ZERO_LEVELS:
         raise ValueError(f"{n} is not a genus-zero level")
     out = {}
@@ -59,7 +67,7 @@ def c_coefficients(n: int) -> dict[int, Fraction]:
         out[d] = Fraction(_liouville_lambda(d), d) * Fraction(euler_phi(g), g) * dedekind_psi(n // d)
     if out[1] != dedekind_psi(n) or sum(out.values()) != n:
         raise ArithmeticError(f"c_d at level {n} violate c_1 = psi(n) or sum c_d = n")
-    return out
+    return tuple(out.items())
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,7 @@ def dim_orbifold(profile: DimProfile) -> Fraction:
     """
     if profile.n == 1:
         return Fraction(profile.dims[1])
-    coeffs = c_coefficients(profile.n)
-    return 24 + sum(coeffs[d] * profile.dims[d] for d in divisors(profile.n))
+    return 24 + sum(c * profile.dims[d] for d, c in _c_table(profile.n))
 
 
 def sigma_divisors(m: int) -> int:
@@ -216,20 +223,19 @@ class CycleShape:
         return sum(self.factors.values())
 
     def order(self) -> int:
-        out = 1
-        for t in self.factors:
-            out = lcm(out, t)
-        return out
+        return lcm(*self.factors)
 
     def label(self) -> str:
         return " ".join(f"{t}^{b}" for t, b in sorted(self.factors.items()))
 
 
 def vacuum_anomaly(shape: CycleShape) -> Fraction:
-    """Twisted-sector vacuum weight (1/24) sum_t b_t (t - 1/t) for rank 24."""
+    """Twisted-sector vacuum weight (1/24) sum_t b_t (t - 1/t) for rank 24,
+    on integers over L = lcm of the cycle lengths: t - 1/t = (t^2 - 1)(L/t)/L."""
     if shape.degree() != 24:
         raise ValueError(f"cycle shape degree {shape.degree()} != 24")
-    return sum(Fraction(b) * (Fraction(t) - Fraction(1, t)) for t, b in shape.factors.items()) / 24
+    L = shape.order()
+    return Fraction(sum(b * (t * t - 1) * (L // t) for t, b in shape.factors.items()), 24 * L)
 
 
 def cycle_shape_stats(shape: CycleShape):
@@ -259,11 +265,11 @@ def alcove_representative(rs: RootSystem, h):
     return tuple(Fraction(x, d) for x in cur)
 
 
-def _require_alcove_range(components, hs) -> None:
+def _require_alcove_range(components, scaled) -> None:
     """The precondition of the twisted weight: alpha(h_i) >= -1 on every
-    factor, else a ValueError naming the factor."""
-    for (kind, _), h in zip(components, hs):
-        if not in_alcove_range(kind, h):
+    factor at h_i = c_i / d_i, else a ValueError naming the factor."""
+    for (kind, _), (c, d) in zip(components, scaled):
+        if not _in_alcove_range(kind, c, d):
             raise ValueError(
                 f"{kind} component violates alpha(h) >= -1; reduce with alcove_representative")
 
@@ -272,13 +278,15 @@ def twisted_module_weight(structure: AffineStructure, lambdas, hs) -> Fraction:
     """Conformal weight of the h-twisted version of the module with the given
     highest weights: rho(M) + sum_i min mu(h_i) + <h,h>/2.
 
-    Every h_i must satisfy alpha(h_i) >= -1; callers with a general coset
-    representative should pass it through alcove_representative first.
+    Every h_i must have its factor's rank of coordinates and satisfy
+    alpha(h_i) >= -1, else a ValueError naming the factor; callers with a
+    general coset representative should pass it through
+    alcove_representative first.
     """
     comps = structure.components
     if len(lambdas) != len(comps) or len(hs) != len(comps):
         raise ValueError("one weight and one Cartan element per simple factor")
-    _require_alcove_range(comps, hs)
+    _require_alcove_range(comps, _scaled(structure, hs))
     total = Fraction(0)
     hh = Fraction(0)
     for (kind, level), lam, h in zip(comps, lambdas, hs):
@@ -325,8 +333,7 @@ def _factor_setup(kind, level: int, c, d: int):
     minus = dominant_walk(weyl_tables(kind).cols, [-x for x in c])[0]    # -d h^-
     U = tuple(-dot(row, minus) for row in rs.inv_scaled)
     E = d * rs.inv_den
-    hh = Fraction(level * sum(x * dot(row, c) for x, row in zip(c, rs.gram_coweights_scaled)),
-                  rs.gram_coweights_den * d * d)
+    hh = level * rs.coweight_norm(c, d)
     L = lcm(*rs.comarks)
     bound = Fraction(level * max(0, *(-x * (L // a) for x, a in zip(U, rs.comarks))), E * L)
     R, table = _level_table(kind, level)
@@ -337,9 +344,15 @@ def _factor_setup(kind, level: int, c, d: int):
 
 
 def _scaled(structure: AffineStructure, hs):
-    """Each h_i as integers over one denominator, (c_i, d_i) with h_i = c_i / d_i."""
+    """Each h_i as integers over one denominator, (c_i, d_i) with h_i = c_i / d_i.
+    A ValueError unless there is one h_i per factor, each with as many
+    coordinates as its factor's rank."""
     if len(hs) != len(structure.components):
         raise ValueError("one Cartan element per simple factor")
+    for f, ((kind, _), h) in enumerate(zip(structure.components, hs)):
+        if len(h) != kind[1]:
+            raise ValueError(f"factor {f} ({kind_name(kind)}): coweight {tuple(h)} has "
+                             f"{len(h)} entries, not {kind[1]}")
     return tuple(map(scale_vector, hs))
 
 
@@ -415,22 +428,26 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     The rows depend on the factors, each h_i = c_i / d_i and the floor
     alone, so the search runs in _screen, an lru_cache on that key.
     scale_vector and Fraction reduce, so equal coweights and floors spelled
-    as ints, Fractions or strings share one entry.  The length check and
-    the alcove precondition run on every call, before the memo is read;
-    lru_cache keeps no exception, so a bad call raises afresh every time.
-    The memo holds the rows as a tuple of tuples, and every call returns a
-    fresh list of them.
+    as ints, Fractions or strings share one entry.  This public entry runs
+    the length and rank checks and the alcove precondition on every call,
+    before the memo is read; lru_cache keeps no exception, so a bad call
+    raises afresh every time.  The memo holds the rows as a tuple of tuples,
+    and every call returns a fresh list of them.  verify_case does not come
+    through here: it reads _screen at floor 1 on the integer form its case
+    record holds, once cases.representative_fault has checked the same
+    precondition on that form, so each power walks for alpha >= -1 once.
     """
     floor = Fraction(floor)
     scaled = _scaled(structure, hs)
-    _require_alcove_range(structure.components, hs)
+    _require_alcove_range(structure.components, scaled)
     return list(_screen(structure.components, scaled, floor))
 
 
 @lru_cache(maxsize=256)
 def _screen(components, scaled, floor: Fraction):
     """screen_problematic_modules on the factors at h_i = c_i / d_i, the rows
-    as a tuple."""
+    as a tuple.  It checks nothing: screen_problematic_modules checks its
+    input first, and verify_case enters only after representative_fault."""
     setups = _setups(components, scaled)
     cap = _rho_cap(setups, floor)
     D, buckets = _scaled_buckets(setups)

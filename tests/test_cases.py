@@ -366,7 +366,7 @@ def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):
     loader and the (g) rows of i = 2 and of its negation i = 3 with one text."""
     case = load_cases()[10]
     bad = (case.ih_reps[2][0], (F(0),) * 4)
-    fault = representative_fault(case.source, bad, 2, tuple(map(scale_vector, case.h)))
+    fault = representative_fault(case.source, tuple(map(scale_vector, bad)), 2, case.scaled_h)
     assert fault == "factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"
     report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
     failed = {s.name: s.details for s in report.steps if not s.passed}
@@ -389,7 +389,8 @@ def test_step_g_fails_a_representative_below_the_alcove_range_without_screening_
     shifted = tuple(x + a for x, a in zip(case.ih_reps[2][1], (2, -1, 0, 0)))   # + alpha_1^vee
     bad = (case.ih_reps[2][0], shifted)
     fault = "factor 1 (A4) has alpha < -1 for some root"
-    assert representative_fault(case.source, bad, 2, tuple(map(scale_vector, case.h))) == fault
+    assert representative_fault(case.source, tuple(map(scale_vector, bad)), 2,
+                                case.scaled_h) == fault
     report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
     failed = {s.name: s.details for s in report.steps if not s.passed}
     assert failed == {"(g) i=2 representative contract": fault,

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from orbdim.cases import load_cases
 from orbdim.liealg import AffineStructure, root_system, weight_system
 from orbdim.orbifold import (
     CycleShape,
@@ -140,6 +141,50 @@ def test_cycle_shapes_and_vacuum_anomaly():
         assert stats["etaProduct"].exps == shape.factors
     with pytest.raises(ValueError):
         vacuum_anomaly(CycleShape({1: 23}))
+
+
+def _vacuum_anomaly_oracle(shape):
+    """vacuum_anomaly as it was, three Fractions per cycle length."""
+    if shape.degree() != 24:
+        raise ValueError(f"cycle shape degree {shape.degree()} != 24")
+    return sum(Fraction(b) * (Fraction(t) - Fraction(1, t)) for t, b in shape.factors.items()) / 24
+
+
+def _seeded_degree_24_shapes(count=300, seed=2611):
+    """Shapes with up to five cycle lengths in 2..48 and exponents in -6..6,
+    the exponent of 1 making the degree 24."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        factors = {t: rng.randint(-6, 6) for t in rng.sample(range(2, 49), rng.randint(1, 5))}
+        factors[1] = 24 - sum(t * b for t, b in factors.items())
+        out.append(CycleShape(factors))
+    return out
+
+
+def test_vacuum_anomaly_matches_the_fraction_oracle():
+    shipped = [record.shape for case in load_cases() for record in case.shapes]
+    seeded = _seeded_degree_24_shapes()
+    assert len(shipped) >= 15 and len({s.order() for s in seeded}) > 100
+    for shape in shipped + seeded:
+        assert vacuum_anomaly(shape) == _vacuum_anomaly_oracle(shape), shape.label()
+    for factors in ({1: 23}, {2: 3}, {1: -1, 5: 4}, {}):
+        shape = CycleShape(factors)
+        for anomaly in (vacuum_anomaly, _vacuum_anomaly_oracle):
+            with pytest.raises(ValueError) as err:
+                anomaly(shape)
+            assert str(err.value) == f"cycle shape degree {shape.degree()} != 24"
+
+
+def test_c_coefficients_returns_a_fresh_dict():
+    got = c_coefficients(12)
+    got[1] = 0
+    del got[12]
+    assert c_coefficients(12) == {d: F(v) for d, v in C_TABLE[12].items()}
+    profile = DimProfile(2, {1: 368, 2: 384})
+    assert dim_orbifold(profile) == 744
+    c_coefficients(2).clear()
+    assert dim_orbifold(profile) == 744
 
 
 @pytest.mark.parametrize("factors", [{1: -8.7, 2: 16.2}, {2: "12"}, {"2": 12}, {2: True, 1: 22},

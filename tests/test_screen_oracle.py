@@ -22,7 +22,6 @@ from orbdim.liealg import (
 from orbdim.orbifold import (
     _factor_setup,
     _level_table,
-    _require_alcove_range,
     _scaled,
     _scaled_buckets,
     _setups,
@@ -30,7 +29,7 @@ from orbdim.orbifold import (
     screen_problematic_modules,
 )
 
-from test_lie_oracle import _coweight_to_coroot_coords, _weyl_antidominant
+from test_lie_oracle import _check_alcove_condition, _coweight_to_coroot_coords, _weyl_antidominant
 
 
 def _pairing_norm_bound(rs, level, h):
@@ -50,7 +49,9 @@ def _screen_oracle(structure, hs, floor=1, rho_cap=3):
     comps = structure.components
     if len(hs) != len(comps):
         raise ValueError("one Cartan element per simple factor")
-    _require_alcove_range(comps, hs)
+    for (kind, _), h in zip(comps, hs):
+        if not _check_alcove_condition(build_root_system(kind), h):
+            raise ValueError(f"{kind} component violates alpha(h) >= -1")
     factors = []
     hh = Fraction(0)
     bound = Fraction(0)
