@@ -21,7 +21,14 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .cartan import kind_name, validate_kind
-from .kacaut import _inner, _naming, admits_fixed_subalgebra, fixed_label, witness_fault
+from .kacaut import (
+    _inner,
+    _naming,
+    admits_fixed_subalgebra,
+    fixed_label,
+    inner_from_coweight,
+    witness_fault,
+)
 from .liealg import (
     AffineStructure,
     _coroot_order,
@@ -35,17 +42,16 @@ from .orbifold import (
     CycleShape,
     DimProfile,
     _is_prime,
-    _screen,
     alcove_representative,
     cycle_shape_stats,
     dim_orbifold,
     render_weight_tuple,
+    screen_problematic_modules,
     twist_type,
     vacuum_anomaly,
 )
 
 PAPER_ASSERTED = "paper-asserted"
-_FLOOR = Fraction(1)              # step (g) screens at floor 1
 
 
 class DataLoadError(ValueError):
@@ -174,11 +180,13 @@ class ShapeRecord:
 @dataclass(frozen=True)
 class OrbifoldCase:
     """One case record.  h and each ihReps entry are kept as the loader read
-    them, per-factor Fraction tuples, for the report and the JSON.  The steps
-    read their integer form, derived from those fields when the record is
-    built, so dataclasses.replace builds it afresh: scaled_h holds (c, d)
-    per factor with h = c/d as scale_vector gives it, and scaled_reps[i] the
-    same for the recorded representative of i*h, {1: h, **ih_reps}."""
+    them, per-factor Fraction tuples, for the report, the JSON and the
+    public entries of steps (b) and (g).  Steps (b)-(g) check, count and
+    look representatives up on their integer form, derived from those
+    fields when the record is built, so dataclasses.replace builds it
+    afresh: scaled_h holds (c, d) per factor with h = c/d as scale_vector
+    gives it, and scaled_reps[i] the same for the recorded representative
+    of i*h, {1: h, **ih_reps}."""
 
     id: str
     n: int
@@ -262,13 +270,20 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         if n not in GENUS_ZERO_LEVELS - {1}:
             raise DataLoadError(f"{where}: n: {n} is not a genus-zero level >= 2")
         h = _coweights(where, "h", _need(where, node, "h"), source)
-        ih_reps, names = {}, {}
+        scaled_h = tuple(map(scale_vector, h))
+        fault = representative_fault(source, scaled_h, 1, scaled_h)
+        if fault:
+            raise DataLoadError(f"{where}: h: {fault}")
+        ih_reps = {}
         for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
             i = int(key) if key.isdecimal() else 0
             if not 1 <= i < n:
                 raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
-            names[i] = f"ihReps[{key!r}]"
-            ih_reps[i] = _coweights(where, names[i], coords, source)
+            name = f"ihReps[{key!r}]"
+            ih_reps[i] = _coweights(where, name, coords, source)
+            fault = representative_fault(source, tuple(map(scale_vector, ih_reps[i])), i, scaled_h)
+            if fault:
+                raise DataLoadError(f"{where}: {name}: {fault}")
         fixed = _need(where, node, "fixed")
         case = OrbifoldCase(
             id=str(cid),
@@ -293,11 +308,6 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             problematic_modules=_typed(where, "problematicModules",
                                        node.get("problematicModules", 0), least=0),
         )
-        for name, i, rep in [("h", 1, case.scaled_h),
-                             *((names[i], i, case.scaled_reps[i]) for i in ih_reps)]:
-            fault = representative_fault(source, rep, i, case.scaled_h)
-            if fault:
-                raise DataLoadError(f"{where}: {name}: {fault}")
         if case.expected_d != target.dimension():
             raise DataLoadError(
                 f"{where}: expectedD {case.expected_d} != dim of target {target.dimension()}")
@@ -396,8 +406,10 @@ def _scaled_representative(case, i):
 
 
 def representative_for_power(case, i):
-    """The representative of _scaled_representative in Fractions: the printed
-    tuple itself when i has one ({1: h, **ih_reps}), else c/d per factor."""
+    """_scaled_representative(case, i) in Fractions: the printed tuple itself
+    when i has one ({1: h, **ih_reps}), else c/d per factor.  Step (g)
+    screens this form through screen_problematic_modules, and the printed
+    tuples spare it building Fractions for most powers."""
     recorded = {1: case.h, **case.ih_reps}
     if i in recorded:
         return recorded[i]
@@ -431,6 +443,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     sigma whose representative breaks the contract of step (g) fails its
     contract row and is not screened."""
     report = CaseReport(case.id)
+    systems = [build_root_system(kind) for kind, _ in case.source.components]
     scaled_h = case.scaled_h
 
     # (a) cycle shapes: degree, vacuum weight, type n{0}
@@ -454,8 +467,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                    details="would need explicit lattice models to recompute")
 
     # (b) inner automorphism: per-factor orders and fixed subalgebra
-    inner = [_naming(h, _inner, kind, c, d)
-             for (kind, _), h, (c, d) in zip(case.source.components, case.h, scaled_h)]
+    inner = [inner_from_coweight(rs, h) for rs, h in zip(systems, case.h)]
     orders = [order for order, _, _ in inner]
     abelian = sum(ab for _, (_, ab), _ in inner)
     report.add("(b) per-factor orders on V1", tuple(orders) == case.factor_orders,
@@ -473,8 +485,8 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                {"algebra": algebra_order, "module": bound})
 
     # (c) norm of h against the level-weighted form
-    hh = sum(level * build_root_system(kind).coweight_norm(c, d)
-             for (kind, level), (c, d) in zip(case.source.components, scaled_h))
+    hh = sum(level * rs.coweight_norm(c, d)
+             for rs, (c, d), (_, level) in zip(systems, scaled_h, case.source.components))
     report.add("(c) <h,h>", hh == case.h_norm_sq, case.h_norm_sq, hh)
 
     # (d) fixed-point dimensions for all powers
@@ -517,7 +529,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                    details=fault or "")
         if fault:
             continue
-        found = _screen(case.source.components, rep, _FLOOR)
+        found = screen_problematic_modules(case.source, representative_for_power(case, i), floor=1)
         report.screening[i] = screening_rows(found)
         expected = case.problematic_modules
         if not expected:

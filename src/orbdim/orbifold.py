@@ -432,10 +432,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     the length and rank checks and the alcove precondition on every call,
     before the memo is read; lru_cache keeps no exception, so a bad call
     raises afresh every time.  The memo holds the rows as a tuple of tuples,
-    and every call returns a fresh list of them.  verify_case does not come
-    through here: it reads _screen at floor 1 on the integer form its case
-    record holds, once cases.representative_fault has checked the same
-    precondition on that form, so each power walks for alpha >= -1 once.
+    and every call returns a fresh list of them.
     """
     floor = Fraction(floor)
     scaled = _scaled(structure, hs)
@@ -447,7 +444,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
 def _screen(components, scaled, floor: Fraction):
     """screen_problematic_modules on the factors at h_i = c_i / d_i, the rows
     as a tuple.  It checks nothing: screen_problematic_modules checks its
-    input first, and verify_case enters only after representative_fault."""
+    input first."""
     setups = _setups(components, scaled)
     cap = _rho_cap(setups, floor)
     D, buckets = _scaled_buckets(setups)

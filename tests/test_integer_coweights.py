@@ -1,15 +1,16 @@
 """The integer coweights of the case records and the screen's input checks.
 
 A case record holds h and its recorded representatives once as integers
-(OrbifoldCase.scaled_h and scaled_reps), and step (g) enters the screen
-memo on that form.  These tests hold that path to the public one: the rows
-verify_case stores equal those of screen_problematic_modules on
-representative_for_power; the scaled representative_fault gives the verdict
-and text of the Fraction body it replaced, kept here as the oracle; a warm
-verify_all scales no coweight and walks for alpha >= -1 once per factor and
-power; a record built by dataclasses.replace carries the integer form of its
-new fields; and a coweight with the wrong number of entries is a ValueError
-naming the factor at every public entry that reads one.
+(OrbifoldCase.scaled_h and scaled_reps), and step (g) checks and looks up
+each power's representative on that form.  These tests hold it to the
+Fraction form: the rows verify_case stores equal those of
+screen_problematic_modules on representative_for_power; the scaled
+representative_fault gives the verdict and text of the Fraction body it
+replaced, kept here as the oracle; a warm verify_all scales coweights only
+in the public entries it calls; a record built by dataclasses.replace
+carries the integer form of its new fields; and a coweight with the wrong
+number of entries is a ValueError naming the factor at every public entry
+that reads one.
 """
 
 import dataclasses
@@ -67,9 +68,9 @@ def _seeded_faults():
 
 
 def test_verify_case_rows_equal_the_public_screen():
-    """verify_case screens through _screen on the record's integer form: its
-    rows equal the public screen's on representative_for_power, read from the
-    entry verify_case filled (one key) and searched afresh."""
+    """The rows verify_case stores for each power equal the public screen's
+    on representative_for_power, read from the entry verify_case filled (one
+    key) and searched afresh."""
     _screen.cache_clear()
     _factor_setup.cache_clear()
     all_cases = load_cases()
@@ -119,30 +120,36 @@ def test_representative_fault_matches_the_fraction_oracle():
                                     case.scaled_h) == want
 
 
-def test_a_warm_verify_all_scales_no_coweight_and_walks_once_per_check(monkeypatch):
-    """A second verify_all in one process makes no scale_vector call, in any
-    module that imports it, and one alpha >= -1 walk per factor and power."""
+def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypatch):
+    """A second verify_all in one process scales a coweight only in the two
+    public entries it calls on the printed Fractions, inner_from_coweight
+    once per factor and screen_problematic_modules once per factor and
+    power, and walks for alpha >= -1 twice per factor and power: in
+    representative_fault and in the screen's precondition."""
     all_cases, table = load_cases(), load_schellekens()
     verify_all(all_cases, table)
     counts = Counter()
-    scale, walk = liealg.scale_vector, liealg.dominant_walk
 
-    def counted_scale(v):
-        counts["scale_vector"] += 1
-        return scale(v)
-
-    def counted_walk(*args):
-        counts["dominant_walk"] += 1
-        return walk(*args)
+    def counted(name, where, call):
+        def wrapper(*args):
+            counts[name, where] += 1
+            return call(*args)
+        return wrapper
 
     for mod in (cases_mod, orbifold, kacaut, liealg):
-        monkeypatch.setattr(mod, "scale_vector", counted_scale)
-    for mod in (orbifold, liealg):
-        monkeypatch.setattr(mod, "dominant_walk", counted_walk)
+        where = mod.__name__.rsplit(".", 1)[1]
+        monkeypatch.setattr(mod, "scale_vector", counted("scale", where, liealg.scale_vector))
+    for mod in (cases_mod, orbifold):
+        where = mod.__name__.rsplit(".", 1)[1]
+        monkeypatch.setattr(mod, "_in_alcove_range",
+                            counted("walk", where, liealg._in_alcove_range))
     reports, _ = verify_all(all_cases, table)
     assert all(r.passed for r in reports)
+    factors = sum(len(c.source.components) for c in all_cases)
     checks = sum((c.n - 1) * len(c.source.components) for c in all_cases)
-    assert counts == {"dominant_walk": checks} and checks == 99
+    assert counts == {("scale", "kacaut"): factors, ("scale", "orbifold"): checks,
+                      ("walk", "cases"): checks, ("walk", "orbifold"): checks}
+    assert checks == 99
 
 
 def test_a_replaced_record_carries_the_integer_form_of_its_new_fields():
