@@ -23,7 +23,6 @@ from pathlib import Path
 from .cartan import kind_name, validate_kind
 from .kacaut import (
     _inner,
-    _naming,
     admits_fixed_subalgebra,
     fixed_label,
     inner_from_coweight,
@@ -114,11 +113,16 @@ def _typed(where, name, value, cls=int, least=None):
     return value
 
 
+def _decimal(key: str):
+    """A JSON key read as a count: its int if it is decimal digits with no
+    sign, space or leading zero, else None."""
+    return int(key) if key.isdecimal() and str(int(key)) == key else None
+
+
 def _cycle_length(key: str) -> int:
-    """A cycle-shape key: decimal digits with no sign, space or leading zero."""
-    if not (key.isdecimal() and str(int(key)) == key):
+    if (length := _decimal(key)) is None:
         raise ValueError(f"cycle length {key!r} is not a decimal integer")
-    return int(key)
+    return length
 
 
 def _structure(node) -> AffineStructure:
@@ -180,13 +184,16 @@ class ShapeRecord:
 @dataclass(frozen=True)
 class OrbifoldCase:
     """One case record.  h and each ihReps entry are kept as the loader read
-    them, per-factor Fraction tuples, for the report, the JSON and the
-    public entries of steps (b) and (g).  Steps (b)-(g) check, count and
-    look representatives up on their integer form, derived from those
-    fields when the record is built, so dataclasses.replace builds it
-    afresh: scaled_h holds (c, d) per factor with h = c/d as scale_vector
-    gives it, and scaled_reps[i] the same for the recorded representative
-    of i*h, {1: h, **ih_reps}."""
+    them, per-factor Fraction tuples, for the report and the JSON.  Two
+    fields are derived from them when the record is built, so
+    dataclasses.replace builds them afresh.  scaled_h holds (c, d) per
+    factor with h = c/d as scale_vector gives it; steps (b)-(d) read it.
+    powers[i], for i in 1..n-1, holds the coset representative of i*h that
+    step (g) checks and screens and `orbdim screen` screens, in both forms:
+    (Fractions, (c, d) per factor).  It is the tuple recorded for i in
+    {1: h, **ih_reps} itself, else the exact negation of the one recorded
+    for n - i (i*h = -((n-i)*h) mod Q^vee), else the alcove reduction of
+    i*h."""
 
     id: str
     n: int
@@ -205,13 +212,26 @@ class OrbifoldCase:
     ih_reps: dict
     problematic_modules: int
     scaled_h: tuple = field(init=False, repr=False, compare=False)
-    scaled_reps: dict = field(init=False, repr=False, compare=False)
+    powers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scaled_h = tuple(map(scale_vector, self.h))
+        recorded = {1: (self.h, scaled_h), **{
+            i: (rep, tuple(map(scale_vector, rep))) for i, rep in self.ih_reps.items()}}
+        powers = {}
+        for i in range(1, self.n):
+            if i in recorded:
+                powers[i] = recorded[i]
+            elif self.n - i in recorded:
+                rep, scaled = recorded[self.n - i]
+                powers[i] = (tuple(tuple(-x for x in coords) for coords in rep),
+                             tuple((tuple(-x for x in c), d) for c, d in scaled))
+            else:
+                rep = tuple(alcove_representative(build_root_system(kind), tuple(i * x for x in h))
+                            for (kind, _), h in zip(self.source.components, self.h))
+                powers[i] = rep, tuple(map(scale_vector, rep))
         object.__setattr__(self, "scaled_h", scaled_h)
-        object.__setattr__(self, "scaled_reps", {1: scaled_h, **{
-            i: tuple(map(scale_vector, rep)) for i, rep in self.ih_reps.items()}})
+        object.__setattr__(self, "powers", powers)
 
 
 def _coweights(where, name, value, source):
@@ -276,7 +296,7 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             raise DataLoadError(f"{where}: h: {fault}")
         ih_reps = {}
         for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
-            i = int(key) if key.isdecimal() else 0
+            i = _decimal(key) or 0
             if not 1 <= i < n:
                 raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
             name = f"ihReps[{key!r}]"
@@ -380,40 +400,13 @@ class CaseReport:
 def fixed_dims_profile(case) -> DimProfile:
     """dim V_1^{sigma^d} for all d | n: the fixed dimension of d*h per factor,
     read from the memo kacaut._inner on the reduced d*h = (d/g) c / (e/g), h =
-    c/e from case.scaled_h, g = gcd(d, e); d*h in Fractions only names a fault."""
+    c/e from case.scaled_h, g = gcd(d, e)."""
     dims = dict.fromkeys(divisors(case.n), 0)
     for d in dims:
-        for (kind, _), h, (c, e) in zip(case.source.components, case.h, case.scaled_h):
+        for (kind, _), (c, e) in zip(case.source.components, case.scaled_h):
             g = gcd(d, e)
-            dims[d] += _naming((d * x for x in h), _inner, kind,
-                               tuple(d // g * x for x in c), e // g)[2]
+            dims[d] += _inner(kind, tuple(d // g * x for x in c), e // g)[2]
     return DimProfile(case.n, dims)
-
-
-def _scaled_representative(case, i):
-    """The coset representative for i*h that satisfies the alcove condition,
-    as (c, d) per factor: the one recorded for i, else minus the one for
-    n - i (i[h] = -((n-i)[h])), negated on the integers c, else the alcove
-    reduction of i*h."""
-    recorded = case.scaled_reps
-    if i in recorded:
-        return recorded[i]
-    if case.n - i in recorded:
-        return tuple((tuple(-x for x in c), d) for c, d in recorded[case.n - i])
-    return tuple(scale_vector(alcove_representative(build_root_system(kind),
-                                                    tuple(i * x for x in h)))
-                 for (kind, _), h in zip(case.source.components, case.h))
-
-
-def representative_for_power(case, i):
-    """_scaled_representative(case, i) in Fractions: the printed tuple itself
-    when i has one ({1: h, **ih_reps}), else c/d per factor.  Step (g)
-    screens this form through screen_problematic_modules, and the printed
-    tuples spare it building Fractions for most powers."""
-    recorded = {1: case.h, **case.ih_reps}
-    if i in recorded:
-        return recorded[i]
-    return tuple(tuple(Fraction(x, d) for x in c) for c, d in _scaled_representative(case, i))
 
 
 def schellekens_survivors(table, dim, comps, abelian, order):
@@ -522,14 +515,13 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                [expected_label], got_labels, details="; ".join(faults))
 
     # (g) conformal-weight screening for every power of sigma
-    for i in range(1, case.n):
-        rep = _scaled_representative(case, i)
-        fault = representative_fault(case.source, rep, i, scaled_h)
+    for i, (rep, scaled) in case.powers.items():
+        fault = representative_fault(case.source, scaled, i, scaled_h)
         report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
                    details=fault or "")
         if fault:
             continue
-        found = screen_problematic_modules(case.source, representative_for_power(case, i), floor=1)
+        found = screen_problematic_modules(case.source, rep, floor=1)
         report.screening[i] = screening_rows(found)
         expected = case.problematic_modules
         if not expected:

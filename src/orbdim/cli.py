@@ -128,8 +128,7 @@ def cmd_screen(args) -> int:
     case = _case(args.case)
     if not 1 <= args.i <= case.n - 1:
         raise ValueError(f"--i must lie in 1..{case.n - 1} for case {case.id}")
-    reps = cases_mod.representative_for_power(case, args.i)
-    found = orbifold.screen_problematic_modules(case.source, reps,
+    found = orbifold.screen_problematic_modules(case.source, case.powers[args.i][0],
                                                 floor=_rational("--floor", args.floor))
     _emit(cases_mod.screening_rows(found), args.format, ("weights", "rho", "twisted"),
           headers=("weights", "rho(M)", "rho(M^h)"))

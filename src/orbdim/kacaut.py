@@ -352,24 +352,10 @@ def inner_from_coweight(rs: RootSystem, h):
     (kind, c, d).  scale_vector reduces, so equal coweights spelled as ints,
     Fractions or strings share one entry; the value is a tuple of tuples, so
     no caller can change it.  A failed check raises afresh on every call, as
-    lru_cache keeps no exception, and its text names h as the caller spelled it.
+    lru_cache keeps no exception, and its text names h as c/d, whatever the
+    caller's spelling.
     """
-    c, d = scale_vector(h)
-    return _naming(h, _inner, rs.kind, c, d)
-
-
-class _CoweightFault(ArithmeticError):
-    """A check on c/d that failed: (text before the coweight, text after it)."""
-
-
-def _naming(h, call, *args):
-    """call(*args), with a _CoweightFault it raises turned into an
-    ArithmeticError that names the coweight h as the caller spelled it."""
-    try:
-        return call(*args)
-    except _CoweightFault as err:
-        before, after = err.args
-        raise ArithmeticError(f"{before} {tuple(h)} {after}") from None
+    return _inner(rs.kind, *scale_vector(h))
 
 
 @lru_cache(maxsize=1024)
@@ -379,8 +365,8 @@ def _inner(kind: Kind, c: tuple[int, ...], d: int):
     dim = kind[1] + 2 * sum(1 for root in build_root_system(kind).positive_roots
                             if dot(root, c) % d == 0)
     if dim != sum(classical_dimension(k) for k in comps) + abelian:
-        raise _CoweightFault("fixed subalgebra of", f"on {kind_name(kind)} has dimension "
-                             f"{dim}, not that of {comps} + C^{abelian}")
+        raise ArithmeticError(f"fixed subalgebra of {c}/{d} on {kind_name(kind)} has "
+                              f"dimension {dim}, not that of {comps} + C^{abelian}")
     return d, (comps, abelian), dim
 
 
@@ -396,14 +382,14 @@ def coweight_to_kac_labels(rs: RootSystem, h):
     automorphism but may reach alcove points that differ by a diagram
     automorphism induced by P^vee/Q^vee, so s is fixed only up to those.
     """
-    return _naming(h, _kac_labels, rs.kind, *scale_vector(h))
+    return _kac_labels(rs.kind, *scale_vector(h))
 
 
 def _kac_labels(kind: Kind, c, d: int) -> tuple[int, ...]:
     tilde, _ = alcove_walk(kind, [x % d for x in c], d)
     s = (d - dot(weyl_tables(kind).marks, tilde), *tilde)
     if any(x < 0 for x in s):
-        raise _CoweightFault(f"Kac coordinates {s} of", "are not non-negative")
+        raise ArithmeticError(f"Kac coordinates {s} of {c}/{d} are not non-negative")
     return s
 
 

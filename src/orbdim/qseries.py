@@ -116,7 +116,8 @@ def etaq_expand(f: EtaQuotient, prec) -> FracPowerSeries:
 
 
 def parse_eta_quotient(text: str) -> EtaQuotient:
-    """Parse 'd:r,d:r,...' into an EtaQuotient of level the lcm of the d."""
+    """Parse 'd:r,d:r,...', one factor at least, into an EtaQuotient of level
+    the lcm of the d."""
     exps: dict[int, int] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -128,4 +129,6 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
         except ValueError:
             raise ValueError(f"eta factor {chunk!r} is not d:r with integers d and r") from None
         exps[d] = exps.get(d, 0) + r
+    if not exps:
+        raise ValueError(f"{text!r} names no d:r factor")
     return EtaQuotient(lcm(*exps), exps)

@@ -13,7 +13,6 @@ from orbdim.cases import (
     load_cases,
     load_schellekens,
     representative_fault,
-    representative_for_power,
     verify_all,
     verify_case,
 )
@@ -197,6 +196,8 @@ def _set(*path_and_value):
     (_set("shapes", 0, "factors", "2.0", 1), "shapes[].factors: cycle length '2.0' is not a decimal integer"),
     (_set("shapes", 0, "factors", "\u0665", 1),
      "shapes[].factors: cycle length '\u0665' is not a decimal integer"),
+    (_ih_key("02"), "ihReps key '02' must lie in 1..4"),        # beside "2", not in place of it
+    (_ih_key("\u0662"), "ihReps key '\u0662' must lie in 1..4"),
 ])
 def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     """Case 11 (n = 5) with one corrupted field fails to load, naming it."""
@@ -411,7 +412,7 @@ def test_representatives_are_the_recorded_ones_or_their_negations(monkeypatch):
     for case in load_cases():
         recorded = {1: case.h, **case.ih_reps}
         for i in range(1, case.n):
-            reps = representative_for_power(case, i)
+            reps = case.powers[i][0]
             if i in recorded:
                 assert reps is recorded[i], (case.id, i)
             else:
@@ -554,19 +555,11 @@ def test_representatives_contract_all_cases():
     for case in load_cases():
         systems = [build_root_system(k) for k, _ in case.source.components]
         for i in range(1, case.n):
-            reps = representative_for_power(case, i)
+            reps = case.powers[i][0]
             for rs, rep, h in zip(systems, reps, case.h):
                 diff = tuple(r - i * x for r, x in zip(rep, h))
                 assert rs.in_coroot_lattice(diff)
                 assert in_alcove_range(rs.kind, rep)
-
-
-def test_representative_for_power_zero_and_n():
-    case = load_cases()[10]
-    for i in (0, case.n):
-        reps = representative_for_power(case, i)
-        assert [len(r) for r in reps] == [len(h) for h in case.h]
-        assert all(x == 0 for coords in reps for x in coords)
 
 
 def test_report_json_roundtrip():

@@ -314,6 +314,8 @@ def test_screen_case_15(capsys):
     (["eta", "--quotient", "0:1"], "--quotient: level must be positive"),
     (["cusps", "--n", "-3"], "n must be positive"),
     (["case", "run", "99"], "no case with id 99"),
+    (["eta", "--quotient", ",,"], "--quotient: ',,' names no d:r factor"),
+    (["eta", "--quotient", ""], "--quotient: '' names no d:r factor"),
 ])
 def test_screen_usage_errors_exit_2(capsys, argv, message):
     """Bad values for any subcommand: exit 2, nothing on stdout, one stderr line."""

@@ -1,16 +1,18 @@
 """The integer coweights of the case records and the screen's input checks.
 
-A case record holds h and its recorded representatives once as integers
-(OrbifoldCase.scaled_h and scaled_reps), and step (g) checks and looks up
-each power's representative on that form.  These tests hold it to the
-Fraction form: the rows verify_case stores equal those of
-screen_problematic_modules on representative_for_power; the scaled
-representative_fault gives the verdict and text of the Fraction body it
-replaced, kept here as the oracle; a warm verify_all scales coweights only
-in the public entries it calls; a record built by dataclasses.replace
-carries the integer form of its new fields; and a coweight with the wrong
-number of entries is a ValueError naming the factor at every public entry
-that reads one.
+A case record holds h once as integers (OrbifoldCase.scaled_h) and the
+representative of every power of sigma once in both forms
+(OrbifoldCase.powers), and step (g) checks each power on the integer form
+and screens it on the Fraction form.  These tests hold the table to the
+two-step lookup it replaced, kept here as the oracle, on the shipped
+records and on records without ihReps, which reach alcove reduction; the
+rows verify_case stores equal those of screen_problematic_modules on the
+table; the scaled representative_fault gives the verdict and text of the
+Fraction body it replaced, kept here as the oracle; a warm verify_all
+scales coweights only in the public entries it calls; a record built by
+dataclasses.replace carries both forms of its new fields; and a coweight
+with the wrong number of entries is a ValueError naming the factor at every
+public entry that reads one.
 """
 
 import dataclasses
@@ -27,14 +29,15 @@ from orbdim.cases import (
     load_cases,
     load_schellekens,
     representative_fault,
-    representative_for_power,
     screening_rows,
     verify_all,
+    verify_case,
 )
-from orbdim.liealg import _coroot_order, in_alcove_range, scale_vector
+from orbdim.liealg import _coroot_order, build_root_system, in_alcove_range, scale_vector
 from orbdim.orbifold import (
     _factor_setup,
     _screen,
+    alcove_representative,
     safe_rho_cap,
     screen_problematic_modules,
     twisted_module_weight,
@@ -58,6 +61,68 @@ def _negated(rep):
     return tuple(tuple(-x for x in coords) for coords in rep)
 
 
+def _power_oracle(case, i):
+    """The representative of i*h by the two-step lookup that
+    OrbifoldCase.powers replaced: first as (c, d) per factor, the recorded
+    one for i, else minus the one for n - i, else the alcove reduction of
+    i*h; then in Fractions, the printed tuple itself when i has one, else
+    c/d per factor."""
+    recorded = {1: case.h, **case.ih_reps}
+    scaled_reps = {j: tuple(map(scale_vector, rep)) for j, rep in recorded.items()}
+    if i in scaled_reps:
+        scaled = scaled_reps[i]
+    elif case.n - i in scaled_reps:
+        scaled = tuple((tuple(-x for x in c), d) for c, d in scaled_reps[case.n - i])
+    else:
+        scaled = tuple(scale_vector(alcove_representative(build_root_system(kind),
+                                                          tuple(i * x for x in h)))
+                       for (kind, _), h in zip(case.source.components, case.h))
+    if i in recorded:
+        return recorded[i], scaled
+    return tuple(tuple(F(x, d) for x in c) for c, d in scaled), scaled
+
+
+def test_the_power_table_is_the_two_step_lookup():
+    """Every shipped power equals the oracle's in both forms, and a recorded
+    one is the printed tuple itself: 23 of the 32 powers are recorded and 9
+    are negations."""
+    recorded_powers = 0
+    for case in load_cases():
+        assert list(case.powers) == list(range(1, case.n))
+        recorded = {1: case.h, **case.ih_reps}
+        for i, power in case.powers.items():
+            assert power == _power_oracle(case, i), (case.id, i)
+            if i in recorded:
+                assert power[0] is recorded[i], (case.id, i)
+                recorded_powers += 1
+    assert recorded_powers == 23
+
+
+@pytest.mark.parametrize("index, moved", [(10, set()), (14, {4, 6})], ids=["case 11", "case 15"])
+def test_a_record_without_ih_reps_reaches_the_alcove_branch(monkeypatch, index, moved):
+    """With ihReps dropped, every power but 1 and n - 1 is the alcove
+    reduction of i*h, which equals the oracle's; on case 15 powers 4 and 6
+    reduce to other representatives than the recorded ones, yet every power
+    keeps its contract and screening rows and the case still passes."""
+    case = load_cases()[index]
+    reductions = []
+    monkeypatch.setattr(cases_mod, "alcove_representative",
+                        lambda rs, h: reductions.append(rs.kind) or alcove_representative(rs, h))
+    replaced = dataclasses.replace(case, ih_reps={})
+    monkeypatch.undo()
+    assert len(reductions) == (case.n - 3) * len(case.source.components)
+    assert {i for i in case.powers if replaced.powers[i][0] != case.powers[i][0]} == moved
+    for i, (rep, scaled) in replaced.powers.items():
+        assert (rep, scaled) == _power_oracle(replaced, i), (case.id, i)
+        assert representative_fault(case.source, scaled, i, case.scaled_h) is None
+        assert (screening_rows(screen_problematic_modules(case.source, rep, floor=1))
+                == screening_rows(screen_problematic_modules(case.source, case.powers[i][0],
+                                                             floor=1))), (case.id, i)
+    report = verify_case(replaced, load_schellekens())
+    assert report.passed
+    assert report.screening == verify_case(case, load_schellekens()).screening
+
+
 def _seeded_faults():
     """The two faults test_cases.py seeds into case 11's representative of
     2*h: a wrong coroot coset, and alpha < -1 after adding alpha_1^vee."""
@@ -69,8 +134,8 @@ def _seeded_faults():
 
 def test_verify_case_rows_equal_the_public_screen():
     """The rows verify_case stores for each power equal the public screen's
-    on representative_for_power, read from the entry verify_case filled (one
-    key) and searched afresh."""
+    on the Fraction form of the power table, read from the entry verify_case
+    filled (one key) and searched afresh."""
     _screen.cache_clear()
     _factor_setup.cache_clear()
     all_cases = load_cases()
@@ -85,8 +150,7 @@ def test_verify_case_rows_equal_the_public_screen():
         for case, report in zip(all_cases, reports):
             assert sorted(report.screening) == list(range(1, case.n))
             for i in range(1, case.n):
-                found = screen_problematic_modules(case.source, representative_for_power(case, i),
-                                                   floor=1)
+                found = screen_problematic_modules(case.source, case.powers[i][0], floor=1)
                 assert report.screening[i] == screening_rows(found), (case.id, i, fresh)
                 powers += 1
         assert powers == 32
@@ -100,7 +164,7 @@ def test_representative_fault_matches_the_fraction_oracle():
     tried = faults = 0
     for case in load_cases():
         for i in range(1, case.n):
-            rep = representative_for_power(case, i)
+            rep = case.powers[i][0]
             for candidate in (rep, _negated(rep)):
                 for j in range(1, case.n):
                     want = _fault_oracle(case.source, candidate, j, case.scaled_h)
@@ -158,12 +222,12 @@ def test_a_replaced_record_carries_the_integer_form_of_its_new_fields():
     ih_reps = {3: case.ih_reps[2]}
     replaced = dataclasses.replace(case, h=h, ih_reps=ih_reps)
     assert replaced.scaled_h == tuple(map(scale_vector, h))
-    assert replaced.scaled_reps == {1: replaced.scaled_h, 3: tuple(map(scale_vector, ih_reps[3]))}
-    assert case.scaled_reps == {1: tuple(map(scale_vector, case.h)),
-                                2: tuple(map(scale_vector, case.ih_reps[2]))}
-    assert representative_for_power(replaced, 1) is h
-    assert representative_for_power(replaced, 2) == _negated(ih_reps[3]) == h
-    assert representative_for_power(replaced, 4) == _negated(h)
+    reps = {1: h, 2: _negated(ih_reps[3]), 3: ih_reps[3], 4: _negated(h)}
+    assert reps[2] == h
+    assert replaced.powers == {i: (rep, tuple(map(scale_vector, rep))) for i, rep in reps.items()}
+    assert replaced.powers[1][0] is h and replaced.powers[3][0] is ih_reps[3]
+    assert case.powers[1] == (case.h, tuple(map(scale_vector, case.h)))
+    assert case.powers[2] == (case.ih_reps[2], tuple(map(scale_vector, case.ih_reps[2])))
 
 
 def _wrong_ranks():

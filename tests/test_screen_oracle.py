@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 
 from orbdim import orbifold
-from orbdim.cases import load_cases, representative_for_power
+from orbdim.cases import load_cases
 from orbdim.liealg import (
     AffineStructure,
     affine_conformal_weight,
@@ -101,7 +101,7 @@ def test_all_32_screens_match_the_oracle():
     assert len(SCREENS) == 32
     nonempty = 0
     for case, i in SCREENS:
-        reps = representative_for_power(case, i)
+        reps = case.powers[i][0]
         want = _screen_oracle(case.source, reps, floor=1,
                               rho_cap=safe_rho_cap(case.source, reps, floor=1))
         _assert_same(screen_problematic_modules(case.source, reps, floor=1), want)
@@ -116,7 +116,7 @@ def test_random_floors_match_the_oracle(floor):
     # cases 11 and 15 at i = 1 carry the paper's lists; keep them in every draw
     picked += [(c, 1) for c in load_cases() if c.id in ("11", "15")]
     for case, i in picked:
-        reps = representative_for_power(case, i)
+        reps = case.powers[i][0]
         want = _screen_oracle(case.source, reps, floor=floor,
                               rho_cap=safe_rho_cap(case.source, reps, floor=floor))
         _assert_same(screen_problematic_modules(case.source, reps, floor=floor), want)
@@ -163,7 +163,7 @@ def test_factor_setups_match_the_fraction_formulas():
     Fraction inverse Cartan matrix, coweight_form and the oracle's LP bound."""
     checked = 0
     for case, i in SCREENS:
-        for (kind, level), h in zip(case.source.components, representative_for_power(case, i)):
+        for (kind, level), h in zip(case.source.components, case.powers[i][0]):
             rs = build_root_system(kind)
             U, E, hh, bound, _, _ = _factor_setup(kind, level, *scale_vector(h))
             assert all(type(x) is int for x in U) and type(E) is int
@@ -188,7 +188,7 @@ def test_permuting_the_factors_permutes_every_tuple():
     rng = random.Random(20170419)
     for floor in (Fraction(1), Fraction(2)):
         for case, i in SCREENS:
-            reps = representative_for_power(case, i)
+            reps = case.powers[i][0]
             base = screen_problematic_modules(case.source, reps, floor=floor)
             n = len(reps)
             shuffled = list(range(n))
@@ -252,7 +252,7 @@ def test_memoized_buckets_scale_to_the_per_screen_buckets():
     with the same weights in the same order.  The buckets do not depend on
     the floor; test_floors_screen_the_same_on_memoized_buckets covers that."""
     for case, i in SCREENS:
-        reps = representative_for_power(case, i)
+        reps = case.powers[i][0]
         D, buckets = _scaled_buckets(_setups(case.source.components, _scaled(case.source, reps)))
         want_D, want = _buckets_oracle(case.source, reps)
         assert D == want_D
@@ -267,13 +267,13 @@ def test_floors_screen_the_same_on_memoized_buckets(floor, monkeypatch):
     neither reads the first pass's rows nor leaves its own behind."""
     memoized = []
     for case, i in SCREENS:
-        reps = representative_for_power(case, i)
+        reps = case.powers[i][0]
         memoized.append(screen_problematic_modules(case.source, reps, floor=floor))
     current = []
     monkeypatch.setattr(orbifold, "_scaled_buckets", lambda setups: _buckets_oracle(*current))
     monkeypatch.setattr(orbifold, "_screen", lru_cache(maxsize=256)(orbifold._screen.__wrapped__))
     for (case, i), got in zip(SCREENS, memoized):
-        current[:] = [case.source, representative_for_power(case, i)]
+        current[:] = [case.source, case.powers[i][0]]
         _assert_same(got, screen_problematic_modules(*current, floor=floor))
     assert orbifold._screen.cache_info().misses == len(SCREENS)
     assert sum(map(len, memoized)) > 0
@@ -288,7 +288,7 @@ def test_factor_setups_are_frozen():
         return type(value) in (int, str, Fraction)
 
     for case, i in SCREENS:
-        for (kind, level), h in zip(case.source.components, representative_for_power(case, i)):
+        for (kind, level), h in zip(case.source.components, case.powers[i][0]):
             key = (kind, level, *scale_vector(h))
             assert all(type(x) is int for x in key[2]) and type(key[3]) is int
             assert frozen(_factor_setup(*key))

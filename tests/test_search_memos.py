@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from orbdim import cases as cases_mod
-from orbdim.cases import load_cases, load_schellekens, representative_for_power, verify_all
+from orbdim.cases import load_cases, load_schellekens, verify_all
 from orbdim.cli import regenerate_tables
 from orbdim.kacaut import _admits, admits_fixed_subalgebra
 from orbdim.orbifold import _screen, screen_problematic_modules
@@ -44,7 +44,7 @@ def test_memoized_screens_equal_fresh_ones(floor):
     assert len(SCREENS) == 32
     rows = 0
     for case, i in SCREENS:
-        reps = representative_for_power(case, i)
+        reps = case.powers[i][0]
         rows += len(_hit_then_fresh(
             _screen, lambda: screen_problematic_modules(case.source, reps, floor=floor)))
     assert rows > 0
@@ -69,7 +69,7 @@ def _unreduced(x):
 
 def test_equal_screens_share_one_entry():
     case = load_cases()[10]
-    reps = representative_for_power(case, 2)
+    reps = case.powers[2][0]
     spellings = [
         (reps, Fraction(3, 2)),
         ([list(coords) for coords in reps], "3/2"),
