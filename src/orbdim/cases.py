@@ -82,11 +82,22 @@ def _built(where, name, build, value):
 def _load_records(path, name, key):
     """The records under key in the JSON of the file at path, or of the
     shipped data file name when path is None.  Text that is not JSON, a top
-    level or record that is not an object and a key that is missing or not a
-    list are each a DataLoadError, found before any field of a record is read."""
+    level or record that is not an object, a key that is missing or not a
+    list and a key repeated in one object (which json.loads would let the
+    last one win) are each a DataLoadError, found before any field of a
+    record is read."""
     text = Path(path).read_text() if path else _data_text(name)
+
+    def unique(pairs):
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise DataLoadError(f"{name}: repeated key {repeated!r}")
+        return out
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as err:
         raise DataLoadError(f"{name}: {err}") from None
     _typed(name, "top level", raw, dict)

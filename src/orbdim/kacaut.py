@@ -132,9 +132,11 @@ def _kind_of(rank: int, det: int, short: int) -> Kind:
     for letter, ranks in _VALID_RANKS.items():
         if rank in ranks:
             kind = validate_kind((letter, rank))
+            if cartan_determinant(kind) != det:
+                continue                    # an int test spares the norms' Fractions
             norms = root_norms(kind)
             top = max(norms)
-            if cartan_determinant(kind) == det and sum(x < top for x in norms) == short:
+            if sum(x < top for x in norms) == short:
                 return kind
     raise UnknownDiagramShape(f"no finite kind has rank {rank}, det C = {det} "
                               f"and {short} short simple roots")

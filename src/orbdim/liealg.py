@@ -285,20 +285,26 @@ class RootSystem:
         s_i beta = beta - p alpha_i, p = <beta, alpha_i^vee> < 0.  A step stays
         in Phi+, as s_i permutes Phi+ minus alpha_i (Humphreys, section 10.2).
         A non-simple beta in Phi+ has some p > 0, so it is the raising step s_i
-        of the lower positive root s_i beta: by induction on height, all of Phi+."""
+        of the lower positive root s_i beta: by induction on height, all of Phi+.
+
+        Each root is kept with its pairings m_i = <beta, alpha_i^vee>, its
+        weight coordinates, so a step reads p = m_i; alpha_i's are row i of
+        C, and the new root's are m - p C[i], from the sparse row i."""
         l = self.rank
-        found = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-        seen = set(found)
-        for root in found:                  # grows while it is read
-            for i, col in enumerate(self._cols):
-                pairing = sum(root[j] * x for j, x in col)
-                if pairing >= 0:
+        found = [(tuple(int(i == j) for j in range(l)), row) for i, row in enumerate(self.cartan)]
+        seen = {root for root, _ in found}
+        for root, m in found:               # grows while it is read
+            for i, p in enumerate(m):
+                if p >= 0:
                     continue                # s_i fixes or lowers the root
-                t = root[:i] + (root[i] - pairing,) + root[i + 1:]
+                t = root[:i] + (root[i] - p,) + root[i + 1:]
                 if t not in seen:
                     seen.add(t)
-                    found.append(t)
-        return sorted(found)
+                    r = list(m)
+                    for j, x in self._rows[i]:
+                        r[j] -= p * x
+                    found.append((t, r))
+        return sorted(root for root, _ in found)
 
     @cached_property
     def roots(self):

@@ -99,10 +99,6 @@ def dim_orbifold(profile: DimProfile) -> Fraction:
     return 24 + sum(c * profile.dims[d] for d, c in _c_table(profile.n))
 
 
-def sigma_divisors(m: int) -> int:
-    return sum(d for d in divisors(m))
-
-
 def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
@@ -124,40 +120,54 @@ _D_TABLES: dict[tuple[int, int], tuple[int, dict[int, int]]] = {
 }
 
 
-def d_coefficient(n: int, i: int, j: int, k: int) -> int:
-    """The coefficient of dim W^{(i,j)}_{k/n} in the correction term R."""
+def _d_rule(n: int):
+    """d_{i,j,k} at level n as a function of a valid (i, j, k), with n
+    checked once.  When gcd(i, j, n) = 1 the value is the sum of m/d over
+    the divisors d of m = n - k prime to n; it depends on k alone and is
+    computed once per k.  At prime n every pair is of this kind, and the sum
+    is sigma(n - k).  For g = gcd(i, j, n) > 1 it is read from _D_TABLES."""
     if n not in GENUS_ZERO_LEVELS:
         raise ValueError(f"{n} is not a genus-zero level")
+    coprime = [0] + [sum((n - k) // d for d in divisors(n - k) if gcd(d, n) == 1)
+                     for k in range(1, n)]
+
+    def d(i: int, j: int, k: int) -> int:
+        g = gcd(gcd(i, j), n)
+        if g == 1:
+            return coprime[k]
+        entry = _D_TABLES.get((n, g))
+        if entry is None:
+            raise NotTabulatedError(f"d_(i={i},j={j},k={k}) at level {n} is not tabulated")
+        modulus, table = entry
+        key = (i * j) % modulus
+        if key not in table:
+            raise NotTabulatedError(f"d_(i={i},j={j},k={k}) at level {n}: ij = {key} mod {modulus} untabulated")
+        return table[key]
+
+    return d
+
+
+def d_coefficient(n: int, i: int, j: int, k: int) -> int:
+    """The coefficient of dim W^{(i,j)}_{k/n} in the correction term R: the
+    level is checked first, then i, j, k in 1..n-1, then k = ij mod n, and
+    the value is _d_rule(n)'s."""
+    rule = _d_rule(n)
     if not (1 <= i <= n - 1 and 1 <= j <= n - 1 and 1 <= k <= n - 1):
         raise ValueError("i, j, k must lie in 1..n-1")
     if (i * j - k) % n:
         raise ValueError(f"k = {k} is not congruent to ij = {i * j} mod {n}")
-    if _is_prime(n):
-        return sigma_divisors(n - k)
-    g = gcd(gcd(i, j), n)
-    if g == 1:
-        m = n - k
-        return sum(m // d for d in divisors(m) if gcd(d, n) == 1)
-    entry = _D_TABLES.get((n, g))
-    if entry is None:
-        raise NotTabulatedError(f"d_(i={i},j={j},k={k}) at level {n} is not tabulated")
-    modulus, table = entry
-    key = (i * j) % modulus
-    if key not in table:
-        raise NotTabulatedError(f"d_(i={i},j={j},k={k}) at level {n}: ij = {key} mod {modulus} untabulated")
-    return table[key]
+    return rule(i, j, k)
 
 
 def all_tabulated_triples(n: int):
-    """Every valid (i, j, k) at level n together with its coefficient."""
-    out = {}
-    for i in range(1, n):
-        for j in range(1, n):
-            k = (i * j) % n
-            if k == 0:
-                continue
-            out[(i, j, k)] = d_coefficient(n, i, j, k)
-    return out
+    """Every valid (i, j, k) at level n together with its coefficient, in
+    the order i, then j.  One _d_rule(n) serves the whole level, so n is
+    checked once; below n = 2 there is no triple and the dict is empty."""
+    steps = range(1, n)
+    if not steps:
+        return {}
+    rule = _d_rule(n)
+    return {(i, j, k): rule(i, j, k) for i in steps for j in steps if (k := i * j % n)}
 
 
 def general_dimension_relation(profile: DimProfile, orb_dims: dict[int, Fraction],

@@ -268,6 +268,38 @@ def test_loaders_reject_malformed_records(tmp_path, load, name, edit, message):
     assert str(err.value) == f"{name}: {message}"
 
 
+def _zero_ih_rep(raw):
+    """Case 11's ihReps with an all-zero "2", outside the coset of 2h, put
+    before the real one."""
+    node = raw["cases"][10]["ihReps"]
+    raw["cases"][10]["ihReps"] = {"@": [["0"] * 4, ["0"] * 4], **node}
+    return raw
+
+
+def _dim_385(raw):
+    raw["entries"][62] = {"@": 385, **raw["entries"][62]}
+    return raw
+
+
+@pytest.mark.parametrize("load, name, edit, repeated", [
+    (load_cases, "cases.json", _zero_ih_rep, "2"),
+    (load_cases, "cases.json", lambda raw: {"@": [], **raw}, "cases"),
+    (load_schellekens, "schellekens.json", _dim_385, "dim"),
+    (load_schellekens, "schellekens.json", lambda raw: {"@": [], **raw}, "entries"),
+])
+def test_loaders_reject_a_repeated_key(tmp_path, load, name, edit, repeated):
+    """json.loads keeps the last of two equal keys, so the first would
+    never be checked: an object that names a key twice is a DataLoadError
+    naming the file and the key, whichever of the two is valid."""
+    text = json.dumps(edit(json.loads((DATA / name).read_text())))
+    assert text.count('"@"') == 1
+    bad = tmp_path / name
+    bad.write_text(text.replace('"@"', json.dumps(repeated)))
+    with pytest.raises(DataLoadError) as err:
+        load(bad)
+    assert str(err.value) == f"{name}: repeated key {repeated!r}"
+
+
 @pytest.mark.parametrize("value", [1.5, "11", True, -1])
 def test_cases_load_rejects_bad_problematic_modules(tmp_path, value):
     raw = json.loads((DATA / "cases.json").read_text())

@@ -572,6 +572,37 @@ def test_roots_match_reflection_closure(kind):
     assert rs.roots == roots
 
 
+def _positive_roots_oracle(rs):
+    """Phi+, sorted, by the raising closure as it was before each root kept
+    its pairings: <beta, alpha_i^vee> summed from column i of C at every
+    step."""
+    l = rs.rank
+    found = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+    seen = set(found)
+    for root in found:                  # grows while it is read
+        for i, col in enumerate(rs._cols):
+            pairing = sum(root[j] * x for j, x in col)
+            if pairing >= 0:
+                continue
+            t = root[:i] + (root[i] - pairing,) + root[i + 1:]
+            if t not in seen:
+                seen.add(t)
+                found.append(t)
+    return sorted(found)
+
+
+VALID_KINDS = [k for k in ACCEPTED_KINDS if k != ("D", 3)]
+
+
+@pytest.mark.parametrize("kind", VALID_KINDS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_positive_roots_match_the_column_sum_closure(kind):
+    """Carrying each root's pairings gives the column-sum closure's list,
+    in its order, for every valid kind up to rank 24."""
+    rs = build_root_system(kind)
+    assert rs.positive_roots == _positive_roots_oracle(rs)
+    assert len(rs.positive_roots) == (rs.dim - rs.rank) // 2
+
+
 MATRIX_KINDS = ([("A", r) for r in range(1, 25)] + [("B", r) for r in range(2, 13)]
                 + [("C", r) for r in range(2, 13)] + [("D", r) for r in range(4, 17)]
                 + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])

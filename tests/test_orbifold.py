@@ -7,8 +7,11 @@ import pytest
 from orbdim.cases import load_cases
 from orbdim.liealg import AffineStructure, root_system, weight_system
 from orbdim.orbifold import (
+    _D_TABLES,
+    _is_prime,
     CycleShape,
     DimProfile,
+    NotTabulatedError,
     TwistType,
     all_tabulated_triples,
     alcove_representative,
@@ -108,6 +111,80 @@ def test_d_coefficient_symmetries_and_counts():
             assert triples[(j, i, k)] == v
             assert triples[(n - i, n - j, k)] == v
     assert total > 300  # every valid triple across all levels is covered
+
+
+def _d_coefficient_oracle(n, i, j, k):
+    """d_{i,j,k} one triple at a time, as it was computed before the
+    per-level rule: every check and the primality test on each call."""
+    if n not in GENUS_ZERO_LEVELS:
+        raise ValueError(f"{n} is not a genus-zero level")
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1 and 1 <= k <= n - 1):
+        raise ValueError("i, j, k must lie in 1..n-1")
+    if (i * j - k) % n:
+        raise ValueError(f"k = {k} is not congruent to ij = {i * j} mod {n}")
+    if _is_prime(n):
+        return sum(divisors(n - k))
+    g = gcd(gcd(i, j), n)
+    if g == 1:
+        m = n - k
+        return sum(m // d for d in divisors(m) if gcd(d, n) == 1)
+    entry = _D_TABLES.get((n, g))
+    if entry is None:
+        raise NotTabulatedError(f"d_(i={i},j={j},k={k}) at level {n} is not tabulated")
+    modulus, table = entry
+    key = (i * j) % modulus
+    if key not in table:
+        raise NotTabulatedError(f"d_(i={i},j={j},k={k}) at level {n}: ij = {key} mod {modulus} untabulated")
+    return table[key]
+
+
+@pytest.mark.parametrize("n", sorted(GENUS_ZERO_LEVELS - {1}))
+def test_d_tables_match_the_per_triple_oracle(n):
+    """One rule per level gives what the per-triple computation gives, for
+    every (i, j, k) with k = ij mod n non-zero, in the order i, then j."""
+    expected = {(i, j, i * j % n): _d_coefficient_oracle(n, i, j, i * j % n)
+                for i in range(1, n) for j in range(1, n) if i * j % n}
+    triples = all_tabulated_triples(n)
+    assert list(triples.items()) == list(expected.items())
+    assert all(d_coefficient(n, *t) == v for t, v in expected.items())
+
+
+def test_d_tables_outside_the_genus_zero_levels():
+    for call in (lambda: all_tabulated_triples(11), lambda: d_coefficient(11, 1, 1, 1),
+                 lambda: _d_coefficient_oracle(11, 1, 1, 1)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "11 is not a genus-zero level"
+    assert all_tabulated_triples(1) == {}
+
+
+@pytest.mark.parametrize("args, message", [
+    ((6, 0, 1, 1), "i, j, k must lie in 1..n-1"),
+    ((6, 1, 1, 6), "i, j, k must lie in 1..n-1"),
+    ((5, 1, 1, 2), "k = 2 is not congruent to ij = 1 mod 5"),
+    ((1, 1, 1, 1), "i, j, k must lie in 1..n-1"),
+])
+def test_d_coefficient_keeps_its_argument_checks(args, message):
+    for call in (d_coefficient, _d_coefficient_oracle):
+        with pytest.raises(ValueError) as err:
+            call(*args)
+        assert str(err.value) == message
+
+
+def test_d_coefficient_untabulated_text(monkeypatch):
+    """A residual row missing from _D_TABLES is a NotTabulatedError with the
+    per-triple text, from both functions."""
+    monkeypatch.delitem(_D_TABLES, (6, 3))
+    monkeypatch.setitem(_D_TABLES, (6, 2), (6, {2: 5}))
+    for call in (d_coefficient, _d_coefficient_oracle):
+        with pytest.raises(NotTabulatedError) as err:
+            call(6, 3, 3, 3)
+        assert err.value.args[0] == "d_(i=3,j=3,k=3) at level 6 is not tabulated"
+        with pytest.raises(NotTabulatedError) as err:
+            call(6, 2, 2, 4)
+        assert err.value.args[0] == "d_(i=2,j=2,k=4) at level 6: ij = 4 mod 6 untabulated"
+    with pytest.raises(NotTabulatedError):
+        all_tabulated_triples(6)
 
 
 def test_twist_type():

@@ -410,6 +410,18 @@ def test_rank_det_and_short_roots_tell_the_kinds_apart():
         assert kacaut._kind_of(*key) == kinds[0], key
 
 
+@pytest.mark.parametrize("key", [(2, 2, 2), (4, 6, 0), (5, 4, 1), (8, 1, 4), (25, 26, 0),
+                                 (0, 1, 0)])
+def test_no_kind_has_an_impossible_rank_det_and_short_count(key):
+    """A triple that names no kind, whether det C, the short count or the
+    rank is off, raises with the same text."""
+    rank, det, short = key
+    with pytest.raises(UnknownDiagramShape) as err:
+        kacaut._kind_of(*key)
+    assert str(err.value) == (f"no finite kind has rank {rank}, det C = {det} "
+                              f"and {short} short simple roots")
+
+
 def test_sparse_classification_rejects_what_is_not_finite():
     """A whole affine diagram is no finite kind.  A_l^(1), l >= 2, is a
     cycle; A_2l^(2) has two roots whose squared lengths are in ratio 4; every
