@@ -123,17 +123,20 @@ _D_TABLES: dict[tuple[int, int], tuple[int, dict[int, int]]] = {
 def _d_rule(n: int):
     """d_{i,j,k} at level n as a function of a valid (i, j, k), with n
     checked once.  When gcd(i, j, n) = 1 the value is the sum of m/d over
-    the divisors d of m = n - k prime to n; it depends on k alone and is
-    computed once per k.  At prime n every pair is of this kind, and the sum
-    is sigma(n - k).  For g = gcd(i, j, n) > 1 it is read from _D_TABLES."""
+    the divisors d of m = n - k prime to n; it depends on k alone, so the
+    function computes it once per k it is asked for.  At prime n every pair
+    is of this kind, and the sum is sigma(n - k).  For g = gcd(i, j, n) > 1
+    the value is read from _D_TABLES."""
     if n not in GENUS_ZERO_LEVELS:
         raise ValueError(f"{n} is not a genus-zero level")
-    coprime = [0] + [sum((n - k) // d for d in divisors(n - k) if gcd(d, n) == 1)
-                     for k in range(1, n)]
+    coprime = {}
 
     def d(i: int, j: int, k: int) -> int:
         g = gcd(gcd(i, j), n)
         if g == 1:
+            if k not in coprime:
+                m = n - k
+                coprime[k] = sum(m // e for e in divisors(m) if gcd(e, n) == 1)
             return coprime[k]
         entry = _D_TABLES.get((n, g))
         if entry is None:
