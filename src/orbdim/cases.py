@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from math import gcd, lcm
 from pathlib import Path
@@ -549,8 +550,15 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
 def screening_rows(found):
     """Screening hits as rows: the rendered weights, then rho(M) and the
     twisted weight rho(M^h), both Fractions."""
-    return [{"weights": render_weight_tuple(lams), "rho": rho, "twisted": tw}
+    return [{"weights": _rendered(lams), "rho": rho, "twisted": tw}
             for lams, rho, tw in found]
+
+
+@lru_cache(maxsize=4096)
+def _rendered(lams) -> str:
+    """render_weight_tuple of a screen row's weights, memoized on the tuple
+    of weight tuples that the screen returns."""
+    return render_weight_tuple(lams)
 
 
 def summary_row(case, d):

@@ -201,10 +201,13 @@ def in_alcove_range(kind: Kind, h) -> bool:
     return _in_alcove_range(kind, *scale_vector(h))
 
 
-def _in_alcove_range(kind: Kind, c, d: int) -> bool:
-    """in_alcove_range at h = c/d, integers c and d > 0 with any common
-    factor.  Roots come in pairs +-alpha and the largest alpha(h) is
-    theta(h+) for the dominant conjugate h+."""
+@lru_cache(maxsize=1024)
+def _in_alcove_range(kind: Kind, c: tuple[int, ...], d: int) -> bool:
+    """in_alcove_range at h = c/d, a tuple of integers c and d > 0 with any
+    common factor.  Roots come in pairs +-alpha and the largest alpha(h) is
+    theta(h+) for the dominant conjugate h+.  Memoized on that int key:
+    step (g)'s contract check walks, and the screen's precondition on the
+    same representative reads its verdict."""
     table = weyl_tables(kind)
     return dot(table.marks, dominant_walk(table.cols, c)[0]) <= d
 
@@ -216,7 +219,14 @@ def coroot_order(kind: Kind, h) -> int:
 
 
 def _coroot_order(kind: Kind, c, d: int) -> int:
-    """coroot_order at h = c/d, integers c and d > 0 with any common factor."""
+    """coroot_order at h = c/d, integers c and d > 0 with any common factor;
+    c any sequence, the answer read from the memo _coroot_order_memo."""
+    return _coroot_order_memo(kind, tuple(c), d)
+
+
+@lru_cache(maxsize=1024)
+def _coroot_order_memo(kind: Kind, c: tuple[int, ...], d: int) -> int:
+    """_coroot_order on the int key (kind, c, d), c a tuple."""
     table = weyl_tables(kind)
     e = d * table.den
     return e // gcd(e, *[dot(row, c) for row in table.inv])

@@ -9,10 +9,13 @@ records and on records without ihReps, which reach alcove reduction; the
 rows verify_case stores equal those of screen_problematic_modules on the
 table; the scaled representative_fault gives the verdict and text of the
 Fraction body it replaced, kept here as the oracle; a warm verify_all
-scales coweights only in the public entries it calls; a record built by
-dataclasses.replace carries both forms of its new fields; and a coweight
-with the wrong number of entries is a ValueError naming the factor at every
-public entry that reads one.
+scales coweights only in the public entries it calls and walks nowhere; the
+memos of the alpha(h) >= -1 check, the coroot order and the rendered rows
+fill once per key on a cold verify_all and miss nothing on a warm one, and
+a seeded fault still fails its contract row after they are full; a record
+built by dataclasses.replace carries both forms of its new fields; and a
+coweight with the wrong number of entries is a ValueError naming the factor
+at every public entry that reads one.
 """
 
 import dataclasses
@@ -33,7 +36,15 @@ from orbdim.cases import (
     verify_all,
     verify_case,
 )
-from orbdim.liealg import _coroot_order, build_root_system, in_alcove_range, scale_vector
+from orbdim.cases import _rendered
+from orbdim.liealg import (
+    _coroot_order,
+    _coroot_order_memo,
+    _in_alcove_range,
+    build_root_system,
+    in_alcove_range,
+    scale_vector,
+)
 from orbdim.orbifold import (
     _factor_setup,
     _screen,
@@ -188,8 +199,9 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     """A second verify_all in one process scales a coweight only in the two
     public entries it calls on the printed Fractions, inner_from_coweight
     once per factor and screen_problematic_modules once per factor and
-    power, and walks for alpha >= -1 twice per factor and power: in
-    representative_fault and in the screen's precondition."""
+    power.  It calls the alpha >= -1 check twice per factor and power, in
+    representative_fault and in the screen's precondition, and walks zero
+    times: every check is read from the memo the first pass filled."""
     all_cases, table = load_cases(), load_schellekens()
     verify_all(all_cases, table)
     counts = Counter()
@@ -206,14 +218,108 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     for mod in (cases_mod, orbifold):
         where = mod.__name__.rsplit(".", 1)[1]
         monkeypatch.setattr(mod, "_in_alcove_range",
-                            counted("walk", where, liealg._in_alcove_range))
+                            counted("check", where, liealg._in_alcove_range))
+    walk = liealg.dominant_walk
+    for mod in (liealg, orbifold):
+        where = mod.__name__.rsplit(".", 1)[1]
+        monkeypatch.setattr(mod, "dominant_walk", counted("walk", where, walk))
     reports, _ = verify_all(all_cases, table)
     assert all(r.passed for r in reports)
     factors = sum(len(c.source.components) for c in all_cases)
     checks = sum((c.n - 1) * len(c.source.components) for c in all_cases)
     assert counts == {("scale", "kacaut"): factors, ("scale", "orbifold"): checks,
-                      ("walk", "cases"): checks, ("walk", "orbifold"): checks}
+                      ("check", "cases"): checks, ("check", "orbifold"): checks}
     assert checks == 99
+    assert not any(name == "walk" for name, _ in counts)
+
+
+CARTAN_MEMOS = (_in_alcove_range, _coroot_order_memo, _rendered)
+
+
+def _cartan_keys(all_cases, reports):
+    """The distinct keys one verify_all asks of each Cartan-data memo: the
+    alpha >= -1 check of every power's representative, the coroot order of
+    every power's difference from i*h and of h, and the rendered weights of
+    every stored screening row."""
+    checks, orders = set(), set()
+    for case in all_cases:
+        comps = case.source.components
+        for (kind, _), (c, e) in zip(comps, case.scaled_h):
+            orders.add((kind, c, e))
+        for i, (_, scaled) in case.powers.items():
+            for (kind, _), (a, p), (b, q) in zip(comps, scaled, case.scaled_h):
+                m = lcm(p, q)
+                checks.add((kind, a, p))
+                orders.add((kind, tuple(u * (m // p) - i * v * (m // q) for u, v in zip(a, b)),
+                            m))
+    rows = {row["weights"] for r in reports for found in r.screening.values() for row in found}
+    return checks, orders, rows
+
+
+def test_a_cold_verify_all_walks_once_per_key_and_a_warm_one_misses_nothing(monkeypatch):
+    """From empty Cartan-data memos, with every search memo full, a
+    verify_all misses each memo once per distinct key and walks once per
+    miss: 57 walks for the 99 checks that representative_fault and the
+    screen's precondition each make, where every check walked twice before
+    the memo.  A second verify_all adds hits and no miss: 198 checks, 146
+    coroot orders (99 in step (g), 47 in step (b)) and 136 rendered rows."""
+    all_cases, table = load_cases(), load_schellekens()
+    reports, _ = verify_all(all_cases, table)
+    for memo in CARTAN_MEMOS:
+        memo.cache_clear()
+    walks, walk = [], liealg.dominant_walk
+
+    def counted(sparse, v):
+        walks.append(v)
+        return walk(sparse, v)
+
+    monkeypatch.setattr(liealg, "dominant_walk", counted)
+    cold, _ = verify_all(all_cases, table)
+    monkeypatch.undo()
+    assert [r.to_dict() for r in cold] == [r.to_dict() for r in reports]
+    keys = _cartan_keys(all_cases, cold)
+    assert [len(k) for k in keys] == [57, 70, 53]
+    calls = [198, 146, 136]
+    assert [(m.cache_info().hits, m.cache_info().misses) for m in CARTAN_MEMOS] == \
+        [(n - len(k), len(k)) for n, k in zip(calls, keys)]
+    assert len(walks) == 57
+    assert all(m.cache_parameters()["maxsize"] for m in CARTAN_MEMOS)
+    before = [m.cache_info() for m in CARTAN_MEMOS]
+    warm, _ = verify_all(all_cases, table)
+    assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+    after = [m.cache_info() for m in CARTAN_MEMOS]
+    assert [a.misses for a in after] == [b.misses for b in before]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == calls
+
+
+@pytest.mark.parametrize("fault", [0, 1], ids=["wrong coset", "alpha below -1"])
+def test_a_seeded_fault_fails_its_contract_after_the_memos_are_full(fault):
+    """After a verify_all has filled every memo, a representative of 2*h in
+    the wrong coroot coset or with alpha < -1 still fails the contract rows
+    of i = 2 and its negation i = 3, neither power is screened, and the
+    shipped record passes again afterwards."""
+    all_cases, table = load_cases(), load_schellekens()
+    verify_all(all_cases, table)
+    case, seeded = _seeded_faults()
+    bad, text = seeded[fault]
+    report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), table)
+    failed = {s.name: s.details for s in report.steps if not s.passed}
+    assert list(failed) == ["(g) i=2 representative contract", "(g) i=3 representative contract"]
+    assert all(text.replace("2*h", f"{i}*h") in failed[f"(g) i={i} representative contract"]
+               for i in (2, 3))
+    assert sorted(report.screening) == [1, 4]
+    assert verify_case(case, table).passed
+
+
+def test_the_coroot_order_takes_a_list_and_a_tuple_as_one_key():
+    """_coroot_order reads its memo on tuple(c), so a list and a tuple of
+    the same coweight share one entry and one answer."""
+    kind = ("A", 4)
+    _coroot_order_memo.cache_clear()
+    assert _coroot_order(kind, [1, 0, 0, 0], 1) == _coroot_order(kind, (1, 0, 0, 0), 1) == 5
+    assert _coroot_order_memo.cache_info()[:2] == (1, 1)
+    assert _coroot_order(kind, [2, -1, 0, 0], 1) == 1
+    assert in_alcove_range(kind, [F(1, 5)] * 4) and not in_alcove_range(kind, [-2, 0, 0, 0])
 
 
 def test_a_replaced_record_carries_the_integer_form_of_its_new_fields():
