@@ -259,10 +259,10 @@ def _cartan_keys(all_cases, reports):
 def test_a_cold_verify_all_walks_once_per_key_and_a_warm_one_misses_nothing(monkeypatch):
     """From empty Cartan-data memos, with every search memo full, a
     verify_all misses each memo once per distinct key and walks once per
-    miss: 57 walks for the 99 checks that representative_fault and the
-    screen's precondition each make, where every check walked twice before
-    the memo.  A second verify_all adds hits and no miss: 198 checks, 146
-    coroot orders (99 in step (g), 47 in step (b)) and 136 rendered rows."""
+    miss: 57 walks for the 198 alpha >= -1 checks, 99 in
+    representative_fault and 99 in the screen's precondition.  A second
+    verify_all adds hits and no miss: 198 checks, 146 coroot orders (99 in
+    step (g), 47 in step (b)) and 136 rendered rows."""
     all_cases, table = load_cases(), load_schellekens()
     reports, _ = verify_all(all_cases, table)
     for memo in CARTAN_MEMOS:
