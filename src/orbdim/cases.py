@@ -14,7 +14,7 @@ not read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -196,16 +196,19 @@ class ShapeRecord:
 @dataclass(frozen=True)
 class OrbifoldCase:
     """One case record.  h and each ihReps entry are kept as the loader read
-    them, per-factor Fraction tuples, for the report and the JSON.  Two
+    them, per-factor Fraction tuples, for the report and the JSON.  Three
     fields are derived from them when the record is built, so
     dataclasses.replace builds them afresh.  scaled_h holds (c, d) per
-    factor with h = c/d as scale_vector gives it; steps (b)-(d) read it.
-    powers[i], for i in 1..n-1, holds the coset representative of i*h that
-    step (g) checks and screens and `orbdim screen` screens, in both forms:
-    (Fractions, (c, d) per factor).  It is the tuple recorded for i in
-    {1: h, **ih_reps} itself, else the exact negation of the one recorded
-    for n - i (i*h = -((n-i)*h) mod Q^vee), else the alcove reduction of
-    i*h."""
+    factor with h = c/d as scale_vector gives it; steps (c) and (d) read it.
+    module_order is the lcm over the factors of the order of h in
+    P^vee / Q^vee, the order bound of step (b).  powers[i], for i in
+    1..n-1, holds the coset representative of i*h that step (g) checks and
+    screens and `orbdim screen` screens, in both forms, and its verdict:
+    (Fractions, (c, d) per factor, representative_fault or None).  It is
+    the tuple recorded for i in {1: h, **ih_reps} itself, else the exact
+    negation of the one recorded for n - i (i*h = -((n-i)*h) mod Q^vee),
+    else the alcove reduction of i*h.  The loader and step (g) both read
+    the verdict."""
 
     id: str
     n: int
@@ -224,25 +227,30 @@ class OrbifoldCase:
     ih_reps: dict
     problematic_modules: int
     scaled_h: tuple = field(init=False, repr=False, compare=False)
+    module_order: int = field(init=False, repr=False, compare=False)
     powers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        comps = self.source.components
         scaled_h = tuple(map(scale_vector, self.h))
         recorded = {1: (self.h, scaled_h), **{
             i: (rep, tuple(map(scale_vector, rep))) for i, rep in self.ih_reps.items()}}
         powers = {}
         for i in range(1, self.n):
             if i in recorded:
-                powers[i] = recorded[i]
+                rep, scaled = recorded[i]
             elif self.n - i in recorded:
                 rep, scaled = recorded[self.n - i]
-                powers[i] = (tuple(tuple(-x for x in coords) for coords in rep),
-                             tuple((tuple(-x for x in c), d) for c, d in scaled))
+                rep, scaled = (tuple(tuple(-x for x in coords) for coords in rep),
+                               tuple((tuple(-x for x in c), d) for c, d in scaled))
             else:
                 rep = tuple(alcove_representative(build_root_system(kind), tuple(i * x for x in h))
-                            for (kind, _), h in zip(self.source.components, self.h))
-                powers[i] = rep, tuple(map(scale_vector, rep))
+                            for (kind, _), h in zip(comps, self.h))
+                scaled = tuple(map(scale_vector, rep))
+            powers[i] = rep, scaled, representative_fault(self.source, scaled, i, scaled_h)
         object.__setattr__(self, "scaled_h", scaled_h)
+        object.__setattr__(self, "module_order", lcm(*(
+            _coroot_order(kind, c, d) for (kind, _), (c, d) in zip(comps, scaled_h))))
         object.__setattr__(self, "powers", powers)
 
 
@@ -261,8 +269,8 @@ def _coweights(where, name, value, source):
 def representative_fault(source, rep, i, scaled_h):
     """Why rep breaks the representative contract of step (g) for i*h, or
     None: rep - i*h must lie in the coroot lattice and alpha(rep) >= -1 for
-    every root.  Both checks read Cartan data alone, so the loader, which
-    checks the recorded representatives with this, builds no root system.
+    every root.  Both checks read Cartan data alone, so a record computes
+    each power's verdict when it is built, with no root system.
     rep and h come in the integer form of an OrbifoldCase, (a, p) and
     (b, q) per factor with rep = a / p and h = b / q; rep - i*h is taken on
     integers over the lcm of the two denominators, and alpha(rep) >= -1 is
@@ -302,20 +310,12 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         if n not in GENUS_ZERO_LEVELS - {1}:
             raise DataLoadError(f"{where}: n: {n} is not a genus-zero level >= 2")
         h = _coweights(where, "h", _need(where, node, "h"), source)
-        scaled_h = tuple(map(scale_vector, h))
-        fault = representative_fault(source, scaled_h, 1, scaled_h)
-        if fault:
-            raise DataLoadError(f"{where}: h: {fault}")
         ih_reps = {}
         for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
             i = _decimal(key) or 0
             if not 1 <= i < n:
                 raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
-            name = f"ihReps[{key!r}]"
-            ih_reps[i] = _coweights(where, name, coords, source)
-            fault = representative_fault(source, tuple(map(scale_vector, ih_reps[i])), i, scaled_h)
-            if fault:
-                raise DataLoadError(f"{where}: {name}: {fault}")
+            ih_reps[i] = _coweights(where, f"ihReps[{key!r}]", coords, source)
         fixed = _need(where, node, "fixed")
         case = OrbifoldCase(
             id=str(cid),
@@ -340,6 +340,13 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             problematic_modules=_typed(where, "problematicModules",
                                        node.get("problematicModules", 0), least=0),
         )
+        # a recorded ihReps["1"] takes the place of h as power 1
+        checked = case if 1 not in ih_reps else replace(
+            case, ih_reps={i: rep for i, rep in ih_reps.items() if i != 1})
+        for name, rep_fault in [("h", checked.powers[1][2])] + [
+                (f"ihReps[{str(i)!r}]", case.powers[i][2]) for i in ih_reps]:
+            if rep_fault:
+                raise DataLoadError(f"{where}: {name}: {rep_fault}")
         if case.expected_d != target.dimension():
             raise DataLoadError(
                 f"{where}: expectedD {case.expected_d} != dim of target {target.dimension()}")
@@ -482,12 +489,11 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                and abelian == case.fixed_abelian,
                {"components": list(case.fixed_components), "abelian": case.fixed_abelian},
                {"components": list(got_fixed), "abelian": abelian})
-    bound = lcm(*(_coroot_order(kind, c, e)
-                  for (kind, _), (c, e) in zip(case.source.components, scaled_h)))
     algebra_order = lcm(*orders)
-    report.add("(b) order bounds coincide", bound == case.n and algebra_order == case.n,
+    report.add("(b) order bounds coincide",
+               case.module_order == case.n and algebra_order == case.n,
                {"algebra": case.n, "module": case.n},
-               {"algebra": algebra_order, "module": bound})
+               {"algebra": algebra_order, "module": case.module_order})
 
     # (c) norm of h against the level-weighted form
     hh = sum(level * rs.coweight_norm(c, d)
@@ -527,8 +533,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                [expected_label], got_labels, details="; ".join(faults))
 
     # (g) conformal-weight screening for every power of sigma
-    for i, (rep, scaled) in case.powers.items():
-        fault = representative_fault(case.source, scaled, i, scaled_h)
+    for i, (rep, _, fault) in case.powers.items():
         report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
                    details=fault or "")
         if fault:

@@ -530,9 +530,6 @@ def _witness_labels(diagram, autos, x, extra, last):
     return min(tuple(s[i] for i in perm) for perm in autos)
 
 
-_walked_tables: dict = {}     # (kind, n) -> {(comp_rank, abelian): table}
-
-
 @lru_cache(maxsize=None)
 def _cycle_options(kind: Kind, n: int, comp_rank: int, abelian: int):
     """What a p-cycle of `kind` factors, with a residual class of order
@@ -566,16 +563,9 @@ def _cycle_options(kind: Kind, n: int, comp_rank: int, abelian: int):
     so with the same first witness, or dropped as a whole: the table is the
     full table, in the same order, less the options no target within the
     bounds can hold.  The full table is comp_rank = abelian = rank(kind);
-    bounds above it change nothing and are clamped to it.  The same
-    filter, applied to a table already built for wider bounds, gives the
-    table without a walk.
+    bounds above it change nothing, and _admits clamps them to it, so
+    they share one entry of this memo.
     """
-    comp_rank, abelian = min(comp_rank, kind[1]), min(abelian, kind[1])
-    walked = _walked_tables.setdefault((kind, n), {})
-    for (r, a), wider in walked.items():
-        if r >= comp_rank and a >= abelian:
-            return tuple(o for o in wider if o[2] <= abelian
-                         and sum(c[1] * m for c, m in o[1]) <= comp_rank)
     table = {}
     for p in divisors(n):
         m = n // p
@@ -600,9 +590,8 @@ def _cycle_options(kind: Kind, n: int, comp_rank: int, abelian: int):
                     s = _witness_labels(diagram, autos, x, t - weight, last)
                     order = k * dot(diagram.labels, s)
                     table[p, comps, ab] = KacClass(diagram, s, order, comps, ab)
-    walked[comp_rank, abelian] = tuple((p, tuple(sorted(Counter(comps).items())), ab, cls)
-                                       for (p, comps, ab), cls in table.items())
-    return walked[comp_rank, abelian]
+    return tuple((p, tuple(sorted(Counter(comps).items())), ab, cls)
+                 for (p, comps, ab), cls in table.items())
 
 
 def admits_fixed_subalgebra(kinds, target_components, target_abelian: int, n: int):
@@ -653,8 +642,8 @@ def _admits(kinds, target, target_abelian: int, n: int):
         if gi == len(groups):
             return ab_left == 0 and not any(left.values())
         kind, count = groups[gi]
-        opts = [o for o in _cycle_options(kind, n, comp_rank, target_abelian)
-                if fits(o, count, ab_left)]
+        bounds = min(comp_rank, kind[1]), min(target_abelian, kind[1])
+        opts = [o for o in _cycle_options(kind, n, *bounds) if fits(o, count, ab_left)]
         return search(gi, opts, 0, count, ab_left)
 
     def search(gi, opts, start, length, ab_left):

@@ -219,14 +219,7 @@ def coroot_order(kind: Kind, h) -> int:
 
 
 def _coroot_order(kind: Kind, c, d: int) -> int:
-    """coroot_order at h = c/d, integers c and d > 0 with any common factor;
-    c any sequence, the answer read from the memo _coroot_order_memo."""
-    return _coroot_order_memo(kind, tuple(c), d)
-
-
-@lru_cache(maxsize=1024)
-def _coroot_order_memo(kind: Kind, c: tuple[int, ...], d: int) -> int:
-    """_coroot_order on the int key (kind, c, d), c a tuple."""
+    """coroot_order at h = c/d, integers c and d > 0 with any common factor."""
     table = weyl_tables(kind)
     e = d * table.den
     return e // gcd(e, *[dot(row, c) for row in table.inv])
@@ -274,7 +267,8 @@ class RootSystem:
         self._rows, self._cols = tables.rows, tables.cols
         # (c, _coroot_scaled(c)) for the last tuple c, replaced in one assignment
         self._last_coweight = (None, None)
-        self.positive_roots = self._positive_roots()
+        self._root_weights = self._positive_roots()
+        self.positive_roots = [root for root, _ in self._root_weights]
         self._sanity()
 
     @cached_property
@@ -285,13 +279,13 @@ class RootSystem:
         times half_a = (Lambda_a, alpha_a) scaled, the Gram row of Lambda_a
         against alpha_a = C[a] in weight coordinates."""
         half = [dot(row, a) for row, a in zip(self.gram_weights_scaled, self.cartan)]
-        return [(self.root_to_weight_coords(root), tuple(map(mul, root, half)))
-                for root in self.positive_roots]
+        return [(m, tuple(map(mul, root, half))) for root, m in self._root_weights]
 
     # -- construction ------------------------------------------------------
 
     def _positive_roots(self):
-        """Phi+, sorted: the simple roots closed under the raising steps
+        """(beta, m) for beta in Phi+, sorted, m its weight coordinates.  Phi+
+        is the simple roots closed under the raising steps
         s_i beta = beta - p alpha_i, p = <beta, alpha_i^vee> < 0.  A step stays
         in Phi+, as s_i permutes Phi+ minus alpha_i (Humphreys, section 10.2).
         A non-simple beta in Phi+ has some p > 0, so it is the raising step s_i
@@ -301,7 +295,8 @@ class RootSystem:
         weight coordinates, so a step reads p = m_i; alpha_i's are row i of
         C, and the new root's are m - p C[i], from the sparse row i."""
         l = self.rank
-        found = [(tuple(int(i == j) for j in range(l)), row) for i, row in enumerate(self.cartan)]
+        found = [(tuple(int(i == j) for j in range(l)), tuple(row))
+                 for i, row in enumerate(self.cartan)]
         seen = {root for root, _ in found}
         for root, m in found:               # grows while it is read
             for i, p in enumerate(m):
@@ -313,8 +308,8 @@ class RootSystem:
                     r = list(m)
                     for j, x in self._rows[i]:
                         r[j] -= p * x
-                    found.append((t, r))
-        return sorted(root for root, _ in found)
+                    found.append((t, tuple(r)))
+        return sorted(found)
 
     @cached_property
     def roots(self):

@@ -127,6 +127,15 @@ def _short_coweight(node):
     node["ihReps"]["2"][1] = node["ihReps"]["2"][1][:3]
 
 
+def _h_out_of_range_beside_ih_key_1(node):
+    """h's A4 coweight set to 2 Lambda_1^vee, with alpha < -1, and
+    ihReps["1"] recorded as Lambda_2^vee, in the same coset of Q^vee and
+    in range: the record's power 1 keeps its contract, so only the check
+    of h itself can reject the file."""
+    node["ihReps"]["1"] = [node["h"][0], ["0", "1", "0", "0"]]
+    node["h"][1] = ["2", "0", "0", "0"]
+
+
 def _set(*path_and_value):
     """An edit that sets node[p0][p1]...[pk] = value."""
     *path, key, value = path_and_value
@@ -158,6 +167,7 @@ def _set(*path_and_value):
     (_set("h", 1, 0, "1/0"), "h: '1/0' is not a rational number"),
     (_set("ihReps", "2", 1, 0, "1/0"), "ihReps['2']: '1/0' is not a rational number"),
     (_set("h", 1, ["2", "0", "0", "0"]), "h: factor 1 (A4) has alpha < -1 for some root"),
+    (_h_out_of_range_beside_ih_key_1, "h: factor 1 (A4) has alpha < -1 for some root"),
     (_set("ihReps", "2", 1, 0, "2/5"),
      "ihReps['2']: factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"),
     (_set("ihReps", "2", 1, ["7/5", "-3/5", "2/5", "-3/5"]),   # a coroot away
@@ -396,12 +406,14 @@ def test_a_warm_verify_all_reports_what_a_cold_one_did():
 
 def test_step_g_and_the_loader_report_the_same_representative_fault(tmp_path):
     """A recorded representative of 2*h in the wrong coroot coset fails the
-    loader and the (g) rows of i = 2 and of its negation i = 3 with one text."""
+    loader and the (g) rows of i = 2 and of its negation i = 3 with the one
+    verdict the record stored when it was built."""
     case = load_cases()[10]
     bad = (case.ih_reps[2][0], (F(0),) * 4)
-    fault = representative_fault(case.source, tuple(map(scale_vector, bad)), 2, case.scaled_h)
+    replaced = dataclasses.replace(case, ih_reps={2: bad})
+    fault = replaced.powers[2][2]
     assert fault == "factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"
-    report = verify_case(dataclasses.replace(case, ih_reps={2: bad}), load_schellekens())
+    report = verify_case(replaced, load_schellekens())
     failed = {s.name: s.details for s in report.steps if not s.passed}
     assert failed == {"(g) i=2 representative contract": fault,
                       "(g) i=3 representative contract": fault.replace("2*h", "3*h")}

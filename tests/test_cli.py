@@ -13,7 +13,7 @@ import pytest
 from orbdim.cases import _rendered
 from orbdim.cli import main
 from orbdim.kacaut import _admits, _inner
-from orbdim.liealg import _coroot_order_memo, _in_alcove_range
+from orbdim.liealg import _in_alcove_range
 from orbdim.orbifold import _factor_setup, _screen
 
 
@@ -249,11 +249,10 @@ CASE_RUN_ALL_JSON_SHA256 = "f6c6bed8ca7bdba1d3a05acc4715d13fb8f2744831c36cbfc8cd
 
 def test_case_run_all_json_is_pinned(capsys):
     """Twice in one process, from empty memos of inner automorphisms,
-    screening factors, screens, admissibility searches, alpha >= -1 checks,
-    coroot orders and rendered rows and then from full ones, so a stale
-    entry would show."""
-    for memo in (_inner, _factor_setup, _screen, _admits,
-                 _in_alcove_range, _coroot_order_memo, _rendered):
+    screening factors, screens, admissibility searches, alpha >= -1 checks
+    and rendered rows and then from full ones, so a stale entry would
+    show."""
+    for memo in (_inner, _factor_setup, _screen, _admits, _in_alcove_range, _rendered):
         memo.cache_clear()
     for _ in range(2):
         code, out, _ = run_cli(capsys, "case", "run", "--all", "--format", "json")

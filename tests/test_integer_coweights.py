@@ -1,21 +1,22 @@
 """The integer coweights of the case records and the screen's input checks.
 
 A case record holds h once as integers (OrbifoldCase.scaled_h) and the
-representative of every power of sigma once in both forms
-(OrbifoldCase.powers), and step (g) checks each power on the integer form
-and screens it on the Fraction form.  These tests hold the table to the
-two-step lookup it replaced, kept here as the oracle, on the shipped
-records and on records without ihReps, which reach alcove reduction; the
-rows verify_case stores equal those of screen_problematic_modules on the
-table; the scaled representative_fault gives the verdict and text of the
-Fraction body it replaced, kept here as the oracle; a warm verify_all
-scales coweights only in the public entries it calls and walks nowhere; the
-memos of the alpha(h) >= -1 check, the coroot order and the rendered rows
-fill once per key on a cold verify_all and miss nothing on a warm one, and
-a seeded fault still fails its contract row after they are full; a record
-built by dataclasses.replace carries both forms of its new fields; and a
-coweight with the wrong number of entries is a ValueError naming the factor
-at every public entry that reads one.
+representative of every power of sigma once in both forms, with the verdict
+of its contract (OrbifoldCase.powers), and step (g) reads that verdict and
+screens each power on the Fraction form.  These tests hold the table to the
+two-step lookup it replaced, kept here as the oracle, and each stored
+verdict to a fresh representative_fault, on the shipped records and on
+records without ihReps, which reach alcove reduction; the rows verify_case
+stores equal those of screen_problematic_modules on the table; the scaled
+representative_fault gives the verdict and text of the Fraction body it
+replaced, kept here as the oracle; a warm verify_all scales coweights only
+in the public entries it calls and walks nowhere; the memos of the
+alpha(h) >= -1 check and the rendered rows fill once per key on a cold
+verify_all and miss nothing on a warm one, and a seeded fault still fails
+its contract row after they are full; a record built by
+dataclasses.replace carries both forms of its new fields; and a coweight
+with the wrong number of entries is a ValueError naming the factor at
+every public entry that reads one.
 """
 
 import dataclasses
@@ -39,7 +40,6 @@ from orbdim.cases import (
 from orbdim.cases import _rendered
 from orbdim.liealg import (
     _coroot_order,
-    _coroot_order_memo,
     _in_alcove_range,
     build_root_system,
     in_alcove_range,
@@ -94,15 +94,18 @@ def _power_oracle(case, i):
 
 
 def test_the_power_table_is_the_two_step_lookup():
-    """Every shipped power equals the oracle's in both forms, and a recorded
-    one is the printed tuple itself: 23 of the 32 powers are recorded and 9
-    are negations."""
+    """Every shipped power equals the oracle's in both forms, its stored
+    verdict is a fresh representative_fault, None, and a recorded one is the
+    printed tuple itself: 23 of the 32 powers are recorded and 9 are
+    negations."""
     recorded_powers = 0
     for case in load_cases():
         assert list(case.powers) == list(range(1, case.n))
         recorded = {1: case.h, **case.ih_reps}
         for i, power in case.powers.items():
-            assert power == _power_oracle(case, i), (case.id, i)
+            assert power[:2] == _power_oracle(case, i), (case.id, i)
+            assert power[2] is None
+            assert representative_fault(case.source, power[1], i, case.scaled_h) is None
             if i in recorded:
                 assert power[0] is recorded[i], (case.id, i)
                 recorded_powers += 1
@@ -114,7 +117,8 @@ def test_a_record_without_ih_reps_reaches_the_alcove_branch(monkeypatch, index, 
     """With ihReps dropped, every power but 1 and n - 1 is the alcove
     reduction of i*h, which equals the oracle's; on case 15 powers 4 and 6
     reduce to other representatives than the recorded ones, yet every power
-    keeps its contract and screening rows and the case still passes."""
+    keeps its contract, its stored verdict is a fresh representative_fault,
+    it keeps its screening rows and the case still passes."""
     case = load_cases()[index]
     reductions = []
     monkeypatch.setattr(cases_mod, "alcove_representative",
@@ -123,8 +127,9 @@ def test_a_record_without_ih_reps_reaches_the_alcove_branch(monkeypatch, index, 
     monkeypatch.undo()
     assert len(reductions) == (case.n - 3) * len(case.source.components)
     assert {i for i in case.powers if replaced.powers[i][0] != case.powers[i][0]} == moved
-    for i, (rep, scaled) in replaced.powers.items():
+    for i, (rep, scaled, fault) in replaced.powers.items():
         assert (rep, scaled) == _power_oracle(replaced, i), (case.id, i)
+        assert fault is None
         assert representative_fault(case.source, scaled, i, case.scaled_h) is None
         assert (screening_rows(screen_problematic_modules(case.source, rep, floor=1))
                 == screening_rows(screen_problematic_modules(case.source, case.powers[i][0],
@@ -199,9 +204,10 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     """A second verify_all in one process scales a coweight only in the two
     public entries it calls on the printed Fractions, inner_from_coweight
     once per factor and screen_problematic_modules once per factor and
-    power.  It calls the alpha >= -1 check twice per factor and power, in
-    representative_fault and in the screen's precondition, and walks zero
-    times: every check is read from the memo the first pass filled."""
+    power.  It calls the alpha >= -1 check once per factor and power, in
+    the screen's precondition, as step (g) reads the verdict each record
+    stored, and walks zero times: every check is read from the memo the
+    first pass filled."""
     all_cases, table = load_cases(), load_schellekens()
     verify_all(all_cases, table)
     counts = Counter()
@@ -228,41 +234,31 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     factors = sum(len(c.source.components) for c in all_cases)
     checks = sum((c.n - 1) * len(c.source.components) for c in all_cases)
     assert counts == {("scale", "kacaut"): factors, ("scale", "orbifold"): checks,
-                      ("check", "cases"): checks, ("check", "orbifold"): checks}
+                      ("check", "orbifold"): checks}
     assert checks == 99
     assert not any(name == "walk" for name, _ in counts)
 
 
-CARTAN_MEMOS = (_in_alcove_range, _coroot_order_memo, _rendered)
+CARTAN_MEMOS = (_in_alcove_range, _rendered)
 
 
 def _cartan_keys(all_cases, reports):
     """The distinct keys one verify_all asks of each Cartan-data memo: the
-    alpha >= -1 check of every power's representative, the coroot order of
-    every power's difference from i*h and of h, and the rendered weights of
-    every stored screening row."""
-    checks, orders = set(), set()
-    for case in all_cases:
-        comps = case.source.components
-        for (kind, _), (c, e) in zip(comps, case.scaled_h):
-            orders.add((kind, c, e))
-        for i, (_, scaled) in case.powers.items():
-            for (kind, _), (a, p), (b, q) in zip(comps, scaled, case.scaled_h):
-                m = lcm(p, q)
-                checks.add((kind, a, p))
-                orders.add((kind, tuple(u * (m // p) - i * v * (m // q) for u, v in zip(a, b)),
-                            m))
+    alpha >= -1 check of every power's representative and the rendered
+    weights of every stored screening row."""
+    checks = {(kind, a, p) for case in all_cases for _, scaled, _ in case.powers.values()
+              for (kind, _), (a, p) in zip(case.source.components, scaled)}
     rows = {row["weights"] for r in reports for found in r.screening.values() for row in found}
-    return checks, orders, rows
+    return checks, rows
 
 
 def test_a_cold_verify_all_walks_once_per_key_and_a_warm_one_misses_nothing(monkeypatch):
     """From empty Cartan-data memos, with every search memo full, a
     verify_all misses each memo once per distinct key and walks once per
-    miss: 57 walks for the 198 alpha >= -1 checks, 99 in
-    representative_fault and 99 in the screen's precondition.  A second
-    verify_all adds hits and no miss: 198 checks, 146 coroot orders (99 in
-    step (g), 47 in step (b)) and 136 rendered rows."""
+    miss: 57 walks for the 99 alpha >= -1 checks of the screen's
+    precondition, as the records were built, and their verdicts stored,
+    before the memos were emptied.  A second verify_all adds hits and no
+    miss: 99 checks and 136 rendered rows."""
     all_cases, table = load_cases(), load_schellekens()
     reports, _ = verify_all(all_cases, table)
     for memo in CARTAN_MEMOS:
@@ -278,8 +274,8 @@ def test_a_cold_verify_all_walks_once_per_key_and_a_warm_one_misses_nothing(monk
     monkeypatch.undo()
     assert [r.to_dict() for r in cold] == [r.to_dict() for r in reports]
     keys = _cartan_keys(all_cases, cold)
-    assert [len(k) for k in keys] == [57, 70, 53]
-    calls = [198, 146, 136]
+    assert [len(k) for k in keys] == [57, 53]
+    calls = [99, 136]
     assert [(m.cache_info().hits, m.cache_info().misses) for m in CARTAN_MEMOS] == \
         [(n - len(k), len(k)) for n, k in zip(calls, keys)]
     assert len(walks) == 57
@@ -312,12 +308,10 @@ def test_a_seeded_fault_fails_its_contract_after_the_memos_are_full(fault):
 
 
 def test_the_coroot_order_takes_a_list_and_a_tuple_as_one_key():
-    """_coroot_order reads its memo on tuple(c), so a list and a tuple of
-    the same coweight share one entry and one answer."""
+    """_coroot_order gives a list and a tuple of the same coweight one
+    answer."""
     kind = ("A", 4)
-    _coroot_order_memo.cache_clear()
     assert _coroot_order(kind, [1, 0, 0, 0], 1) == _coroot_order(kind, (1, 0, 0, 0), 1) == 5
-    assert _coroot_order_memo.cache_info()[:2] == (1, 1)
     assert _coroot_order(kind, [2, -1, 0, 0], 1) == 1
     assert in_alcove_range(kind, [F(1, 5)] * 4) and not in_alcove_range(kind, [-2, 0, 0, 0])
 
@@ -330,10 +324,14 @@ def test_a_replaced_record_carries_the_integer_form_of_its_new_fields():
     assert replaced.scaled_h == tuple(map(scale_vector, h))
     reps = {1: h, 2: _negated(ih_reps[3]), 3: ih_reps[3], 4: _negated(h)}
     assert reps[2] == h
-    assert replaced.powers == {i: (rep, tuple(map(scale_vector, rep))) for i, rep in reps.items()}
+    assert {i: power[:2] for i, power in replaced.powers.items()} == \
+        {i: (rep, tuple(map(scale_vector, rep))) for i, rep in reps.items()}
+    assert all(fault == representative_fault(case.source, scaled, i, replaced.scaled_h)
+               for i, (_, scaled, fault) in replaced.powers.items())
     assert replaced.powers[1][0] is h and replaced.powers[3][0] is ih_reps[3]
-    assert case.powers[1] == (case.h, tuple(map(scale_vector, case.h)))
-    assert case.powers[2] == (case.ih_reps[2], tuple(map(scale_vector, case.ih_reps[2])))
+    assert replaced.module_order == case.module_order == 5
+    assert case.powers[1] == (case.h, tuple(map(scale_vector, case.h)), None)
+    assert case.powers[2] == (case.ih_reps[2], tuple(map(scale_vector, case.ih_reps[2])), None)
 
 
 def _wrong_ranks():

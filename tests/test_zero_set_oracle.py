@@ -268,9 +268,8 @@ def _in_bounds(option, comp_rank, abelian):
 
 
 def _walked(kind, n, comp_rank, abelian):
-    """The table as the support walk builds it, with no wider table kept."""
+    """The table as the support walk builds it, from an empty memo."""
     _cycle_options.cache_clear()
-    kacaut._walked_tables.clear()
     return _cycle_options(kind, n, comp_rank, abelian)
 
 
@@ -295,9 +294,9 @@ def _check_options(kind, n):
 
 
 def _check_bounded(kind, n, comp_rank, abelian):
-    """The bounded table, walked or filtered from the full one, is the full
-    table less what lies outside the bounds, and its keys are the oracle's
-    inside them."""
+    """The bounded table, walked from an empty memo, is the full table less
+    what lies outside the bounds, and its keys are the oracle's inside
+    them."""
     bounded = _walked(kind, n, comp_rank, abelian)
     full = _check_options(kind, n)
     assert bounded == tuple(o for o in full if _in_bounds(o, comp_rank, abelian)), \
@@ -310,9 +309,11 @@ def _check_bounded(kind, n, comp_rank, abelian):
 
 def test_options_match_oracle_on_pipeline_pairs(monkeypatch):
     pairs = _pipeline_pairs(monkeypatch)
-    # 38 (kind, n) pairs, four of them asked for two targets: A5, D4 and A9 at
-    # n = 2 for component ranks 15 and 12, E6 at n = 2 for 16 and 12
-    assert len(pairs) == 42 and len({(kind, n) for kind, n, _, _ in pairs}) == 38
+    # 38 (kind, n) pairs, three of them asked for two targets: A5, D4 and A9
+    # at n = 2 for abelian ranks 1 and 0.  _admits clamps both ranks to the
+    # kind's rank, so E6's two targets at n = 2, of component ranks 16 and
+    # 12, share one key
+    assert len(pairs) == 41 and len({(kind, n) for kind, n, _, _ in pairs}) == 38
     for kind, n, comp_rank, abelian in pairs:
         _check_bounded(kind, n, comp_rank, abelian)
 
