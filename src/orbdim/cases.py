@@ -14,7 +14,7 @@ not read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -43,7 +43,6 @@ from .orbifold import (
     DimProfile,
     _is_prime,
     alcove_representative,
-    cycle_shape_stats,
     dim_orbifold,
     render_weight_tuple,
     screen_problematic_modules,
@@ -164,15 +163,15 @@ def load_schellekens(path=None) -> list[SchellekensEntry]:
         _typed(where, "abelianRank", node.get("abelianRank", 0), least=0)
         _need(where, node, "factors")
         structure = _built(where, "factors", _structure, node)
-        entry = SchellekensEntry(no, structure, dim, node.get("transcription", "checked"))
-        if structure.dimension() != entry.dim:
-            raise DataLoadError(
-                f"entry {entry.no}: stored dim {entry.dim} != computed {structure.dimension()}")
-        if structure.components:
-            holds, _ = schellekens_constraint(structure)
-            if not holds:
-                raise DataLoadError(f"entry {entry.no} violates the dual-Coxeter/level constraint")
-        entries.append(entry)
+        transcription = node.get("transcription", "checked")
+        if transcription not in ("checked", "uncertain-transcription"):
+            raise DataLoadError(f"{where}: transcription: {transcription!r} is not "
+                                "'checked' or 'uncertain-transcription'")
+        if structure.dimension() != dim:
+            raise DataLoadError(f"{where}: stored dim {dim} != computed {structure.dimension()}")
+        if structure.components and not schellekens_constraint(structure)[0]:
+            raise DataLoadError(f"{where} violates the dual-Coxeter/level constraint")
+        entries.append(SchellekensEntry(no, structure, dim, transcription))
     if len(entries) != 71:
         raise DataLoadError(f"expected 71 entries, found {len(entries)}")
     if sorted(e.no for e in entries) != list(range(71)):
@@ -205,10 +204,10 @@ class OrbifoldCase:
     1..n-1, holds the coset representative of i*h that step (g) checks and
     screens and `orbdim screen` screens, in both forms, and its verdict:
     (Fractions, (c, d) per factor, representative_fault or None).  It is
-    the tuple recorded for i in {1: h, **ih_reps} itself, else the exact
-    negation of the one recorded for n - i (i*h = -((n-i)*h) mod Q^vee),
-    else the alcove reduction of i*h.  The loader and step (g) both read
-    the verdict."""
+    the tuple recorded for i itself, h for i = 1 and ih_reps[i] for i in
+    2..n-1, else the exact negation of the one recorded for n - i
+    (i*h = -((n-i)*h) mod Q^vee), else the alcove reduction of i*h.  The
+    loader and step (g) both read the verdict."""
 
     id: str
     n: int
@@ -233,8 +232,8 @@ class OrbifoldCase:
     def __post_init__(self):
         comps = self.source.components
         scaled_h = tuple(map(scale_vector, self.h))
-        recorded = {1: (self.h, scaled_h), **{
-            i: (rep, tuple(map(scale_vector, rep))) for i, rep in self.ih_reps.items()}}
+        recorded = {i: (rep, tuple(map(scale_vector, rep))) for i, rep in self.ih_reps.items()}
+        recorded[1] = self.h, scaled_h
         powers = {}
         for i in range(1, self.n):
             if i in recorded:
@@ -313,8 +312,8 @@ def load_cases(path=None) -> list[OrbifoldCase]:
         ih_reps = {}
         for key, coords in _typed(where, "ihReps", node.get("ihReps", {}), dict).items():
             i = _decimal(key) or 0
-            if not 1 <= i < n:
-                raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 1..{n - 1}")
+            if not 2 <= i < n:
+                raise DataLoadError(f"{where}: ihReps key {key!r} must lie in 2..{n - 1}")
             ih_reps[i] = _coweights(where, f"ihReps[{key!r}]", coords, source)
         fixed = _need(where, node, "fixed")
         case = OrbifoldCase(
@@ -340,10 +339,7 @@ def load_cases(path=None) -> list[OrbifoldCase]:
             problematic_modules=_typed(where, "problematicModules",
                                        node.get("problematicModules", 0), least=0),
         )
-        # a recorded ihReps["1"] takes the place of h as power 1
-        checked = case if 1 not in ih_reps else replace(
-            case, ih_reps={i: rep for i, rep in ih_reps.items() if i != 1})
-        for name, rep_fault in [("h", checked.powers[1][2])] + [
+        for name, rep_fault in [("h", case.powers[1][2])] + [
                 (f"ihReps[{str(i)!r}]", case.powers[i][2]) for i in ih_reps]:
             if rep_fault:
                 raise DataLoadError(f"{where}: {name}: {rep_fault}")
@@ -460,9 +456,9 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
 
     # (a) cycle shapes: degree, vacuum weight, type n{0}
     for record in case.shapes:
-        stats = cycle_shape_stats(record.shape)
+        degree = record.shape.degree()
         tag = f"shape {record.shape.label()}"
-        report.add(f"(a) {tag}: degree", stats["degree"] == 24, 24, stats["degree"])
+        report.add(f"(a) {tag}: degree", degree == 24, 24, degree)
         rho = vacuum_anomaly(record.shape)
         ttype = twist_type(case.n, rho)
         report.add(f"(a) {tag}: type n{{0}}", ttype.t == 0, 0, ttype.t)

@@ -2,17 +2,18 @@
 
 A conjugacy class of order-n automorphisms of a simple algebra is a twist
 k in {1,2,3} together with coprime non-negative node coordinates s on the
-twisted affine diagram, with n = k * sum_i a_i s_i; the fixed subalgebra is
-read off the subdiagram of nodes with s_i = 0 plus an abelian part (Kac,
-Infinite-dimensional Lie algebras, Thm 8.6 and 8.8).  Each component of that
-subdiagram is classified by invariants, not by its shape: a tree with every
-subtree determinant positive is of finite type, and its rank, det C and
-number of short simple roots name the kind.  Classes are stored up
-to diagram automorphisms of the affine diagram, which is conjugacy under
-the full automorphism group of the algebra: each class is represented by
-the lexicographically least s of its orbit, and enumerate_classes returns
-the classes of each twist in ascending order of that s, an order callers
-may rely on.
+twisted affine diagram, and a KacClass holds these alone: n = k * sum_i a_i
+s_i and the fixed subalgebra, read off the subdiagram of nodes with s_i = 0
+plus an abelian part, are functions of s (Kac, Infinite-dimensional Lie
+algebras, Thm 8.6 and 8.8).  Each component of that subdiagram is
+classified by invariants, not by its shape: a tree with every subtree
+determinant positive is of finite type, and its rank, det C and number of
+short simple roots name the kind.  Classes are stored up to diagram
+automorphisms of the affine diagram, which is conjugacy under the full
+automorphism group of the algebra: each class is represented by the
+lexicographically least s of its orbit, and enumerate_classes returns the
+classes of each twist in ascending order of that s, an order callers may
+rely on.
 
 The admissibility scan needs only what a class fixes, and that depends on k
 and the zero set Z = {i : s_i = 0} alone: the components of the subdiagram
@@ -55,7 +56,7 @@ from .cartan import (
     untwisted_diagram,
     validate_kind,
 )
-from .liealg import RootSystem, alcove_walk, build_root_system, dot, scale_vector, weyl_tables
+from .liealg import RootSystem, alcove_walk, build_root_system, dot, scale_coweight, weyl_tables
 from .modcurve import divisors
 
 
@@ -144,13 +145,11 @@ def _kind_of(rank: int, det: int, short: int) -> Kind:
 
 @dataclass(frozen=True)
 class KacClass:
-    """One Aut-conjugacy class of finite-order automorphisms of a simple algebra."""
+    """One Aut-conjugacy class of finite-order automorphisms of a simple algebra:
+    its diagram and least labels s.  Its order and fixed algebra are properties of s."""
 
     diagram: AffineDiagram
     s: tuple[int, ...]
-    order: int
-    fixed_components: tuple[Kind, ...]
-    fixed_abelian: int
 
     @property
     def base(self) -> Kind:
@@ -160,14 +159,23 @@ class KacClass:
     def twist(self) -> int:
         return self.diagram.twist
 
+    @property
+    def order(self) -> int:
+        return self.diagram.twist * dot(self.diagram.labels, self.s)
+
+    @property
+    def fixed_components(self) -> tuple[Kind, ...]:
+        return fixed_from_s(self.diagram, self.s)[0]
+
+    @property
+    def fixed_abelian(self) -> int:
+        return fixed_from_s(self.diagram, self.s)[1]
+
     def fixed_dimension(self) -> int:
         return sum(classical_dimension(k) for k in self.fixed_components) + self.fixed_abelian
 
-    def fixed_rank(self) -> int:
-        return sum(k[1] for k in self.fixed_components) + self.fixed_abelian
-
     def label(self) -> str:
-        fixed = fixed_label(self.fixed_components, self.fixed_abelian)
+        fixed = fixed_label(*fixed_from_s(self.diagram, self.s))
         return (f"{self.base[0]}_{self.base[1]}^({self.twist}); "
                 f"s={list(self.s)}; order={self.order}; fixed={fixed}")
 
@@ -316,8 +324,8 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
     classes come in ascending lexicographic order of s.  This order is part
     of the contract: `orbdim kac` prints it and callers index into it.
     The vectors come from the orderly walk _least_vectors, which keeps
-    those with gcd(s) = 1; the fixed algebra of each class is classified
-    once per zero set, see fixed_from_s.
+    those with gcd(s) = 1.  No fixed algebra is classified here: a class
+    reads its own from s when asked, once per zero set, see fixed_from_s.
     """
     kind = validate_kind(kind)
     if order < 1:
@@ -329,8 +337,7 @@ def enumerate_classes(kind: Kind, order: int) -> tuple[KacClass, ...]:
         diagram, autos = _auto_orbit_reps(kind, k)
         for s in _least_vectors(diagram, autos, order // k):
             if gcd(*s) == 1:
-                comps, ab = fixed_from_s(diagram, s)
-                out.append(KacClass(diagram, s, order, comps, ab))
+                out.append(KacClass(diagram, s))
     return tuple(out)
 
 
@@ -357,7 +364,7 @@ def inner_from_coweight(rs: RootSystem, h):
     lru_cache keeps no exception, and its text names h as c/d, whatever the
     caller's spelling.
     """
-    return _inner(rs.kind, *scale_vector(h))
+    return _inner(rs.kind, *scale_coweight(rs.kind, h))
 
 
 @lru_cache(maxsize=1024)
@@ -384,7 +391,7 @@ def coweight_to_kac_labels(rs: RootSystem, h):
     automorphism but may reach alcove points that differ by a diagram
     automorphism induced by P^vee/Q^vee, so s is fixed only up to those.
     """
-    return _kac_labels(rs.kind, *scale_vector(h))
+    return _kac_labels(rs.kind, *scale_coweight(rs.kind, h))
 
 
 def _kac_labels(kind: Kind, c, d: int) -> tuple[int, ...]:
@@ -415,10 +422,7 @@ class SemisimpleAut:
     parts: tuple
 
     def order(self, kinds) -> int:
-        total = 1
-        for part in self.parts:
-            total = lcm(total, len(part.indices) * part.residual.order)
-        return total
+        return lcm(*(len(part.indices) * part.residual.order for part in self.parts))
 
 
 def fixed_subalgebra_semisimple(aut: SemisimpleAut, kinds):
@@ -452,13 +456,16 @@ def fixed_subalgebra_semisimple(aut: SemisimpleAut, kinds):
 def witness_fault(kinds, witness, target_components, target_abelian: int, n: int):
     """Why a witness of admits_fixed_subalgebra is no certificate, or None.
 
-    Each (kind, p, cls) of the witness becomes a p-cycle, with residual
-    class cls, of the next p factors of that kind in kinds, so the indices
-    of one kind are used consecutively.  The SemisimpleAut so built must
-    have order dividing n, and fixed_subalgebra_semisimple must give back
-    the target.  Both read the order and fixed algebra stored in each
-    class, so each class must then be what its labels s give: gcd(s) = 1,
-    order twist * sum_i a_i s_i and the fixed algebra of fixed_from_s."""
+    The labels s of every class come first, as the class reads its order
+    and fixed algebra from them: one entry >= 0 per node, gcd(s) = 1.  Each
+    (kind, p, cls) then becomes a p-cycle, with residual class cls, of the
+    next p factors of that kind in kinds, so the indices of one kind are
+    used consecutively.  The SemisimpleAut so built must have order dividing
+    n, and fixed_subalgebra_semisimple must give back the target."""
+    for _, _, cls in witness:
+        if len(cls.s) != cls.diagram.num_nodes or min(cls.s) < 0 or gcd(*cls.s) != 1:
+            return (f"the labels s={list(cls.s)} on {cls.base[0]}_{cls.base[1]}^({cls.twist}) "
+                    "are not coprime Kac coordinates")
     free: dict[Kind, list[int]] = {}
     for index, kind in enumerate(kinds):
         free.setdefault(validate_kind(tuple(kind)), []).append(index)
@@ -480,14 +487,6 @@ def witness_fault(kinds, witness, target_components, target_abelian: int, n: int
     target = tuple(sorted(validate_kind(tuple(k)) for k in target_components))
     if (comps, abelian) != (target, target_abelian):
         return f"the witness fixes {comps} + C^{abelian}, not {target} + C^{target_abelian}"
-    for _, _, cls in witness:
-        diagram, s = cls.diagram, cls.s
-        if len(s) != diagram.num_nodes or min(s) < 0 or gcd(*s) != 1:
-            return f"the labels of {cls.label()} are not coprime Kac coordinates"
-        rebuilt = KacClass(diagram, s, cls.twist * dot(diagram.labels, s),
-                           *fixed_from_s(diagram, s))
-        if rebuilt != cls:
-            return f"the class {cls.label()} is not what its labels give, {rebuilt.label()}"
     return None
 
 
@@ -588,8 +587,7 @@ def _cycle_options(kind: Kind, n: int, comp_rank: int, abelian: int):
                 comps, ab = fixed_from_s(diagram, x)
                 if (p, comps, ab) not in table:
                     s = _witness_labels(diagram, autos, x, t - weight, last)
-                    order = k * dot(diagram.labels, s)
-                    table[p, comps, ab] = KacClass(diagram, s, order, comps, ab)
+                    table[p, comps, ab] = KacClass(diagram, s)
     return tuple((p, tuple(sorted(Counter(comps).items())), ab, cls)
                  for (p, comps, ab), cls in table.items())
 

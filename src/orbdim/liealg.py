@@ -72,6 +72,15 @@ def scale_vector(v) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
+def scale_coweight(kind: Kind, h, where=None) -> tuple[tuple[int, ...], int]:
+    """scale_vector(h) for a coweight of kind, or a ValueError led by where (the kind's
+    name by default) unless h has one entry per simple root."""
+    if len(h) != kind[1]:
+        raise ValueError(f"{where or kind_name(kind)}: coweight {tuple(h)} has {len(h)} "
+                         f"entries, not {kind[1]}")
+    return scale_vector(h)
+
+
 def _reduced(N, d) -> tuple[tuple[tuple[int, ...], ...], int]:
     """N / d as (N', d') with d' the lcm of the reduced entries' denominators:
     that lcm is d / gcd(d, all entries of N)."""
@@ -198,7 +207,7 @@ def unwalk(kind: Kind, word, c) -> list[int]:
 
 def in_alcove_range(kind: Kind, h) -> bool:
     """alpha(h) >= -1 for every root alpha."""
-    return _in_alcove_range(kind, *scale_vector(h))
+    return _in_alcove_range(kind, *scale_coweight(kind, h))
 
 
 @lru_cache(maxsize=1024)
@@ -215,7 +224,7 @@ def _in_alcove_range(kind: Kind, c: tuple[int, ...], d: int) -> bool:
 def coroot_order(kind: Kind, h) -> int:
     """The least k >= 1 with k h in Q^vee, the order of sigma_h on modules:
     e / gcd(e, u) for C^{-1} h = u / e, h on the simple coroots."""
-    return _coroot_order(kind, *scale_vector(h))
+    return _coroot_order(kind, *scale_coweight(kind, h))
 
 
 def _coroot_order(kind: Kind, c, d: int) -> int:
@@ -659,9 +668,6 @@ class AffineStructure:
 
     def dimension(self) -> int:
         return sum(classical_dimension(k) for k, _ in self.components) + self.abelian_rank
-
-    def rank(self) -> int:
-        return sum(k[1] for k, _ in self.components) + self.abelian_rank
 
     def kinds(self) -> list[Kind]:
         return [k for k, _ in self.components]

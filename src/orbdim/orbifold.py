@@ -29,7 +29,7 @@ from .liealg import (
     dominant_weights_of_level,
     dot,
     min_weight_pairing,
-    scale_vector,
+    scale_coweight,
     unwalk,
     weyl_tables,
 )
@@ -270,7 +270,7 @@ def alcove_representative(rs: RootSystem, h):
     lowers the norm of h' on the coset: h' - s alpha^vee (s = +-1) is
     shorter only if s alpha(h') > 1.  The bound is rechecked in integers on Phi+.
     """
-    c, d = scale_vector(h)
+    c, d = scale_coweight(rs.kind, h)
     tilde, word = alcove_walk(rs.kind, c, d)
     cur = unwalk(rs.kind, word, tilde)
     if any(abs(dot(root, cur)) > d for root in rs.positive_roots):
@@ -362,11 +362,8 @@ def _scaled(structure: AffineStructure, hs):
     coordinates as its factor's rank."""
     if len(hs) != len(structure.components):
         raise ValueError("one Cartan element per simple factor")
-    for f, ((kind, _), h) in enumerate(zip(structure.components, hs)):
-        if len(h) != kind[1]:
-            raise ValueError(f"factor {f} ({kind_name(kind)}): coweight {tuple(h)} has "
-                             f"{len(h)} entries, not {kind[1]}")
-    return tuple(map(scale_vector, hs))
+    return tuple(scale_coweight(kind, h, f"factor {f} ({kind_name(kind)})")
+                 for f, ((kind, _), h) in enumerate(zip(structure.components, hs)))
 
 
 def _setups(components, scaled):

@@ -130,8 +130,8 @@ def _short_coweight(node):
 def _h_out_of_range_beside_ih_key_1(node):
     """h's A4 coweight set to 2 Lambda_1^vee, with alpha < -1, and
     ihReps["1"] recorded as Lambda_2^vee, in the same coset of Q^vee and
-    in range: the record's power 1 keeps its contract, so only the check
-    of h itself can reject the file."""
+    in range.  Power 1 is h itself, so the key 1 is rejected before any
+    contract is checked."""
     node["ihReps"]["1"] = [node["h"][0], ["0", "1", "0", "0"]]
     node["h"][1] = ["2", "0", "0", "0"]
 
@@ -148,9 +148,9 @@ def _set(*path_and_value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_ih_key("5"), "ihReps key '5' must lie in 1..4"),
-    (_ih_key("0"), "ihReps key '0' must lie in 1..4"),
-    (_ih_key("x"), "ihReps key 'x' must lie in 1..4"),
+    (_ih_key("5"), "ihReps key '5' must lie in 2..4"),
+    (_ih_key("0"), "ihReps key '0' must lie in 2..4"),
+    (_ih_key("x"), "ihReps key 'x' must lie in 2..4"),
     (_drop_coweight, "ihReps['2'] must list one coweight per source factor"),
     (_short_coweight, "ihReps['2'] coordinates do not match the rank of ('A', 4)"),
     (lambda node: node["fixed"].pop("components"), "missing field fixed.components"),
@@ -167,7 +167,7 @@ def _set(*path_and_value):
     (_set("h", 1, 0, "1/0"), "h: '1/0' is not a rational number"),
     (_set("ihReps", "2", 1, 0, "1/0"), "ihReps['2']: '1/0' is not a rational number"),
     (_set("h", 1, ["2", "0", "0", "0"]), "h: factor 1 (A4) has alpha < -1 for some root"),
-    (_h_out_of_range_beside_ih_key_1, "h: factor 1 (A4) has alpha < -1 for some root"),
+    (_h_out_of_range_beside_ih_key_1, "ihReps key '1' must lie in 2..4"),
     (_set("ihReps", "2", 1, 0, "2/5"),
      "ihReps['2']: factor 1 (A4) differs from 2*h by a coweight outside the coroot lattice"),
     (_set("ihReps", "2", 1, ["7/5", "-3/5", "2/5", "-3/5"]),   # a coroot away
@@ -206,8 +206,8 @@ def _set(*path_and_value):
     (_set("shapes", 0, "factors", "2.0", 1), "shapes[].factors: cycle length '2.0' is not a decimal integer"),
     (_set("shapes", 0, "factors", "\u0665", 1),
      "shapes[].factors: cycle length '\u0665' is not a decimal integer"),
-    (_ih_key("02"), "ihReps key '02' must lie in 1..4"),        # beside "2", not in place of it
-    (_ih_key("\u0662"), "ihReps key '\u0662' must lie in 1..4"),
+    (_ih_key("02"), "ihReps key '02' must lie in 2..4"),        # beside "2", not in place of it
+    (_ih_key("\u0662"), "ihReps key '\u0662' must lie in 2..4"),
 ])
 def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     """Case 11 (n = 5) with one corrupted field fails to load, naming it."""
@@ -232,6 +232,11 @@ def test_cases_load_rejects_malformed_nested_fields(tmp_path, edit, message):
     (62, _set("factors", 0, 1, 8.0), "factors: the rank 8.0 of B is not an integer"),
     (7, _set("factors", 0, 1, True), "factors: ATrue is not a simple Lie algebra kind in range"),
     (1, _set("abelianRank", -1), "abelianRank: -1 is not an integer >= 0"),
+    (11, _set("transcription", "chekced"),
+     "transcription: 'chekced' is not 'checked' or 'uncertain-transcription'"),
+    (62, _set("transcription", 7), "transcription: 7 is not 'checked' or 'uncertain-transcription'"),
+    (62, _set("transcription", None),
+     "transcription: None is not 'checked' or 'uncertain-transcription'"),
 ])
 def test_schellekens_load_rejects_malformed_fields(tmp_path, no, edit, message):
     """One corrupted field of one entry fails to load, naming the entry and field."""
@@ -519,19 +524,22 @@ def test_fault_injection_module_order():
     ("fixed algebra", "not ("),
     ("order", "does not divide 2"),
     ("cycle length", "more A9 factors than there are"),
-    ("labels", "is not what its labels give, A_9^(2); s=[1, 0, 0, 0, 0, 0]; order=2; fixed=C5"),
+    ("labels", "the witness fixes (('A', 5), ('C', 5), ('C', 5)) + C^1, not"),
     ("labels gcd", "are not coprime Kac coordinates"),
     ("labels sign", "are not coprime Kac coordinates"),
+    ("labels length", "the labels s=[0, 0, 0, 0, 1] on A_9^(2) are not coprime Kac coordinates"),
 ])
 def test_fault_injection_corrupted_witness(monkeypatch, corruption, message):
     """Step (f) rebuilds every admissibility witness as an automorphism; a
     witness class that fixes something else or whose order does not divide
     n, a cycle over more factors than the algebra has, or a class whose
-    stored order and fixed algebra are not those of its labels, fails the
-    (f) row although the survivor list is unchanged.  Case 1's first class
-    is A_9^(2) with s = [0, 0, 0, 0, 0, 1], order 2 and fixed D5; its labels
-    replaced by (1, 0, ..., 0) fix C5, and (0, ..., 0, 2) and (0, ..., 2, -1)
-    are no coprime Kac coordinates."""
+    labels are no coprime Kac coordinates, fails the (f) row although the
+    survivor list is unchanged.  Case 1's first class is A_9^(2) with
+    s = [0, 0, 0, 0, 0, 1], order 2 and fixed D5.  In its place, a class of
+    order 6 from enumerate_classes has an order that does not divide 2; the
+    labels (1, 0, ..., 0) fix C5; and (0, ..., 0, 2), (0, ..., 2, -1) and
+    the five entries (0, 0, 0, 0, 1) are no coprime Kac coordinates on the
+    six nodes, reported without reading a fixed algebra from them."""
     import orbdim.cases as cases_mod
     from orbdim.kacaut import enumerate_classes
 
@@ -539,12 +547,13 @@ def test_fault_injection_corrupted_witness(monkeypatch, corruption, message):
 
     def corrupt(kind, p, cls):
         if corruption == "order":
-            return kind, p, dataclasses.replace(cls, order=3 * cls.order)
+            return kind, p, next(c for c in enumerate_classes(kind, 3 * cls.order)
+                                 if c.twist == cls.twist)
         if corruption == "cycle length":
             return kind, p + 2, cls
         if corruption.startswith("labels"):
             s = {"labels": (1, 0, 0, 0, 0, 0), "labels gcd": (0, 0, 0, 0, 0, 2),
-                 "labels sign": (0, 0, 0, 0, 2, -1)}[corruption]
+                 "labels sign": (0, 0, 0, 0, 2, -1), "labels length": (0, 0, 0, 0, 1)}[corruption]
             return kind, p, dataclasses.replace(cls, s=s)
         return kind, p, next(c for c in enumerate_classes(kind, cls.order)
                              if c.fixed_components != cls.fixed_components)

@@ -15,8 +15,8 @@ alpha(h) >= -1 check and the rendered rows fill once per key on a cold
 verify_all and miss nothing on a warm one, and a seeded fault still fails
 its contract row after they are full; a record built by
 dataclasses.replace carries both forms of its new fields; and a coweight
-with the wrong number of entries is a ValueError naming the factor at
-every public entry that reads one.
+with the wrong number of entries is a ValueError naming the factor, or the
+kind where a single coweight is read, at every public entry that reads one.
 """
 
 import dataclasses
@@ -204,7 +204,8 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     """A second verify_all in one process scales a coweight only in the two
     public entries it calls on the printed Fractions, inner_from_coweight
     once per factor and screen_problematic_modules once per factor and
-    power.  It calls the alpha >= -1 check once per factor and power, in
+    power.  Both scale through liealg.scale_coweight, which checks the rank
+    and calls scale_vector, so that is called in liealg alone.  It calls the alpha >= -1 check once per factor and power, in
     the screen's precondition, as step (g) reads the verdict each record
     stored, and walks zero times: every check is read from the memo the
     first pass filled."""
@@ -218,9 +219,13 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
             return call(*args)
         return wrapper
 
-    for mod in (cases_mod, orbifold, kacaut, liealg):
+    for mod in (cases_mod, liealg):
         where = mod.__name__.rsplit(".", 1)[1]
         monkeypatch.setattr(mod, "scale_vector", counted("scale", where, liealg.scale_vector))
+    for mod in (orbifold, kacaut, liealg):
+        where = mod.__name__.rsplit(".", 1)[1]
+        monkeypatch.setattr(mod, "scale_coweight",
+                            counted("coweight", where, liealg.scale_coweight))
     for mod in (cases_mod, orbifold):
         where = mod.__name__.rsplit(".", 1)[1]
         monkeypatch.setattr(mod, "_in_alcove_range",
@@ -233,8 +238,8 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     assert all(r.passed for r in reports)
     factors = sum(len(c.source.components) for c in all_cases)
     checks = sum((c.n - 1) * len(c.source.components) for c in all_cases)
-    assert counts == {("scale", "kacaut"): factors, ("scale", "orbifold"): checks,
-                      ("check", "orbifold"): checks}
+    assert counts == {("coweight", "kacaut"): factors, ("coweight", "orbifold"): checks,
+                      ("scale", "liealg"): factors + checks, ("check", "orbifold"): checks}
     assert checks == 99
     assert not any(name == "walk" for name, _ in counts)
 
@@ -355,3 +360,27 @@ def test_a_coweight_of_the_wrong_rank_is_a_value_error_naming_the_factor(call, s
         run()
     assert str(err.value) == (f"factor 1 (A4): coweight {tuple(bad[spelling])} has "
                               f"{len(bad[spelling])} entries, not 4")
+
+
+A4 = ("A", 4)
+SINGLE_ENTRIES = {
+    "alcove_representative": lambda h: alcove_representative(build_root_system(A4), h),
+    "coweight_to_kac_labels": lambda h: kacaut.coweight_to_kac_labels(build_root_system(A4), h),
+    "inner_from_coweight": lambda h: kacaut.inner_from_coweight(build_root_system(A4), h),
+    "coroot_order": lambda h: liealg.coroot_order(A4, h),
+    "in_coroot_lattice": lambda h: liealg.in_coroot_lattice(A4, h),
+    "RootSystem.in_coroot_lattice": lambda h: build_root_system(A4).in_coroot_lattice(h),
+    "in_alcove_range": lambda h: in_alcove_range(A4, h),
+}
+
+
+@pytest.mark.parametrize("h", [(F(1, 5), F(2, 5), 0), (1,) * 6], ids=["short", "long"])
+@pytest.mark.parametrize("entry", sorted(SINGLE_ENTRIES))
+def test_a_single_coweight_of_the_wrong_rank_is_a_value_error_naming_the_kind(entry, h):
+    """Each public entry that reads one coweight checks its rank before it
+    scales it or reads a memo, so a short or long h on A4 is a ValueError,
+    never an answer for the wrong rank or the error of a broken invariant."""
+    with pytest.raises(ValueError) as err:
+        SINGLE_ENTRIES[entry](h)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"A4: coweight {h} has {len(h)} entries, not 4"

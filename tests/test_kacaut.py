@@ -54,7 +54,8 @@ def test_order_recomputation_and_gcd_invariants():
                 from math import gcd
                 assert gcd(*cls.s) == 1
                 # fixed dimension consistency: rank of fixed + abelian = rank data
-                assert cls.fixed_dimension() >= cls.fixed_rank()
+                fixed_rank = sum(k[1] for k in cls.fixed_components) + cls.fixed_abelian
+                assert cls.fixed_dimension() >= fixed_rank
 
 
 def test_involutions_of_classical_types():
