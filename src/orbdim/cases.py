@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import gcd, lcm
 from pathlib import Path
 
@@ -51,6 +50,7 @@ from .orbifold import (
 )
 
 PAPER_ASSERTED = "paper-asserted"
+DATA = Path(__file__).parent / "data"
 
 
 class DataLoadError(ValueError):
@@ -58,7 +58,8 @@ class DataLoadError(ValueError):
 
 
 def _data_text(name: str) -> str:
-    return resources.files("orbdim.data").joinpath(name).read_text()
+    """The text of the shipped data file at name, a path below DATA."""
+    return (DATA / name).read_text()
 
 
 def _need(where, parent, name):
@@ -155,7 +156,9 @@ class SchellekensEntry:
 
 
 def load_schellekens(path=None) -> list[SchellekensEntry]:
-    """The 71 possible weight-one structures, invariants checked on load."""
+    """The 71 possible weight-one structures, invariants checked on load.
+    The entries are listed in number order 0..70 and their dims never
+    decrease along it; the file is the table's only copy."""
     entries = []
     for node in _load_records(path, "schellekens.json", "entries"):
         where = f"entry {node.get('no', '?')}"
@@ -171,11 +174,15 @@ def load_schellekens(path=None) -> list[SchellekensEntry]:
             raise DataLoadError(f"{where}: stored dim {dim} != computed {structure.dimension()}")
         if structure.components and not schellekens_constraint(structure)[0]:
             raise DataLoadError(f"{where} violates the dual-Coxeter/level constraint")
+        if no != len(entries):
+            raise DataLoadError(f"{where}: listed at position {len(entries)}, "
+                                "not in number order 0..70")
+        if entries and dim < entries[-1].dim:
+            raise DataLoadError(f"{where}: dim {dim} is below the dim {entries[-1].dim} "
+                                f"of entry {entries[-1].no}")
         entries.append(SchellekensEntry(no, structure, dim, transcription))
     if len(entries) != 71:
         raise DataLoadError(f"expected 71 entries, found {len(entries)}")
-    if sorted(e.no for e in entries) != list(range(71)):
-        raise DataLoadError("entry numbers must be exactly 0..70")
     zero = [e for e in entries if not e.structure.components and not e.structure.abelian_rank]
     abelian = [e for e in entries if not e.structure.components and e.structure.abelian_rank == 24]
     if len(zero) != 1 or len(abelian) != 1:

@@ -76,8 +76,8 @@ def scale_coweight(kind: Kind, h, where=None) -> tuple[tuple[int, ...], int]:
     """scale_vector(h) for a coweight of kind, or a ValueError led by where (the kind's
     name by default) unless h has one entry per simple root."""
     if len(h) != kind[1]:
-        raise ValueError(f"{where or kind_name(kind)}: coweight {tuple(h)} has {len(h)} "
-                         f"entries, not {kind[1]}")
+        raise ValueError(f"{where or kind_name(kind)}: coweight ({', '.join(map(str, h))}) "
+                         f"has {len(h)} entries, not {kind[1]}")
     return scale_vector(h)
 
 
@@ -326,15 +326,25 @@ class RootSystem:
         return sorted(self.positive_roots + [tuple(-x for x in r) for r in self.positive_roots])
 
     def _sanity(self):
+        """Tie the tables of cartan to the root closure: 2|Phi+| = dim - rank
+        = rank h, which a long root other than theta in the marks breaks, and
+        the marks are a long root theta with (theta, theta + 2 rho) = 2 h^vee,
+        on the integer weight Gram matrix with rho = (1, ..., 1)."""
         name = kind_name(self.kind)
         theta = tuple(self.marks)
         if 2 * len(self.positive_roots) != self.dim - self.rank:
             raise ArithmeticError(f"{name}: {len(self.positive_roots)} positive roots, "
                                   f"expected {(self.dim - self.rank) // 2}")
+        if 2 * len(self.positive_roots) != self.rank * self.coxeter:
+            raise ArithmeticError(f"{name}: 2|Phi+| = {2 * len(self.positive_roots)} is not "
+                                  f"rank h = {self.rank * self.coxeter}")
         if theta not in self.positive_roots or self.root_pair_sq(theta) != 2:
             raise ArithmeticError(f"{name}: the marks are not a long root")
-        if self.coxeter != 1 + sum(self.marks) or self.dual_coxeter != 1 + sum(self.comarks):
-            raise ArithmeticError(f"{name}: (dual) Coxeter number disagrees with the (co)marks")
+        w = self.root_to_weight_coords(theta)
+        pairing = dot(w, [dot(row, w) + 2 * sum(row) for row in self.gram_weights_scaled])
+        if pairing != 2 * self.dual_coxeter * self.gram_weights_den:
+            raise ArithmeticError(f"{name}: (theta, theta + 2 rho) is not 2 h^vee = "
+                                  f"{2 * self.dual_coxeter}")
 
     # -- basic forms and conversions ---------------------------------------
 

@@ -27,7 +27,7 @@ DATA = Path(__file__).resolve().parents[1] / "src/orbdim/data"
 def test_load_schellekens_invariants():
     entries = load_schellekens()
     assert len(entries) == 71
-    assert sorted(e.no for e in entries) == list(range(71))
+    assert [e.no for e in entries] == list(range(71))
     dims = [e.dim for e in entries]
     assert dims == sorted(dims)
     for e in entries:
@@ -247,6 +247,48 @@ def test_schellekens_load_rejects_malformed_fields(tmp_path, no, edit, message):
     with pytest.raises(DataLoadError) as err:
         load_schellekens(bad)
     assert str(err.value) == f"entry {no}: {message}"
+
+
+def _swapped(i, j):
+    def edit(entries):
+        entries[i], entries[j] = entries[j], entries[i]
+    return edit
+
+
+def _contents_swapped(i, j):
+    """Entries i and j trade factors, abelianRank and dim, keeping their numbers."""
+    def edit(entries):
+        for key in ("factors", "abelianRank", "dim"):
+            entries[i][key], entries[j][key] = entries[j][key], entries[i][key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swapped(40, 41), "entry 41: listed at position 40, not in number order 0..70"),
+    (_swapped(0, 70), "entry 70: listed at position 0, not in number order 0..70"),
+    (_contents_swapped(4, 5), "entry 5: dim 36 is below the dim 48 of entry 4"),
+    (_contents_swapped(69, 70), "entry 70: dim 744 is below the dim 1128 of entry 69"),
+], ids=["swap 40 and 41", "swap 0 and 70", "dims of 4 and 5", "dims of 69 and 70"])
+def test_schellekens_load_rejects_entries_out_of_order(tmp_path, edit, message):
+    """Each entry is checked in turn against the one listed before it: the
+    table lists the numbers 0..70 in order, and the dims never decrease,
+    so a table whose rows or contents moved fails, naming the entry."""
+    raw = json.loads((DATA / "schellekens.json").read_text())
+    edit(raw["entries"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(DataLoadError) as err:
+        load_schellekens(bad)
+    assert str(err.value) == message
+
+
+def test_shipped_schellekens_table_loads_unchanged():
+    """The sha256 pins each entry's (no, factors, abelian rank, dim,
+    transcription) as the loader reads them, in order."""
+    rows = [[e.no, [[letter, rank, level] for (letter, rank), level in e.structure.components],
+             e.structure.abelian_rank, e.dim, e.transcription] for e in load_schellekens()]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "e1d2086fc34e1e259f284e2bc3b3c2addb35fa2f5ffe7685e2ee9e124d0bbd66"
 
 
 def _records(key, value):

@@ -310,7 +310,7 @@ def test_screen_case_15(capsys):
      "--fixed abelian rank must be non-negative, got 'ab:-2'"),
     (["case", "run", "99", "--all"], "give a case id or --all, not both"),
     (["case", "run", "--all", "4"], "give a case id or --all, not both"),
-    (["inner", "--algebra", "A2", "--h", "1,2,3"], "need 2 coordinates for A2"),
+    (["inner", "--algebra", "A2", "--h", "1,2,3"], "A2: coweight (1, 2, 3) has 3 entries, not 2"),
     (["inner", "--algebra", "Q1", "--h", "1"], "cannot parse algebra kind 'Q1'"),
     (["fs", "--n", "9", "--cusp", "1/3"], "no cusp functions shipped for level 9"),
     (["dcoeff", "--n", "9", "--i", "3", "--j", "3", "--k", "9"], "i, j, k must lie in 1..n-1"),

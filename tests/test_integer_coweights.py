@@ -339,6 +339,11 @@ def test_a_replaced_record_carries_the_integer_form_of_its_new_fields():
     assert case.powers[2] == (case.ih_reps[2], tuple(map(scale_vector, case.ih_reps[2])), None)
 
 
+def _coords(h) -> str:
+    """h as the rank error prints it, each coordinate by str."""
+    return f"({', '.join(map(str, h))})"
+
+
 def _wrong_ranks():
     """Case 11 with its A4 coweight of factor 1 cut to three entries, or
     given a fifth entry 0."""
@@ -358,7 +363,7 @@ def test_a_coweight_of_the_wrong_rank_is_a_value_error_naming_the_factor(call, s
            "rho cap": lambda: safe_rho_cap(case.source, hs)}[call]
     with pytest.raises(ValueError) as err:
         run()
-    assert str(err.value) == (f"factor 1 (A4): coweight {tuple(bad[spelling])} has "
+    assert str(err.value) == (f"factor 1 (A4): coweight {_coords(bad[spelling])} has "
                               f"{len(bad[spelling])} entries, not 4")
 
 
@@ -383,4 +388,4 @@ def test_a_single_coweight_of_the_wrong_rank_is_a_value_error_naming_the_kind(en
     with pytest.raises(ValueError) as err:
         SINGLE_ENTRIES[entry](h)
     assert type(err.value) is ValueError
-    assert str(err.value) == f"A4: coweight {h} has {len(h)} entries, not 4"
+    assert str(err.value) == f"A4: coweight {_coords(h)} has {len(h)} entries, not 4"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbdim import cartan, liealg
 from orbdim.cartan import parse_kind
 from orbdim.liealg import (
     AffineStructure,
@@ -41,6 +42,26 @@ def test_parse_kind():
     for bad in ("E9", "F5", "G3", "B1", "X2", "A0", "A"):
         with pytest.raises(ValueError):
             parse_kind(bad)
+
+
+@pytest.mark.parametrize("kind, typo", [
+    (("E", 8), [2, 3, 4, 6, 5, 4, 3, 1]),
+    (("A", 3), [1, 1, 0]),
+    (("D", 6), [1, 1, 1, 1, 0, 1]),
+], ids=["E8", "A3", "D6"])
+def test_marks_that_are_a_long_root_but_not_theta_fail_the_build(monkeypatch, kind, typo):
+    """Each typo is a long positive root, so only 2|Phi+| = rank h ties the
+    marks table to the highest root: building the root system raises."""
+    liealg.weyl_tables(kind)            # cached from the true marks
+    real = cartan.marks
+    monkeypatch.setattr(cartan, "marks", lambda k: list(typo) if k == kind else real(k))
+    monkeypatch.setattr(liealg, "marks", cartan.marks)
+    cartan.comarks.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"is not rank h"):
+            liealg.RootSystem(kind)
+    finally:
+        cartan.comarks.cache_clear()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
