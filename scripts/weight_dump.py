@@ -5,9 +5,7 @@ every fundamental weight whose module has Weyl dimension at most 2000, print
 the sorted weight system with multiplicities, min_weight_pairing at a fixed
 coweight h and the brute-force minimum of mu(h) over the weight system.
 Under "positive_roots", print the positive roots of every kind that cartan
-accepts (ACCEPTED_KINDS there).  CI runs this with and without `python -O`
-and compares the two outputs byte for byte, since the tests' asserts are
-stripped under -O.
+accepts (ACCEPTED_KINDS there).  CI pins the output by its sha256.
 
 Run from the repository root: python scripts/weight_dump.py > weights.json
 """

@@ -213,7 +213,7 @@ def regenerate_tables():
     screening = out["screening_lists.json"] = {}
     for case in cases_mod.load_cases():
         d = orbifold.dim_orbifold(cases_mod.fixed_dims_profile(case))
-        rows.append(cases_mod.summary_row(case, int(d)))
+        rows.append(cases_mod.summary_row(case, json_number(d)))
         for record in case.shapes:
             ranks.append({
                 "case": case.id, "variant": record.variant or case.id,
@@ -237,24 +237,25 @@ def cmd_tables_regen(args) -> int:
         print(f"cannot create output directory: {err}", file=sys.stderr)
         return 1
     tables = regenerate_tables()
-    manifest = {}
-    diffs = []
-    for name in GOLDEN_FILES:
-        text = json.dumps(tables[name], indent=1, sort_keys=True) + "\n"
+    texts = {name: json.dumps(tables[name], indent=1, sort_keys=True) + "\n"
+             for name in GOLDEN_FILES}
+    manifest = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    texts["manifest.json"] = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    for name, text in texts.items():
         try:
             (out_dir / name).write_text(text)
         except OSError as err:
             print(f"cannot write {name}: {err}", file=sys.stderr)
             return 1
-        manifest[name] = hashlib.sha256(text.encode()).hexdigest()
+    diffs = []
+    for name in GOLDEN_FILES:
         try:
             golden = cases_mod._data_text(f"goldens/{name}")
         except FileNotFoundError:
             diffs.append(f"{name}: no golden file")
             continue
-        if golden != text:
+        if golden != texts[name]:
             diffs.append(f"{name}: regenerated output differs from the golden file")
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     if diffs:
         for d in diffs:
             print(d, file=sys.stderr)

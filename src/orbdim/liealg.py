@@ -327,9 +327,12 @@ class RootSystem:
 
     def _sanity(self):
         """Tie the tables of cartan to the root closure: 2|Phi+| = dim - rank
-        = rank h, which a long root other than theta in the marks breaks, and
-        the marks are a long root theta with (theta, theta + 2 rho) = 2 h^vee,
-        on the integer weight Gram matrix with rho = (1, ..., 1)."""
+        = rank h, which marks that are a long root other than theta break,
+        and the marks are a long root theta.  The last check, (theta, theta
+        + 2 rho) = 2 h^vee on the integer weight Gram matrix with rho = (1,
+        ..., 1), holds for every long root whatever the marks, as (theta,
+        2 rho) = 2 sum comarks defines h^vee: it checks the Gram matrix
+        against the comarks and catches no typo in the marks."""
         name = kind_name(self.kind)
         theta = tuple(self.marks)
         if 2 * len(self.positive_roots) != self.dim - self.rank:

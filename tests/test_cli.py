@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,29 @@ def test_tables_regen_unwritable_dir(capsys, tmp_path):
     assert "cannot" in err
 
 
+def test_tables_regen_manifest_unwritable(capsys, tmp_path):
+    # the manifest goes through the same guarded write as the five tables
+    (tmp_path / "manifest.json").mkdir()
+    code, out, err = run_cli(capsys, "tables", "regen", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write manifest.json: ") and len(err.splitlines()) == 1
+
+
+def test_tables_regen_shows_a_non_integral_dimension(capsys, tmp_path, monkeypatch):
+    # d is spelled by json_number, so d + 1/2 prints as "p/q" and differs
+    # from the golden row; int(d) would truncate it back to the golden value
+    from orbdim import cases as cases_mod, orbifold
+
+    real = orbifold.dim_orbifold
+    monkeypatch.setattr(orbifold, "dim_orbifold", lambda profile: real(profile) + Fraction(1, 2))
+    code, _, err = run_cli(capsys, "tables", "regen", "--out", str(tmp_path))
+    assert code == 1
+    assert err == "case_summary.json: regenerated output differs from the golden file\n"
+    rows = json.loads((tmp_path / "case_summary.json").read_text())
+    golden = json.loads(cases_mod._data_text("goldens/case_summary.json"))
+    assert [Fraction(row["d"]) - Fraction(1, 2) for row in rows] == [row["d"] for row in golden]
+
+
 def test_case_run_all_end_to_end(capsys):
     code, out, _ = run_cli(capsys, "case", "run", "--all")
     assert code == 0
@@ -242,24 +266,52 @@ def test_case_run_without_an_id_runs_every_case(capsys):
     assert code == 0 and out == every
 
 
-# SHA-256 of `orbdim case run --all --format json` stdout, also under python -O:
-# every report, the i > 1 screening lists included, byte for byte.
-CASE_RUN_ALL_JSON_SHA256 = "f6c6bed8ca7bdba1d3a05acc4715d13fb8f2744831c36cbfc8cdeac407f6e958"
+# SHA-256 of each command's stdout, byte for byte: every report of `case run
+# --all`, the i > 1 screening lists included; the screens of case 15 at floor
+# 6, whose derived cap of 8 lies above the default 3 and which no golden
+# covers, and of case 11 at floor 3/2; powers 3 of case 11 and 5 of case 15,
+# negations of recorded representatives, and power 3 of case 15, a recorded
+# one; Fractions spelled by the shared JSON rule; a fixed algebra with no
+# simple component.  `python -O` would print the same bytes, as
+# test_package_has_no_assert_statements shows.
+PINS = {
+    "case run --all --format json":
+        "f6c6bed8ca7bdba1d3a05acc4715d13fb8f2744831c36cbfc8cdeac407f6e958",
+    "screen --case 15 --floor 6 --format json":
+        "fb80da2b289ddf56b20e206307494650999c0393263a343e846e15509b9f0d70",
+    "screen --case 11 --floor 3/2 --format json":
+        "f8846ddee5a5c075bd23f1182abc0934dfc311f5597ca80cff76d055b55b3431",
+    "screen --case 11 --i 3 --format json":
+        "59e468dea648d2f9be61d8ad032590d591d4bb0d5d3c707ea8578e47e0a305e7",
+    "screen --case 15 --i 5 --format json":
+        "a56554285da0b8c4791d5b1b717111e0e6f8977c58996d9fb439676f7cc6b442",
+    "screen --case 15 --i 3 --format json":
+        "a9ae13d0c193227bccb7123e68305f40887d7e7845adcaa36e44161e5a242703",
+    "coeffs --n 12 --format json":
+        "ac19ae2e5537a713e93be1f179b7db16da600b11ae4374f8e7e321951b8759df",
+    "fs --n 6 --cusp 1/2 --divisor --format json":
+        "a590133ff457b271147c6acafcd69c36a3e6a1df6bb28088fd0722a92b1a5cac",
+    "inner --algebra A2 --h 1/3,1/3":
+        "9e716cafa03aa4233e8cfe6ae511b249fdabc211c8a9e6d4c3112461b1a2ac69",
+}
+MEMOS = (_inner, _factor_setup, _screen, _admits, _in_alcove_range, _rendered)
 
 
-def test_case_run_all_json_is_pinned(capsys):
+@pytest.mark.parametrize("args", PINS)
+def test_cli_output_is_pinned(capsys, args):
     """Twice in one process, from empty memos of inner automorphisms,
     screening factors, screens, admissibility searches, alpha >= -1 checks
-    and rendered rows and then from full ones, so a stale entry would
-    show."""
-    for memo in (_inner, _factor_setup, _screen, _admits, _in_alcove_range, _rendered):
+    and rendered rows and then from full ones, so a stale entry would show.
+    The warm run misses no memo."""
+    for memo in MEMOS:
         memo.cache_clear()
+    misses = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "case", "run", "--all", "--format", "json")
+        code, out, _ = run_cli(capsys, *args.split())
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == CASE_RUN_ALL_JSON_SHA256
-    assert _inner.cache_info().hits and _factor_setup.cache_info().hits
-    assert _screen.cache_info().hits == 32 and _admits.cache_info().hits == 43
+        assert hashlib.sha256(out.encode()).hexdigest() == PINS[args]
+        misses.append([memo.cache_info().misses for memo in MEMOS])
+    assert misses[1] == misses[0]
 
 
 def test_screen_case_15(capsys):
@@ -351,26 +403,35 @@ def test_corrupted_shipped_data_exits_1(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "case 11: n: 'x' is not an integer\n")
 
 
-def test_case_run_survives_python_O():
+def test_python_m_orbdim_cli_exit_codes():
+    """The module entry in its own process: a usage error exits 2 with
+    nothing on stdout and one stderr line, a case that holds exits 0."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-m", "orbdim.cli", "case", "run", "15"],
-                          capture_output=True, text=True, env=env, timeout=300)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "orbdim.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+
+    proc = run("case", "run", "99")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    proc = run("case", "run", "15")
     assert proc.returncode == 0, proc.stderr
-    assert "PASS" in proc.stdout
-    proc = subprocess.run([sys.executable, "-O", "-m", "orbdim.cli", "case", "run", "--all"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("PASS") == 15 and "FAIL" not in proc.stdout
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
 
 
 def test_package_has_no_assert_statements():
-    """python -O strips assert, so no check the results rely on may be one."""
+    """python -O strips assert statements and the code that reads __debug__,
+    and nothing else (docstrings go only under -OO).  With neither under
+    src/orbdim, python -O runs the very code plain python does, so no test
+    or CI step needs a second run under -O."""
     package = Path(__file__).resolve().parents[1] / "src" / "orbdim"
     modules = sorted(package.rglob("*.py"))
     assert modules
     found = [f"{path.name}:{node.lineno}" for path in modules
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or "__debug__" in (getattr(node, "id", None), getattr(node, "attr", None))]
     assert not found, found

@@ -697,6 +697,30 @@ def test_coroot_coordinates_match_walk_and_fraction_oracles(kind):
         assert in_coroot_lattice(kind, [k * x for x in h])
 
 
+# (kind, h, order of h modulo Q^vee) with entries near 10^12; the orders
+# follow from P^vee/Q^vee: Z/25 for A24, (Z/2)^2 for D16, trivial for E8
+KNOWN_COROOT_ORDERS = [
+    (("A", 24), [BIG] + [0] * 23, 1),
+    (("A", 24), [BIG + 5] + [0] * 23, 5),
+    (("A", 24), [BIG] + [0] * 22 + [1], 25),
+    (("A", 24), [Fraction(BIG + 5, 7)] + [0] * 23, 35),
+    (("A", 24), [BIG] * 24, 1),
+    (("D", 16), [BIG] * 16, 1),
+    (("D", 16), [BIG + 1] + [BIG] * 15, 2),
+    (("D", 16), [BIG] * 15 + [BIG + 1], 2),
+    (("D", 16), [BIG + 1] + [BIG] * 14 + [BIG + 1], 2),
+    (("D", 16), [Fraction(BIG + 1, 3)] + [BIG] * 15, 6),
+    (("E", 8), [BIG + 1] * 8, 1),
+    (("E", 8), [Fraction(BIG + 1, 3)] + [BIG] * 6 + [Fraction(BIG + 1, 2)], 6),
+]
+
+
+@pytest.mark.parametrize("kind, h, order", KNOWN_COROOT_ORDERS)
+def test_coroot_order_near_10_12_matches_the_known_answer(kind, h, order):
+    assert coroot_order(kind, h) == order
+    assert in_coroot_lattice(kind, h) == (order == 1)
+
+
 def _dominant_by_level_filter(rs, lam):
     """The search dominant_below replaced, kept as its oracle: every dominant
     weight of level at most lam's, kept when lam - mu lies in Q+."""
