@@ -195,7 +195,6 @@ class ShapeRecord:
     shape: CycleShape
     class_length: int
     coset_group: str
-    provenance: str
     variant: str = ""
 
 
@@ -208,13 +207,13 @@ class OrbifoldCase:
     factor with h = c/d as scale_vector gives it; steps (c) and (d) read it.
     module_order is the lcm over the factors of the order of h in
     P^vee / Q^vee, the order bound of step (b).  powers[i], for i in
-    1..n-1, holds the coset representative of i*h that step (g) checks and
-    screens and `orbdim screen` screens, in both forms, and its verdict:
-    (Fractions, (c, d) per factor, representative_fault or None).  It is
-    the tuple recorded for i itself, h for i = 1 and ih_reps[i] for i in
-    2..n-1, else the exact negation of the one recorded for n - i
-    (i*h = -((n-i)*h) mod Q^vee), else the alcove reduction of i*h.  The
-    loader and step (g) both read the verdict."""
+    1..n-1, holds the coset representative of i*h that screen_power
+    screens, in both forms, and its verdict, which the loader and
+    screen_power read: (Fractions, (c, d) per factor, representative_fault
+    or None).  It is the tuple recorded for i itself, h for i = 1 and
+    ih_reps[i] for i in 2..n-1, else the exact negation of the one recorded
+    for n - i (i*h = -((n-i)*h) mod Q^vee), else the alcove reduction of
+    i*h."""
 
     id: str
     n: int
@@ -306,8 +305,11 @@ def load_cases(path=None) -> list[OrbifoldCase]:
                 _typed(where, "shapes[].factors", factors, dict))
             if shape.degree() != 24:
                 raise DataLoadError(f"{where}: shapes.factors has degree {shape.degree()}")
+            if provenance != PAPER_ASSERTED:
+                raise DataLoadError(f"{where}: shapes[].provenance: {provenance!r} is not "
+                                    f"{PAPER_ASSERTED!r}")
             shapes.append(ShapeRecord(shape, _typed(where, "shapes[].classLength", length),
-                                      coset, provenance, snode.get("variant", "")))
+                                      coset, snode.get("variant", "")))
         for key in ("source", "target"):
             _need(where, _need(where, node, key), f"{key}.factors")
         source = _built(where, "source", _structure, node["source"])
@@ -392,7 +394,7 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
+    if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
 
@@ -456,10 +458,9 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
     """Replay every computable step of the case's argument; never raises on
     a failed assertion, all failures are gathered in the report.  A power of
     sigma whose representative breaks the contract of step (g) fails its
-    contract row and is not screened."""
+    contract row and screen_power does not screen it."""
     report = CaseReport(case.id)
     systems = [build_root_system(kind) for kind, _ in case.source.components]
-    scaled_h = case.scaled_h
 
     # (a) cycle shapes: degree, vacuum weight, type n{0}
     for record in case.shapes:
@@ -500,7 +501,7 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
 
     # (c) norm of h against the level-weighted form
     hh = sum(level * rs.coweight_norm(c, d)
-             for rs, (c, d), (_, level) in zip(systems, scaled_h, case.source.components))
+             for rs, (c, d), (_, level) in zip(systems, case.scaled_h, case.source.components))
     report.add("(c) <h,h>", hh == case.h_norm_sq, case.h_norm_sq, hh)
 
     # (d) fixed-point dimensions for all powers
@@ -536,30 +537,35 @@ def verify_case(case: OrbifoldCase, schellekens) -> CaseReport:
                [expected_label], got_labels, details="; ".join(faults))
 
     # (g) conformal-weight screening for every power of sigma
-    for i, (rep, _, fault) in case.powers.items():
+    for i in case.powers:
+        fault, rows = screen_power(case, i)
         report.add(f"(g) i={i} representative contract", fault is None, True, fault is None,
                    details=fault or "")
         if fault:
             continue
-        found = screen_problematic_modules(case.source, rep, floor=1)
-        report.screening[i] = screening_rows(found)
+        report.screening[i] = rows
         expected = case.problematic_modules
         if not expected:
-            report.add(f"(g) i={i} problematic modules empty", not found, 0, len(found))
+            report.add(f"(g) i={i} problematic modules empty", not rows, 0, len(rows))
         elif i == 1:
-            report.add("(g) i=1 problematic modules", len(found) == expected, expected, len(found))
+            report.add("(g) i=1 problematic modules", len(rows) == expected, expected, len(rows))
         else:
-            report.add(f"(g) i={i} problematic modules recorded", True, None, len(found),
+            report.add(f"(g) i={i} problematic modules recorded", True, None, len(rows),
                        details="excluded by the module-decomposition argument, outside "
                                "the screening's scope")
     return report
 
 
-def screening_rows(found):
-    """Screening hits as rows: the rendered weights, then rho(M) and the
+def screen_power(case, i, floor=1):
+    """(fault, rows): the verdict case.powers[i] stores on the representative
+    of i*h, and the screen of that representative at the floor, no row when
+    there is a fault.  A row holds the rendered weights, then rho(M) and the
     twisted weight rho(M^h), both Fractions."""
-    return [{"weights": _rendered(lams), "rho": rho, "twisted": tw}
-            for lams, rho, tw in found]
+    rep, _, fault = case.powers[i]
+    if fault:
+        return fault, []
+    return None, [{"weights": _rendered(lams), "rho": rho, "twisted": tw}
+                  for lams, rho, tw in screen_problematic_modules(case.source, rep, floor=floor)]
 
 
 @lru_cache(maxsize=4096)

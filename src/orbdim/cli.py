@@ -125,9 +125,11 @@ def cmd_screen(args) -> int:
     case = _case(args.case)
     if not 1 <= args.i <= case.n - 1:
         raise ValueError(f"--i must lie in 1..{case.n - 1} for case {case.id}")
-    found = orbifold.screen_problematic_modules(case.source, case.powers[args.i][0],
-                                                floor=_rational("--floor", args.floor))
-    _emit(cases_mod.screening_rows(found), args.format, ("weights", "rho", "twisted"),
+    fault, rows = cases_mod.screen_power(case, args.i, floor=_rational("--floor", args.floor))
+    if fault:
+        print(f"case {case.id}: i={args.i}: {fault}", file=sys.stderr)
+        return 1
+    _emit(rows, args.format, ("weights", "rho", "twisted"),
           headers=("weights", "rho(M)", "rho(M^h)"))
     return 0
 
@@ -221,9 +223,8 @@ def regenerate_tables():
                 "vacuumWeight": json_number(orbifold.vacuum_anomaly(record.shape)),
             })
         if case.problematic_modules:
-            found = orbifold.screen_problematic_modules(case.source, case.h, floor=1)
             screening[case.id] = [{k: json_number(v) for k, v in row.items()}
-                                  for row in cases_mod.screening_rows(found)]
+                                  for row in cases_mod.screen_power(case, 1)[1]]
     return out
 
 

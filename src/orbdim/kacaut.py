@@ -428,12 +428,8 @@ class SemisimpleAut:
 def fixed_subalgebra_semisimple(aut: SemisimpleAut, kinds):
     """Fixed subalgebra of a semisimple automorphism: (components, abelian, dim).
 
-    kinds is the list of simple factors (an affine structure is accepted and
-    reduced to its factors); every factor index must be covered exactly once
-    across the parts.
+    kinds lists the simple factors, each covered exactly once across the parts.
     """
-    if hasattr(kinds, "kinds"):
-        kinds = kinds.kinds()
     kinds = [validate_kind(tuple(k)) for k in kinds]
     covered = []
     comps: list[Kind] = []

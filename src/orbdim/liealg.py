@@ -214,9 +214,8 @@ def in_alcove_range(kind: Kind, h) -> bool:
 def _in_alcove_range(kind: Kind, c: tuple[int, ...], d: int) -> bool:
     """in_alcove_range at h = c/d, a tuple of integers c and d > 0 with any
     common factor.  Roots come in pairs +-alpha and the largest alpha(h) is
-    theta(h+) for the dominant conjugate h+.  Memoized on that int key:
-    step (g)'s contract check walks, and the screen's precondition on the
-    same representative reads its verdict."""
+    theta(h+) for the dominant conjugate h+.  Memoized on that int key: a
+    record's contract check walks, and a miss of _screen reads the verdict."""
     table = weyl_tables(kind)
     return dot(table.marks, dominant_walk(table.cols, c)[0]) <= d
 

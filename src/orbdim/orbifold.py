@@ -89,7 +89,8 @@ class DimProfile:
 
 
 def dim_orbifold(profile: DimProfile) -> Fraction:
-    """24 + sum_d c_d dim(V_1^{sigma^d}); rational on purpose, callers assert.
+    """24 + sum_d c_d dim(V_1^{sigma^d}), rational on purpose: step (e)
+    compares it with expectedD and tables regen spells it by json_number.
 
     The identity orbifold (n = 1) returns V_1 itself; the closed form with
     the additive 24 is the n >= 2 shape of the recursion.
@@ -399,7 +400,7 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     """Modules with integral conformal weight in [2, cap] whose twisted
     weight drops below the floor, cap = safe_rho_cap(structure, hs, floor) on
     the setups the search reads.  Every h_i must keep alpha(h_i) >= -1, else a
-    ValueError; verify_case screens no power whose representative breaks it.
+    ValueError; cases.screen_power skips a power whose representative breaks it.
 
     Returns a sorted list of (lambda_tuple, rho(M), rho(M^{(h)})).  The cap
     loses nothing: any module with rho(M) > cap has integral
@@ -438,23 +439,20 @@ def screen_problematic_modules(structure: AffineStructure, hs, floor=1):
     The rows depend on the factors, each h_i = c_i / d_i and the floor
     alone, so the search runs in _screen, an lru_cache on that key.
     scale_vector and Fraction reduce, so equal coweights and floors spelled
-    as ints, Fractions or strings share one entry.  This public entry runs
-    the length and rank checks and the alcove precondition on every call,
-    before the memo is read; lru_cache keeps no exception, so a bad call
-    raises afresh every time.  The memo holds the rows as a tuple of tuples,
-    and every call returns a fresh list of them.
+    as ints, Fractions or strings share one entry.  Every call runs the
+    length and rank checks that build the key; _screen checks the alcove
+    precondition on a miss.  lru_cache keeps no exception, so a bad call
+    raises afresh every time and leaves no entry.  The memo holds the rows
+    as a tuple of tuples, and every call returns a fresh list of them.
     """
-    floor = Fraction(floor)
-    scaled = _scaled(structure, hs)
-    _require_alcove_range(structure.components, scaled)
-    return list(_screen(structure.components, scaled, floor))
+    return list(_screen(structure.components, _scaled(structure, hs), Fraction(floor)))
 
 
 @lru_cache(maxsize=256)
 def _screen(components, scaled, floor: Fraction):
     """screen_problematic_modules on the factors at h_i = c_i / d_i, the rows
-    as a tuple.  It checks nothing: screen_problematic_modules checks its
-    input first."""
+    as a tuple, after the alcove precondition on every factor."""
+    _require_alcove_range(components, scaled)
     setups = _setups(components, scaled)
     cap = _rho_cap(setups, floor)
     D, buckets = _scaled_buckets(setups)

@@ -91,7 +91,7 @@ def test_cases_load_and_schema():
         assert case.expected_d == case.target.dimension()
         for record in case.shapes:
             assert record.shape.degree() == 24
-            assert record.provenance == "paper-asserted"
+            assert not hasattr(record, "provenance")      # checked on load, not stored
         holds, _ = schellekens_constraint(case.source)
         assert holds
         holds, _ = schellekens_constraint(case.target)
@@ -157,6 +157,9 @@ def _set(*path_and_value):
     (lambda node: node["fixed"].pop("abelianRank"), "missing field fixed.abelianRank"),
     (lambda node: node["shapes"][0].pop("classLength"), "missing field shapes[].classLength"),
     (lambda node: node["shapes"][0].pop("factors"), "missing field shapes[].factors"),
+    (lambda node: node["shapes"][0].pop("provenance"), "missing field shapes[].provenance"),
+    (_set("shapes", 0, "provenance", "computed"),
+     "shapes[].provenance: 'computed' is not 'paper-asserted'"),
     (_set("n", 0), "n: 0 is not a genus-zero level >= 2"),
     (_set("n", 11), "n: 11 is not a genus-zero level >= 2"),
     (_set("n", "x"), "n: 'x' is not an integer"),

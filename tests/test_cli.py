@@ -98,10 +98,10 @@ def test_fs_divisor(capsys):
     code, out, _ = run_cli(capsys, "fs", "--n", "4", "--cusp", "1/2", "--divisor",
                            "--format", "json")
     assert code == 0
-    assert "1:8,2:-24,4:16" in out
-    rows = json.loads(out.splitlines()[-1]) if out.splitlines()[-1].startswith("[") else None
-    # divisor table lines include order -1 at its own cusp
-    assert '"order": -1' in out or "'order': -1" in out or rows is not None
+    title, table = out.split("\n", 1)
+    assert "1:8,2:-24,4:16" in title
+    orders = {row["cusp"]: row["order"] for row in json.loads(table)}
+    assert orders["1/2"] == -1        # f_s has its pole at its own cusp s = 1/2
 
 
 def test_kac_and_inner(capsys):
@@ -401,6 +401,43 @@ def test_corrupted_shipped_data_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cases_mod, "_data_text", corrupted)
     code, out, err = run_cli(capsys, "case", "run", "11")
     assert (code, out, err) == (1, "", "case 11: n: 'x' is not an integer\n")
+
+
+def test_screen_of_a_power_whose_contract_fails_exits_1(capsys, monkeypatch):
+    """Case 11 with h's A4 coweight of factor 0 set to
+    -(Lambda_1^vee + Lambda_4^vee)/2 still loads: h and ihReps[2] keep their
+    contracts.  Powers 3 and 4, the negations of ihReps[2] and h, then
+    differ from 3h and 4h by a coweight outside the coroot lattice.  case
+    run fails their contract rows (and rows of steps (b) to (g) that read
+    the new h), and screen exits 1 on power 4 with nothing on stdout and one
+    stderr line naming the case, the power and the fault, as it screens no
+    power whose contract fails; a bad --floor still exits 2, and power 2
+    prints the rows it prints unpatched."""
+    import orbdim.cases as cases_mod
+
+    power_2 = run_cli(capsys, "screen", "--case", "11", "--i", "2", "--format", "json")
+    real = cases_mod._data_text
+
+    def corrupted(name):
+        raw = json.loads(real(name))
+        if name == "cases.json":
+            raw["cases"][10]["h"][0] = ["-1/2", "0", "0", "-1/2"]
+        return json.dumps(raw)
+
+    monkeypatch.setattr(cases_mod, "_data_text", corrupted)
+    code, out, _ = run_cli(capsys, "case", "run", "11")
+    assert code == 1
+    assert [line.strip() for line in out.splitlines() if "contract" in line] == [
+        "ok   (g) i=1 representative contract", "ok   (g) i=2 representative contract",
+        "FAIL (g) i=3 representative contract", "FAIL (g) i=4 representative contract"]
+    code, out, err = run_cli(capsys, "screen", "--case", "11", "--i", "4", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == ("case 11: i=4: factor 0 (A4) differs from 4*h by a coweight outside "
+                   "the coroot lattice\n")
+    code, out, err = run_cli(capsys, "screen", "--case", "11", "--i", "4", "--floor", "x")
+    assert (code, out) == (2, "") and "--floor must be a rational number" in err
+    assert run_cli(capsys, "screen", "--case", "11", "--i", "2", "--format", "json") == power_2
+    assert power_2[0] == 0 and json.loads(power_2[1])
 
 
 def test_python_m_orbdim_cli_exit_codes():

@@ -33,7 +33,7 @@ from orbdim.cases import (
     load_cases,
     load_schellekens,
     representative_fault,
-    screening_rows,
+    screen_power,
     verify_all,
     verify_case,
 )
@@ -49,6 +49,7 @@ from orbdim.orbifold import (
     _factor_setup,
     _screen,
     alcove_representative,
+    render_weight_tuple,
     safe_rho_cap,
     screen_problematic_modules,
     twisted_module_weight,
@@ -66,6 +67,13 @@ def _fault_oracle(source, rep, i, scaled_h):
         if not in_alcove_range(kind, coords):
             return f"factor {f} ({kind_name(kind)}) has alpha < -1 for some root"
     return None
+
+
+def _rows(found):
+    """The rows of screen_power built afresh from a screen's hits, each
+    weight tuple rendered without the _rendered memo."""
+    return [{"weights": render_weight_tuple(lams), "rho": rho, "twisted": tw}
+            for lams, rho, tw in found]
 
 
 def _negated(rep):
@@ -131,9 +139,7 @@ def test_a_record_without_ih_reps_reaches_the_alcove_branch(monkeypatch, index, 
         assert (rep, scaled) == _power_oracle(replaced, i), (case.id, i)
         assert fault is None
         assert representative_fault(case.source, scaled, i, case.scaled_h) is None
-        assert (screening_rows(screen_problematic_modules(case.source, rep, floor=1))
-                == screening_rows(screen_problematic_modules(case.source, case.powers[i][0],
-                                                             floor=1))), (case.id, i)
+        assert screen_power(replaced, i) == screen_power(case, i), (case.id, i)
     report = verify_case(replaced, load_schellekens())
     assert report.passed
     assert report.screening == verify_case(case, load_schellekens()).screening
@@ -167,7 +173,7 @@ def test_verify_case_rows_equal_the_public_screen():
             assert sorted(report.screening) == list(range(1, case.n))
             for i in range(1, case.n):
                 found = screen_problematic_modules(case.source, case.powers[i][0], floor=1)
-                assert report.screening[i] == screening_rows(found), (case.id, i, fresh)
+                assert report.screening[i] == _rows(found), (case.id, i, fresh)
                 powers += 1
         assert powers == 32
         assert _screen.cache_info().hits - hits == (0 if fresh else 32)
@@ -205,10 +211,10 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     public entries it calls on the printed Fractions, inner_from_coweight
     once per factor and screen_problematic_modules once per factor and
     power.  Both scale through liealg.scale_coweight, which checks the rank
-    and calls scale_vector, so that is called in liealg alone.  It calls the alpha >= -1 check once per factor and power, in
-    the screen's precondition, as step (g) reads the verdict each record
-    stored, and walks zero times: every check is read from the memo the
-    first pass filled."""
+    and calls scale_vector, so that is called in liealg alone.  It calls the
+    alpha >= -1 check zero times, as step (g) reads the verdict each record
+    stored and the screen's precondition runs only on a miss of _screen,
+    and walks zero times."""
     all_cases, table = load_cases(), load_schellekens()
     verify_all(all_cases, table)
     counts = Counter()
@@ -237,10 +243,10 @@ def test_a_warm_verify_all_scales_and_walks_only_at_the_public_entries(monkeypat
     reports, _ = verify_all(all_cases, table)
     assert all(r.passed for r in reports)
     factors = sum(len(c.source.components) for c in all_cases)
-    checks = sum((c.n - 1) * len(c.source.components) for c in all_cases)
-    assert counts == {("coweight", "kacaut"): factors, ("coweight", "orbifold"): checks,
-                      ("scale", "liealg"): factors + checks, ("check", "orbifold"): checks}
-    assert checks == 99
+    screened = sum((c.n - 1) * len(c.source.components) for c in all_cases)
+    assert counts == {("coweight", "kacaut"): factors, ("coweight", "orbifold"): screened,
+                      ("scale", "liealg"): factors + screened}
+    assert screened == 99
     assert not any(name == "walk" for name, _ in counts)
 
 
@@ -258,15 +264,16 @@ def _cartan_keys(all_cases, reports):
 
 
 def test_a_cold_verify_all_walks_once_per_key_and_a_warm_one_misses_nothing(monkeypatch):
-    """From empty Cartan-data memos, with every search memo full, a
-    verify_all misses each memo once per distinct key and walks once per
-    miss: 57 walks for the 99 alpha >= -1 checks of the screen's
-    precondition, as the records were built, and their verdicts stored,
-    before the memos were emptied.  A second verify_all adds hits and no
-    miss: 99 checks and 136 rendered rows."""
+    """From empty Cartan-data memos and an empty _screen, with every other
+    search memo full, a verify_all misses each memo once per distinct key
+    and walks once per miss: the 32 misses of _screen make the 99
+    alpha >= -1 checks of the screen's precondition, and 57 walks, as the
+    records were built, and their verdicts stored, before the memos were
+    emptied.  A second verify_all adds hits and no miss: no check, as every
+    screen is a hit, and 136 rendered rows."""
     all_cases, table = load_cases(), load_schellekens()
     reports, _ = verify_all(all_cases, table)
-    for memo in CARTAN_MEMOS:
+    for memo in CARTAN_MEMOS + (_screen,):
         memo.cache_clear()
     walks, walk = [], liealg.dominant_walk
 
@@ -283,14 +290,14 @@ def test_a_cold_verify_all_walks_once_per_key_and_a_warm_one_misses_nothing(monk
     calls = [99, 136]
     assert [(m.cache_info().hits, m.cache_info().misses) for m in CARTAN_MEMOS] == \
         [(n - len(k), len(k)) for n, k in zip(calls, keys)]
-    assert len(walks) == 57
+    assert len(walks) == 57 and _screen.cache_info().misses == 32
     assert all(m.cache_parameters()["maxsize"] for m in CARTAN_MEMOS)
     before = [m.cache_info() for m in CARTAN_MEMOS]
     warm, _ = verify_all(all_cases, table)
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
     after = [m.cache_info() for m in CARTAN_MEMOS]
     assert [a.misses for a in after] == [b.misses for b in before]
-    assert [a.hits - b.hits for a, b in zip(after, before)] == calls
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [0, 136]
 
 
 @pytest.mark.parametrize("fault", [0, 1], ids=["wrong coset", "alpha below -1"])

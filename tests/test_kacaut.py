@@ -325,14 +325,14 @@ def test_affine_diagram_automorphism_counts():
     assert len(diagram_automorphisms(twisted_diagram(("A", 8), 2))) == 1
 
 
-def test_fixed_subalgebra_accepts_affine_structure():
+def test_fixed_subalgebra_reads_the_kinds_of_an_affine_structure():
     from orbdim.liealg import AffineStructure
     e8 = ("E", 8)
     structure = AffineStructure(((e8, 1), (e8, 1), (e8, 1)))
     id_cls = enumerate_classes(e8, 1)[0]
     invol = next(c for c in enumerate_classes(e8, 2) if c.fixed_components == (("D", 8),))
     aut = SemisimpleAut((CyclePart((0, 1), id_cls), CyclePart((2,), invol)))
-    comps, ab, dim = fixed_subalgebra_semisimple(aut, structure)
+    comps, ab, dim = fixed_subalgebra_semisimple(aut, structure.kinds())
     assert comps == (("D", 8), ("E", 8)) and dim == 368
 
 

@@ -149,6 +149,18 @@ def test_d_tables_match_the_per_triple_oracle(n):
     assert all(d_coefficient(n, *t) == v for t, v in expected.items())
 
 
+def test_d_tables_have_the_rows_and_moduli_their_levels_need():
+    """Two structural rules of the transcribed residual rows: there is a
+    row for exactly the (n, g) with g = gcd(i, j, n) > 1 for some valid
+    triple (1 <= i, j < n, ij not 0 mod n) at a genus-zero level n >= 2,
+    and its modulus is n g when g^2 divides n and n otherwise."""
+    needed = {(n, g) for n in GENUS_ZERO_LEVELS - {1} for i in range(1, n) for j in range(1, n)
+              if i * j % n and (g := gcd(i, j, n)) > 1}
+    assert set(_D_TABLES) == needed and len(needed) == 12
+    for (n, g), (modulus, _) in _D_TABLES.items():
+        assert modulus == (n * g if n % (g * g) == 0 else n), (n, g)
+
+
 def test_d_tables_outside_the_genus_zero_levels():
     for call in (lambda: all_tabulated_triples(11), lambda: d_coefficient(11, 1, 1, 1),
                  lambda: _d_coefficient_oracle(11, 1, 1, 1)):
